@@ -2,17 +2,17 @@
 constraints: maximal EF1 solvers, a brute-force oracle, hardness-instance
 generators, and maximal equitable tree coloring."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     CHORES,
     GOODS,
     Additive,
     Allocation,
-    Chain,
+    Composite,
     ConflictGraph,
     Instance,
     Negated,
-    Restriction,
-    Sum,
     Table,
     Uniform,
     ValidationReport,
@@ -26,7 +26,7 @@ from .core import (
     validate_allocation,
     value_minus_one,
 )
-from .chain import ChainOutcome, build_chain, chain_ef1, cut_and_choose
+from .chain import Chain, ChainOutcome, build_chain, chain_ef1, cut_and_choose
 from .swap import SwapIteration, SwapTrace, iteration_bound_additive, swap_ef1
 from .graph_classes import (
     IntervalChains,
@@ -49,6 +49,7 @@ from .oracle import (
     enumerate_maximal_allocations,
     exists_maximal_ef1,
 )
+from .solver import InapplicableError, NoAlgorithmError, Solution, solve
 from .hardness import (
     GoodMap,
     ISInstance,
@@ -64,65 +65,5 @@ from .treecolor import PartialColoring, RootedTree, coloring_violations, equitab
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHORES",
-    "GOODS",
-    "Additive",
-    "Allocation",
-    "BudgetExceededError",
-    "Chain",
-    "ChainOutcome",
-    "ConflictGraph",
-    "EnumerationBudget",
-    "ExistenceResult",
-    "GoodMap",
-    "ISInstance",
-    "Instance",
-    "IntervalChains",
-    "IntervalSet",
-    "Negated",
-    "PartialColoring",
-    "ReductionSpec",
-    "Restriction",
-    "RootedTree",
-    "SchedulingSolution",
-    "Sum",
-    "SwapIteration",
-    "SwapTrace",
-    "Table",
-    "Uniform",
-    "ValidationReport",
-    "ValuationModel",
-    "bipartite_ef1",
-    "bipartition",
-    "build_chain",
-    "build_reduction",
-    "chain_ef1",
-    "coloring_violations",
-    "complete_to_maximal_is",
-    "compute_gamma",
-    "count_maximal_allocations",
-    "cut_and_choose",
-    "enumerate_maximal_allocations",
-    "equitable_tree_coloring",
-    "evaluate",
-    "exists_maximal_ef1",
-    "gen_counterexample",
-    "independent_sets",
-    "interval_chains",
-    "interval_ef1",
-    "interval_scheduling_greedy",
-    "is_bipartite",
-    "is_ef1",
-    "is_independent_set",
-    "is_maximal",
-    "is_ordered_adjacent",
-    "iteration_bound_additive",
-    "max_independent_set_size",
-    "round_robin_small",
-    "structured_maximal_allocations",
-    "swap_ef1",
-    "validate_allocation",
-    "value_minus_one",
-    "yes_certificate",
-]
+# The public API is every name imported above, listed once.
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

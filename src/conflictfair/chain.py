@@ -10,19 +10,32 @@ side sets, the end-to-end value gap flips sign and some step must be EF1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (
     GOODS,
     Allocation,
-    Chain,
     Instance,
-    Negated,
     ValuationModel,
+    complete_to_maximal_is,
     evaluate,
     is_ef1,
     is_independent_set,
+    to_goods,
 )
+
+
+@dataclass(frozen=True)
+class Chain:
+    """The allocation sequence built from an ordered maximal independent set,
+    with the side sets and per-good (p, q) indices that define each step."""
+
+    steps: tuple
+    source: tuple
+    x1: frozenset
+    x2: frozenset
+    p: Mapping[int, int]
+    q: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,16 @@ def _require_two_agent_identical_goods(instance: Instance) -> ValuationModel:
     if instance.mode != GOODS:
         raise ValueError("chores instances must be negated into goods mode first")
     return instance.identical_model
+
+
+def most_valuable_source(instance: Instance) -> frozenset:
+    """Maximal independent set grown from the single most valuable good
+    (lowest index among equals); empty when there are no goods."""
+    model = _require_two_agent_identical_goods(instance)
+    if instance.m == 0:
+        return frozenset()
+    g_star = max(range(instance.m), key=lambda g: (evaluate(model, (g,)), -g))
+    return complete_to_maximal_is(instance.graph, (g_star,))
 
 
 def build_chain(
@@ -120,11 +143,12 @@ def chain_ef1(instance: Instance, source: Sequence[int]) -> ChainOutcome:
 
 def cut_and_choose(
     instance: Instance,
-    solve: Optional[Callable[[Instance], Allocation]] = None,
-) -> Allocation:
+    solve: Optional[Callable[[Instance], Optional[Allocation]]] = None,
+) -> Optional[Allocation]:
     """Two-agent protocol for possibly distinct valuations: solve the
     identical-valuation problem under agent 1's valuation, then let agent 2
-    take her preferred bundle.
+    take the preferred bundle. When ``solve`` returns None (a solver that
+    may fail), so does the protocol.
 
     Works in both modes: for chores the identical sub-problem is negated
     into goods form, while the choice step always compares agent 2's true
@@ -138,10 +162,9 @@ def cut_and_choose(
 
         solve = lambda inst: swap_ef1(inst)[0]
 
-    v1 = instance.model_for(0)
-    inner_model = Negated(v1) if instance.mode != GOODS else v1
-    identical = Instance(instance.graph, 2, inner_model, GOODS)
-    allocation = solve(identical)
+    allocation = solve(to_goods(Instance(instance.graph, 2, instance.model_for(0), instance.mode)))
+    if allocation is None:
+        return None
 
     v2 = instance.model_for(1)
     if evaluate(v2, allocation[1]) < evaluate(v2, allocation[0]):

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
-from .core import GOODS, Allocation, Instance, Negated, complete_to_maximal_is, evaluate, is_ef1, is_maximal, validate_allocation
-from .chain import chain_ef1, cut_and_choose
-from .swap import swap_ef1
-from .graph_classes import IntervalSet, bipartite_ef1, interval_ef1, is_bipartite, round_robin_small
+from .core import is_ef1, is_maximal, validate_allocation
+from .solver import ALGORITHMS, InapplicableError, NoAlgorithmError, solve
 from .oracle import BudgetExceededError, EnumerationBudget, compute_gamma, count_maximal_allocations, exists_maximal_ef1
 from .hardness import ISInstance, build_reduction, gen_counterexample
 from .treecolor import RootedTree, equitable_tree_coloring
@@ -30,10 +27,6 @@ EXIT_BUDGET = 5
 EXIT_REDUCTION_PRECONDITION = 6
 
 
-class NoAllocationFound(Exception):
-    pass
-
-
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
@@ -43,54 +36,8 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _goods_twin(instance: Instance) -> Instance:
-    """Negate chores models into an equivalent goods-mode instance."""
-    if instance.mode == GOODS:
-        return instance
-    if instance.identical:
-        return Instance(instance.graph, instance.n, Negated(instance.identical_model), GOODS)
-    return Instance(instance.graph, instance.n, [Negated(v) for v in instance.models], GOODS)
-
-
-def _chain_solve(instance: Instance) -> Allocation:
-    """Single chain seeded by a maximal set containing the most valuable
-    good; may fail, unlike the escalating solver."""
-    model = instance.identical_model
-    g_star = max(range(instance.m), key=lambda g: (evaluate(model, (g,)), -g))
-    source = sorted(complete_to_maximal_is(instance.graph, (g_star,)))
-    outcome = chain_ef1(instance, source)
-    if not outcome.found:
-        raise NoAllocationFound("chain produced no EF1 step; try the swap algorithm")
-    return outcome.allocation
-
-
-def _pick_algorithm(instance: Instance, intervals: Optional[IntervalSet]) -> Optional[str]:
-    if instance.m <= instance.n + 1:
-        return "roundrobin"
-    if instance.n == 2:
-        if intervals is not None:
-            return "interval"
-        if is_bipartite(instance.graph):
-            return "bipartite"
-        return "swap"
-    return None
-
-
-def _solve_with(algorithm: str, instance: Instance, intervals: Optional[IntervalSet]) -> Allocation:
-    """Dispatch on an applicable algorithm; identical chores instances are
-    negated into goods form, distinct two-agent valuations go through
-    cut-and-choose on the original instance."""
-    if algorithm == "roundrobin":
-        return round_robin_small(_goods_twin(instance))
-    inner = {
-        "chain": _chain_solve,
-        "swap": lambda inst: swap_ef1(inst)[0],
-        "bipartite": bipartite_ef1,
-        "interval": lambda inst: interval_ef1(inst, intervals),
-    }[algorithm]
-    if instance.identical:
-        return inner(_goods_twin(instance))
-    return cut_and_choose(instance, solve=inner)
+def _certificate(instance, allocation) -> dict:
+    return {"maximal": is_maximal(instance, allocation), "ef1": is_ef1(instance, allocation)}
 
 
 def cmd_solve(args) -> int:
@@ -99,32 +46,21 @@ def cmd_solve(args) -> int:
     except ser.ParseError as exc:
         return _fail(EXIT_PARSE, str(exc))
 
-    algorithm = args.algorithm
-    if algorithm == "auto":
-        algorithm = _pick_algorithm(instance, intervals)
-        if algorithm is None:
-            return _fail(EXIT_NO_ALGORITHM, f"no algorithm applies to {instance.n} agents on {instance.m} goods")
-    if algorithm in ("chain", "swap", "bipartite", "interval") and instance.n != 2:
-        return _fail(EXIT_INAPPLICABLE, f"algorithm {algorithm} needs exactly 2 agents")
-    if algorithm == "bipartite" and not is_bipartite(instance.graph):
-        return _fail(EXIT_INAPPLICABLE, "graph is not bipartite")
-    if algorithm == "interval" and intervals is None:
-        return _fail(EXIT_INAPPLICABLE, "instance file has no intervals")
-    if algorithm == "roundrobin" and instance.m > instance.n + 1:
-        return _fail(EXIT_INAPPLICABLE, f"round robin needs m <= n+1, got m={instance.m}")
-
-    print(f"algorithm:{algorithm}")
     try:
-        allocation = _solve_with(algorithm, instance, intervals)
-    except NoAllocationFound:
+        solution = solve(instance, args.algorithm, intervals)
+    except NoAlgorithmError as exc:
+        return _fail(EXIT_NO_ALGORITHM, str(exc))
+    except InapplicableError as exc:
+        return _fail(EXIT_INAPPLICABLE, str(exc))
+
+    print(f"algorithm:{solution.algorithm}")
+    allocation = solution.allocation
+    if allocation is None:
         print("found:false")
         return EXIT_FAILED_CHECK
 
     report = validate_allocation(instance, allocation)
-    certificate = {
-        "maximal": is_maximal(instance, allocation),
-        "ef1": is_ef1(instance, allocation),
-    }
+    certificate = _certificate(instance, allocation)
     print("found:true")
     print(f"bundles:{[sorted(b) for b in allocation.bundles]}")
     print(f"maximal:{_bool(certificate['maximal'])}")
@@ -167,10 +103,7 @@ def cmd_oracle(args) -> int:
         print(f"exists:{_bool(result.exists)}")
         if args.witness:
             if result.exists:
-                certificate = {
-                    "maximal": is_maximal(instance, result.witness),
-                    "ef1": is_ef1(instance, result.witness),
-                }
+                certificate = _certificate(instance, result.witness)
                 ser.dump_json(args.witness, ser.allocation_to_json(result.witness, certificate))
                 print(f"witness:{args.witness}")
             else:
@@ -271,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance", help="instance JSON file")
     solve.add_argument(
         "--algorithm",
-        choices=["auto", "chain", "swap", "bipartite", "interval", "roundrobin"],
+        choices=["auto", *ALGORITHMS],
         default="auto",
     )
     solve.add_argument("--out", help="write the allocation JSON here")

@@ -51,12 +51,6 @@ class ConflictGraph:
             adj[v].add(u)
         self.adj = tuple(frozenset(s) for s in adj)
 
-    def neighbors(self, g: int) -> frozenset:
-        return self.adj[g]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def __eq__(self, other):
         return (
             isinstance(other, ConflictGraph)
@@ -72,9 +66,20 @@ class ConflictGraph:
 
 
 class ValuationModel:
-    """Base for the valuation family; subclasses implement ``value``."""
+    """Base for the valuation family; subclasses implement ``value``,
+    ``check`` and ``to_json``."""
 
     def value(self, subset: frozenset) -> Fraction:
+        raise NotImplementedError
+
+    def check(self, m: int, mode: str) -> None:
+        """Raise ValueError unless this is a valuation over ``m`` goods,
+        monotone non-decreasing in goods mode and non-increasing in chores
+        mode, with v({}) = 0."""
+        raise NotImplementedError
+
+    def to_json(self) -> dict:
+        """Instance-file form; rationals are strings."""
         raise NotImplementedError
 
 
@@ -95,6 +100,15 @@ class Additive(ValuationModel):
             total += self.values[g]
         return total
 
+    def check(self, m: int, mode: str) -> None:
+        if len(self.values) != m:
+            raise ValueError(f"additive vector has length {len(self.values)}, expected {m}")
+        if any(v < 0 if mode == GOODS else v > 0 for v in self.values):
+            raise ValueError(f"additive values must be {'non-negative' if mode == GOODS else 'non-positive'} in {mode} mode")
+
+    def to_json(self) -> dict:
+        return {"type": "additive", "values": [str(v) for v in self.values]}
+
 
 @dataclass(frozen=True)
 class Uniform(ValuationModel):
@@ -102,6 +116,13 @@ class Uniform(ValuationModel):
 
     def value(self, subset: frozenset) -> Fraction:
         return Fraction(len(subset))
+
+    def check(self, m: int, mode: str) -> None:
+        if mode == CHORES:
+            raise ValueError("uniform valuation is monotone non-decreasing; negate it for chores")
+
+    def to_json(self) -> dict:
+        return {"type": "uniform"}
 
 
 class Table(ValuationModel):
@@ -135,6 +156,24 @@ class Table(ValuationModel):
         except KeyError:
             raise ValueError(f"table model is missing subset mask {mask}") from None
 
+    def check(self, m: int, mode: str) -> None:
+        """Exhaustive: every subset against each one-good extension."""
+        if self.m != m:
+            raise ValueError(f"table is over {self.m} goods, expected {m}")
+        for mask in range(1 << m):
+            base = self.entries[mask]
+            for g in range(m):
+                if mask & (1 << g):
+                    continue
+                grown = self.entries[mask | (1 << g)]
+                if mode == GOODS and grown < base:
+                    raise ValueError("table is not monotone non-decreasing")
+                if mode == CHORES and grown > base:
+                    raise ValueError("table is not monotone non-increasing")
+
+    def to_json(self) -> dict:
+        return {"type": "table", "entries": [[str(mask), str(self.entries[mask])] for mask in sorted(self.entries)]}
+
     def __eq__(self, other):
         return isinstance(other, Table) and self.m == other.m and self.entries == other.entries
 
@@ -151,78 +190,43 @@ class Negated(ValuationModel):
     def value(self, subset: frozenset) -> Fraction:
         return -self.inner.value(subset)
 
+    def check(self, m: int, mode: str) -> None:
+        self.inner.check(m, CHORES if mode == GOODS else GOODS)
 
-@dataclass(frozen=True)
-class Restriction(ValuationModel):
-    """v(S) = inner(S intersected with goods 0..size-1).
-
-    Embeds a model over a good prefix into a larger good universe; used by
-    the hardness reduction, whose composed valuation ignores filler goods.
-    """
-
-    inner: ValuationModel
-    size: int
-
-    def value(self, subset: frozenset) -> Fraction:
-        return self.inner.value(frozenset(g for g in subset if g < self.size))
+    def to_json(self) -> dict:
+        return {"type": "negated", "inner": self.inner.to_json()}
 
 
 @dataclass(frozen=True)
-class Sum(ValuationModel):
-    """v(S) = sum of part values."""
+class Composite(ValuationModel):
+    """v(S) = base(S intersected with goods 0..base_goods-1) + tail(S), the
+    tail being additive over all goods.
 
-    parts: tuple
+    Embeds a model over a good prefix into a larger good universe; the
+    hardness reduction builds it for non-additive bases, whose composed
+    valuation ignores filler goods except for their additive tail.
+    """
 
-    def __init__(self, parts: Iterable[ValuationModel]):
-        object.__setattr__(self, "parts", tuple(parts))
+    base: ValuationModel
+    base_goods: int
+    tail: Additive
 
     def value(self, subset: frozenset) -> Fraction:
-        total = Fraction(0)
-        for part in self.parts:
-            total += part.value(subset)
-        return total
+        return self.base.value(frozenset(g for g in subset if g < self.base_goods)) + self.tail.value(subset)
 
+    def check(self, m: int, mode: str) -> None:
+        if not 0 <= self.base_goods <= m:
+            raise ValueError("composite base goods out of range")
+        self.base.check(self.base_goods, mode)
+        self.tail.check(m, mode)
 
-def _check_model(model: ValuationModel, m: int, mode: str) -> None:
-    """Structural monotonicity/sign check; raises ValueError on violation.
-
-    Goods mode requires monotone non-decreasing with v({}) = 0, chores mode
-    monotone non-increasing with v({}) = 0. Tables are checked exhaustively,
-    additive vectors by sign.
-    """
-    if isinstance(model, Additive):
-        if len(model.values) != m:
-            raise ValueError(f"additive vector has length {len(model.values)}, expected {m}")
-        bad = [v for v in model.values if (v < 0 if mode == GOODS else v > 0)]
-        if bad:
-            raise ValueError(f"additive values must be {'non-negative' if mode == GOODS else 'non-positive'} in {mode} mode")
-    elif isinstance(model, Uniform):
-        if mode == CHORES:
-            raise ValueError("uniform valuation is monotone non-decreasing; negate it for chores")
-    elif isinstance(model, Table):
-        if model.m != m:
-            raise ValueError(f"table is over {model.m} goods, expected {m}")
-        for mask in range(1 << m):
-            base = model.entries[mask]
-            for g in range(m):
-                if mask & (1 << g):
-                    continue
-                grown = model.entries[mask | (1 << g)]
-                if mode == GOODS and grown < base:
-                    raise ValueError("table is not monotone non-decreasing")
-                if mode == CHORES and grown > base:
-                    raise ValueError("table is not monotone non-increasing")
-    elif isinstance(model, Negated):
-        _check_model(model.inner, m, CHORES if mode == GOODS else GOODS)
-    elif isinstance(model, Restriction):
-        if not 0 <= model.size <= m:
-            raise ValueError("restriction size out of range")
-        _check_model(model.inner, model.size, mode)
-    elif isinstance(model, Sum):
-        for part in model.parts:
-            _check_model(part, m, mode)
-    else:
-        raise TypeError(f"unknown valuation model {type(model).__name__}")
+    def to_json(self) -> dict:
+        return {
+            "type": "composite",
+            "baseGoods": self.base_goods,
+            "base": self.base.to_json(),
+            "tail": self.tail.to_json()["values"],
+        }
 
 
 class Instance:
@@ -253,12 +257,8 @@ class Instance:
             if len(models) != agents:
                 raise ValueError(f"expected {agents} models, got {len(models)}")
             identical = all(v is models[0] or v == models[0] for v in models)
-        seen = []
-        for model in models:
-            if any(model is s for s in seen):
-                continue
-            _check_model(model, graph.m, mode)
-            seen.append(model)
+        for model in {id(v): v for v in models}.values():
+            model.check(graph.m, mode)
         self.graph = graph
         self.n = agents
         self.mode = mode
@@ -292,6 +292,19 @@ class Instance:
     def __repr__(self):
         kind = "identical" if self.identical else "per-agent"
         return f"Instance(n={self.n}, m={self.m}, {kind}, mode={self.mode})"
+
+
+def to_goods(instance: Instance) -> Instance:
+    """Goods-mode twin of a chores instance, each model wrapped in
+    ``Negated``; goods instances come back unchanged. For identical
+    valuations an allocation is EF1 for chores under v exactly when it is
+    EF1 for goods under -v, which is how the two-agent solvers handle
+    chores."""
+    if instance.mode == GOODS:
+        return instance
+    if instance.identical:
+        return Instance(instance.graph, instance.n, Negated(instance.identical_model), GOODS)
+    return Instance(instance.graph, instance.n, [Negated(v) for v in instance.models], GOODS)
 
 
 class Allocation:
@@ -337,19 +350,6 @@ class ValidationReport:
     disjoint: bool
     independent: tuple
     wellformed: bool
-
-
-@dataclass(frozen=True)
-class Chain:
-    """The allocation sequence built from an ordered maximal independent set,
-    with the side sets and per-good (p, q) indices that define each step."""
-
-    steps: tuple
-    source: tuple
-    x1: frozenset
-    x2: frozenset
-    p: Mapping[int, int]
-    q: Mapping[int, int]
 
 
 def evaluate(model: ValuationModel, subset: Iterable[int]) -> Fraction:

@@ -16,18 +16,18 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
+    GOODS,
     Additive,
     Allocation,
+    Composite,
     ConflictGraph,
     Instance,
-    Restriction,
-    Sum,
     Table,
     evaluate,
     is_independent_set,
     value_minus_one,
 )
-from .oracle import EnumerationBudget, compute_gamma, enumerate_maximal_allocations, exists_maximal_ef1
+from .oracle import EnumerationBudget, compute_gamma, enumerate_maximal_allocations, exists_maximal_ef1, worst_envy_gap
 
 
 def _three_agent_table() -> Table:
@@ -117,7 +117,7 @@ def build_reduction(
     """Compose the base no-EF1 instance with n copies of the IS graph."""
     if not base.identical:
         raise ValueError("base instance must have identical valuations")
-    if base.mode != "goods":
+    if base.mode != GOODS:
         raise ValueError("negate a chores base into goods mode before reducing")
     if exists_maximal_ef1(base, budget).exists:
         raise ValueError("base instance admits a maximal EF1 allocation")
@@ -160,7 +160,7 @@ def build_reduction(
         values = list(base_model.values) + tail[m_base:]
         model = Additive(values)
     else:
-        model = Sum((Restriction(base_model, m_base), Additive(tail)))
+        model = Composite(base_model, m_base, Additive(tail))
     instance = Instance(graph, n, model)
     return instance, ReductionSpec(base, is_instance, gamma, lam, good_map)
 
@@ -170,10 +170,7 @@ def _gamma_allocation(spec: ReductionSpec) -> Allocation:
     reordered (stable) so agent 1 has the largest one-removed value."""
     model = spec.base.identical_model
     for allocation in enumerate_maximal_allocations(spec.base):
-        worst = max(value_minus_one(model, b) for b in allocation.bundles) - min(
-            evaluate(model, b) for b in allocation.bundles
-        )
-        if worst == spec.gamma:
+        if worst_envy_gap(model, allocation) == spec.gamma:
             order = sorted(
                 range(spec.base.n),
                 key=lambda i: -value_minus_one(model, allocation[i]),

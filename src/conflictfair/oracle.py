@@ -12,6 +12,7 @@ from typing import Iterator, Optional
 from .core import (
     Allocation,
     Instance,
+    ValuationModel,
     evaluate,
     is_ef1,
     is_maximal,
@@ -118,21 +119,25 @@ def count_maximal_allocations(
     return sum(1 for _ in enumerate_maximal_allocations(instance, budget))
 
 
+def worst_envy_gap(model: ValuationModel, allocation: Allocation) -> Fraction:
+    """max over bundles of v_minus_one minus min over bundles of v: the
+    worst gap v_minus_one(A_i) - v(A_i') over agent pairs, i = i' included."""
+    return max(value_minus_one(model, b) for b in allocation.bundles) - min(
+        evaluate(model, b) for b in allocation.bundles
+    )
+
+
 def compute_gamma(
     instance: Instance,
     budget: Optional[EnumerationBudget] = None,
 ) -> Fraction:
-    """Smallest worst envy gap over all maximal allocations:
-    min over maximal A of max over agent pairs (i, i') of
-    v_minus_one(A_i) - v(A_i'), with i = i' included."""
+    """Smallest ``worst_envy_gap`` over all maximal allocations."""
     if not instance.identical:
         raise ValueError("gamma is defined for identical valuations")
     model = instance.identical_model
     gamma = None
     for allocation in enumerate_maximal_allocations(instance, budget):
-        worst = max(value_minus_one(model, b) for b in allocation.bundles) - min(
-            evaluate(model, b) for b in allocation.bundles
-        )
+        worst = worst_envy_gap(model, allocation)
         if gamma is None or worst < gamma:
             gamma = worst
     if gamma is None:

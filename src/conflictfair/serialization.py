@@ -15,11 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 from .core import (
     Additive,
     Allocation,
+    Composite,
     ConflictGraph,
     Instance,
     Negated,
-    Restriction,
-    Sum,
     Table,
     Uniform,
     ValuationModel,
@@ -42,26 +41,22 @@ def rational_from_str(text) -> Fraction:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
-def model_to_json(model: ValuationModel) -> dict:
-    if isinstance(model, Additive):
-        return {"type": "additive", "values": [rational_to_str(v) for v in model.values]}
-    if isinstance(model, Uniform):
-        return {"type": "uniform"}
-    if isinstance(model, Table):
-        entries = [[str(mask), rational_to_str(model.entries[mask])] for mask in sorted(model.entries)]
-        return {"type": "table", "entries": entries}
-    if isinstance(model, Negated):
-        return {"type": "negated", "inner": model_to_json(model.inner)}
-    if isinstance(model, Sum) and len(model.parts) == 2:
-        base, tail = model.parts
-        if isinstance(base, Restriction) and isinstance(tail, Additive):
-            return {
-                "type": "composite",
-                "baseGoods": base.size,
-                "base": model_to_json(base.inner),
-                "tail": [rational_to_str(v) for v in tail.values],
-            }
-    raise ValueError(f"model {type(model).__name__} has no file representation")
+def integer_from_json(value, what: str, decimal_string: bool = False) -> int:
+    """An integer field: a JSON integer, or with ``decimal_string`` also a
+    string of ASCII decimal digits (table masks). Anything else, booleans
+    and floats such as 2.0 included, is a ParseError."""
+    if type(value) is int:
+        return value
+    if decimal_string and isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def _edges_from_json(data) -> list:
+    return [
+        tuple(integer_from_json(g, "edge endpoint") for g in edge)
+        for edge in data.get("edges", [])
+    ]
 
 
 def model_from_json(data, m: int) -> ValuationModel:
@@ -70,16 +65,13 @@ def model_from_json(data, m: int) -> ValuationModel:
     kind = data["type"]
     try:
         if kind == "additive":
-            values = [rational_from_str(v) for v in data["values"]]
-            if len(values) != m:
-                raise ParseError(f"additive model has {len(values)} values, expected {m}")
-            return Additive(values)
+            return Additive(rational_from_str(v) for v in data["values"])
         if kind == "uniform":
             return Uniform()
         if kind == "table":
             entries = {}
             for mask_text, value_text in data["entries"]:
-                mask = int(mask_text)
+                mask = integer_from_json(mask_text, "table mask", decimal_string=True)
                 if mask in entries:
                     raise ParseError(f"duplicate table entry for mask {mask}")
                 entries[mask] = rational_from_str(value_text)
@@ -90,12 +82,9 @@ def model_from_json(data, m: int) -> ValuationModel:
         if kind == "negated":
             return Negated(model_from_json(data["inner"], m))
         if kind == "composite":
-            base_goods = int(data["baseGoods"])
+            base_goods = integer_from_json(data["baseGoods"], "baseGoods")
             base = model_from_json(data["base"], base_goods)
-            tail = [rational_from_str(v) for v in data["tail"]]
-            if len(tail) != m:
-                raise ParseError(f"composite tail has {len(tail)} values, expected {m}")
-            return Sum((Restriction(base, base_goods), Additive(tail)))
+            return Composite(base, base_goods, Additive(rational_from_str(v) for v in data["tail"]))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed {kind} model: {exc}") from exc
     raise ParseError(f"unknown model type {kind!r}")
@@ -103,9 +92,9 @@ def model_from_json(data, m: int) -> ValuationModel:
 
 def instance_to_json(instance: Instance, intervals: Optional[IntervalSet] = None) -> dict:
     if instance.identical:
-        valuations = {"identical": model_to_json(instance.identical_model)}
+        valuations = {"identical": instance.identical_model.to_json()}
     else:
-        valuations = {"perAgent": [model_to_json(v) for v in instance.models]}
+        valuations = {"perAgent": [v.to_json() for v in instance.models]}
     data = {
         "agents": instance.n,
         "goods": instance.m,
@@ -124,10 +113,10 @@ def instance_from_json(data) -> Tuple[Instance, Optional[IntervalSet]]:
     if not isinstance(data, dict):
         raise ParseError("instance file must be a JSON object")
     try:
-        n = int(data["agents"])
-        m = int(data["goods"])
+        n = integer_from_json(data["agents"], "agents")
+        m = integer_from_json(data["goods"], "goods")
         mode = data.get("mode", "goods")
-        graph = ConflictGraph(m, [tuple(e) for e in data.get("edges", [])])
+        graph = ConflictGraph(m, _edges_from_json(data))
         valuations = data["valuations"]
         if "identical" in valuations:
             models: object = model_from_json(valuations["identical"], m)
@@ -142,6 +131,8 @@ def instance_from_json(data) -> Tuple[Instance, Optional[IntervalSet]]:
             if len(raw) != m:
                 raise ParseError(f"{len(raw)} intervals for {m} goods")
             intervals = IntervalSet(raw)
+            if intervals.induced_graph() != graph:
+                raise ParseError("intervals do not induce the instance graph")
         return instance, intervals
     except ParseError:
         raise
@@ -160,21 +151,17 @@ def allocation_from_json(data) -> Tuple[Allocation, Optional[dict]]:
     if not isinstance(data, dict) or "bundles" not in data:
         raise ParseError("allocation file must be an object with 'bundles'")
     try:
-        allocation = Allocation([[int(g) for g in bundle] for bundle in data["bundles"]])
+        allocation = Allocation([[integer_from_json(g, "bundle good") for g in bundle] for bundle in data["bundles"]])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed bundles: {exc}") from exc
     return allocation, data.get("certificate")
-
-
-def graph_to_json(graph: ConflictGraph) -> dict:
-    return {"vertices": graph.m, "edges": [list(e) for e in sorted(graph.edges)]}
 
 
 def graph_from_json(data) -> ConflictGraph:
     if not isinstance(data, dict):
         raise ParseError("graph file must be a JSON object")
     try:
-        return ConflictGraph(int(data["vertices"]), [tuple(e) for e in data.get("edges", [])])
+        return ConflictGraph(integer_from_json(data["vertices"], "vertices"), _edges_from_json(data))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph file: {exc}") from exc
 

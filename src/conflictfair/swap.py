@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .core import Allocation, Instance, complete_to_maximal_is, evaluate
-from .chain import chain_ef1, _require_two_agent_identical_goods
+from .chain import chain_ef1, most_valuable_source, _require_two_agent_identical_goods
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,11 @@ def swap_ef1(instance: Instance) -> Tuple[Allocation, SwapTrace]:
     valuation (goods mode; negate chores first)."""
     model = _require_two_agent_identical_goods(instance)
     graph = instance.graph
-    m = graph.m
-    if m == 0:
-        return Allocation([(), ()]), SwapTrace(())
-
-    g_star = max(range(m), key=lambda g: (evaluate(model, (g,)), -g))
-    source = complete_to_maximal_is(graph, (g_star,))
+    source = most_valuable_source(instance)
 
     # Distinct maximal independent sets bound the loop; exceeding it means
     # the strict-escalation invariant was violated.
-    limit = 3 ** ((m + 2) // 3) + 1
+    limit = 3 ** ((graph.m + 2) // 3) + 1
     iterations = []
     for _ in range(limit):
         ordered = tuple(sorted(source))

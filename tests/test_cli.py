@@ -166,10 +166,29 @@ class TestSolve:
         assert code == 1 and lines["found"] == "false"
         assert main(["solve", path, "--algorithm", "swap"]) == 0
 
-    def test_parse_error(self, tmp_path):
+    def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == 3
+        table = [[True if mask == 1 else str(mask), "0"] for mask in range(8)]
+        composite = {"type": "composite", "baseGoods": 1.5, "base": {"type": "uniform"}, "tail": ["0"] * 3}
+        for change in [
+            {"agents": 2.9},
+            {"agents": True},
+            {"goods": 3.0},
+            {"edges": [[True, 2]]},
+            {"edges": [[0, 1.0]]},
+            {"valuations": {"identical": {"type": "table", "entries": table}}},
+            {"valuations": {"identical": composite}},
+            # the overlap graph of these intervals has no edges
+            {"intervals": [["0", "2"], ["3", "4"], ["5", "6"]]},
+        ]:
+            data = json.loads(open(path_instance(tmp_path)).read())
+            data.update(change)
+            path = write(tmp_path, "bad.json", data)
+            for algorithm in ("auto", "interval"):
+                assert main(["solve", path, "--algorithm", algorithm]) == 3, (change, algorithm)
+                assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCheck:
@@ -208,8 +227,9 @@ class TestCheck:
 
     def test_out_of_range_good_is_parse_failure(self, tmp_path):
         cx = write(tmp_path, "cx.json", instance_to_json(gen_counterexample(3)))
-        alloc = write(tmp_path, "a.json", {"bundles": [[9], [], []]})
-        assert main(["check", cx, alloc]) == 3
+        for good in (9, True, 1.0, "1"):
+            alloc = write(tmp_path, "a.json", {"bundles": [[good], [], []]})
+            assert main(["check", cx, alloc]) == 3, good
 
 
 class TestOracleCommand:
@@ -329,6 +349,10 @@ class TestColorTree:
             tmp_path, "c.json", {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
         )
         assert main(["color-tree", cyc, "--n", "2"]) == 2
+
+    @pytest.mark.parametrize("tree", [{"vertices": 2.0, "edges": [[0, 1]]}, {"vertices": 2, "edges": [[False, 1]]}])
+    def test_non_integer_is_parse_failure(self, tmp_path, tree):
+        assert main(["color-tree", write(tmp_path, "t.json", tree), "--n", "2"]) == 3
 
 
 def _random_instance_with_intervals(rng):

@@ -1,0 +1,192 @@
+"""The library dispatch ``solve``: each algorithm it runs gives the allocation
+of the direct solver call, ``auto`` picks as documented, and every explicit
+algorithm handles an instance without goods."""
+
+import json
+import random
+
+import pytest
+
+from conflictfair import (
+    CHORES,
+    GOODS,
+    ConflictGraph,
+    InapplicableError,
+    Instance,
+    Negated,
+    NoAlgorithmError,
+    Uniform,
+    bipartite_ef1,
+    chain_ef1,
+    complete_to_maximal_is,
+    cut_and_choose,
+    evaluate,
+    interval_ef1,
+    is_bipartite,
+    round_robin_small,
+    solve,
+    swap_ef1,
+)
+from conflictfair.cli import main
+from conflictfair.solver import ALGORITHMS
+
+from conftest import random_additive, random_connected_graph, random_graph, random_intervals, random_monotone_table
+
+
+def _model(rng, m):
+    return random_monotone_table(rng, m) if m <= 5 and rng.random() < 0.4 else random_additive(rng, m)
+
+
+def _instances(rng, count, graph_of):
+    """Two-agent instances over ``graph_of(m)``, a third each of identical
+    goods, identical chores and per-agent valuations, the last in both
+    modes."""
+    out = []
+    for i in range(count):
+        m = rng.randint(1, 7)
+        graph, intervals = graph_of(m)
+        mode = CHORES if i % 3 == 1 or (i % 3 == 2 and rng.random() < 0.5) else GOODS
+        models = [_model(rng, m) for _ in range(2)]
+        if mode == CHORES:
+            models = [Negated(v) for v in models]
+        out.append((Instance(graph, 2, models[0] if i % 3 < 2 else models, mode), intervals))
+    return out
+
+
+def _goods_identical(instance):
+    """The goods-mode identical instance, negated by hand."""
+    model = instance.identical_model
+    return Instance(instance.graph, 2, Negated(model) if instance.mode == CHORES else model, GOODS)
+
+
+def _direct(instance, identical_solver):
+    if instance.identical:
+        return identical_solver(_goods_identical(instance))
+    return cut_and_choose(instance, solve=identical_solver)
+
+
+def _single_chain(instance):
+    model = instance.identical_model
+    g_star = max(range(instance.m), key=lambda g: (evaluate(model, (g,)), -g))
+    return chain_ef1(instance, sorted(complete_to_maximal_is(instance.graph, (g_star,)))).allocation
+
+
+@pytest.fixture(scope="module")
+def general_corpus():
+    rng = random.Random(11)
+    return _instances(rng, 45, lambda m: (random_connected_graph(rng, m), None))
+
+
+@pytest.fixture(scope="module")
+def bipartite_corpus():
+    rng = random.Random(12)
+
+    def graph_of(m):
+        while True:
+            graph = random_graph(rng, m, edge_prob=0.35)
+            if is_bipartite(graph):
+                return graph, None
+
+    return _instances(rng, 45, graph_of)
+
+
+@pytest.fixture(scope="module")
+def interval_corpus():
+    rng = random.Random(13)
+
+    def graph_of(m):
+        intervals = random_intervals(rng, m, span=12)
+        return intervals.induced_graph(), intervals
+
+    return _instances(rng, 45, graph_of)
+
+
+class TestMatchesDirectCalls:
+    def test_swap(self, general_corpus):
+        for instance, _ in general_corpus:
+            solution = solve(instance, "swap")
+            assert solution.algorithm == "swap"
+            assert solution.allocation == _direct(instance, lambda inst: swap_ef1(inst)[0])
+
+    def test_chain(self, general_corpus):
+        found = 0
+        for instance, _ in general_corpus:
+            allocation = solve(instance, "chain").allocation
+            assert allocation == _direct(instance, _single_chain)
+            found += allocation is not None
+        assert found > 0
+
+    def test_bipartite(self, bipartite_corpus):
+        for instance, _ in bipartite_corpus:
+            assert solve(instance, "bipartite").allocation == _direct(instance, bipartite_ef1)
+
+    def test_interval(self, interval_corpus):
+        for instance, intervals in interval_corpus:
+            direct = _direct(instance, lambda inst: interval_ef1(inst, intervals))
+            assert solve(instance, "interval", intervals).allocation == direct
+
+    def test_round_robin(self):
+        rng = random.Random(14)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            m = rng.randint(0, n + 1)
+            models = [random_additive(rng, m) for _ in range(n)]
+            instance = Instance(random_graph(rng, m), n, models)
+            assert solve(instance, "roundrobin").allocation == round_robin_small(instance)
+            chores = Instance(instance.graph, n, [Negated(v) for v in models], CHORES)
+            assert solve(chores, "roundrobin").allocation == round_robin_small(instance)
+
+
+def _expected_auto(instance, intervals):
+    if instance.m <= instance.n + 1:
+        return "roundrobin"
+    if intervals is not None:
+        return "interval"
+    return "bipartite" if is_bipartite(instance.graph) else "swap"
+
+
+class TestAuto:
+    def test_choice_and_allocation(self, general_corpus, bipartite_corpus, interval_corpus):
+        picked = set()
+        for instance, intervals in general_corpus + bipartite_corpus + interval_corpus:
+            solution = solve(instance, intervals=intervals)
+            assert solution.algorithm == _expected_auto(instance, intervals)
+            assert solution.allocation == solve(instance, solution.algorithm, intervals).allocation
+            picked.add(solution.algorithm)
+        assert picked == {"roundrobin", "interval", "bipartite", "swap"}
+
+    def test_no_algorithm_for_three_agents(self):
+        with pytest.raises(NoAlgorithmError, match="no algorithm applies to 3 agents on 5 goods"):
+            solve(Instance(ConflictGraph(5), 3, Uniform()))
+
+
+class TestInapplicable:
+    @pytest.mark.parametrize(
+        "algorithm, instance, message",
+        [
+            ("swap", Instance(ConflictGraph(2), 3, Uniform()), "algorithm swap needs exactly 2 agents"),
+            ("bipartite", Instance(ConflictGraph(3, [(0, 1), (1, 2), (0, 2)]), 2, Uniform()), "graph is not bipartite"),
+            ("interval", Instance(ConflictGraph(3), 2, Uniform()), "instance file has no intervals"),
+            ("roundrobin", Instance(ConflictGraph(4), 2, Uniform()), "round robin needs m <= n\\+1, got m=4"),
+            ("greedy", Instance(ConflictGraph(1), 2, Uniform()), "unknown algorithm"),
+        ],
+    )
+    def test_rejected(self, algorithm, instance, message):
+        with pytest.raises(InapplicableError, match=message):
+            solve(instance, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_zero_goods_under_every_algorithm(tmp_path, capsys, algorithm):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "agents": 2,
+        "goods": 0,
+        "edges": [],
+        "valuations": {"identical": {"type": "additive", "values": []}},
+        "intervals": [],
+    }))
+    assert main(["solve", str(path), "--algorithm", algorithm]) == 0
+    lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["algorithm"] == algorithm
+    assert lines["found"] == "true" and lines["bundles"] == "[[], []]"
