@@ -31,7 +31,6 @@ from .swap import SwapIteration, SwapTrace, iteration_bound_additive, swap_ef1
 from .graph_classes import (
     IntervalChains,
     IntervalSet,
-    SchedulingSolution,
     bipartite_ef1,
     bipartition,
     interval_chains,

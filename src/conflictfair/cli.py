@@ -3,7 +3,7 @@
 Exit codes: 0 success (all reported checks true), 1 failed check or no
 allocation found, 2 inapplicable algorithm or invalid parameters, 3 parse
 error, 4 no applicable algorithm for n >= 3, 5 enumeration budget exceeded,
-6 reduction precondition failure.
+6 reduction precondition failure, 7 a solver's internal invariant failed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ EXIT_PARSE = 3
 EXIT_NO_ALGORITHM = 4
 EXIT_BUDGET = 5
 EXIT_REDUCTION_PRECONDITION = 6
+EXIT_INVARIANT = 7
 
 
 def _bool(value: bool) -> str:
@@ -119,8 +120,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "counterexample":
-        if args.n is None or args.n < 3:
-            return _fail(EXIT_INAPPLICABLE, "counterexample needs --n >= 3")
+        if args.n is None or not 3 <= args.n <= ser.SIZE_LIMIT:
+            return _fail(EXIT_INAPPLICABLE, f"counterexample needs 3 <= --n <= {ser.SIZE_LIMIT}")
         instance = gen_counterexample(args.n)
         ser.dump_json(args.out, ser.instance_to_json(instance))
         print(f"goods:{instance.m}")
@@ -177,8 +178,8 @@ def cmd_color_tree(args) -> int:
         tree = RootedTree.from_edges(graph.m, sorted(graph.edges), root=0)
     except ValueError as exc:
         return _fail(EXIT_INAPPLICABLE, f"input graph is not a tree: {exc}")
-    if args.n < 1:
-        return _fail(EXIT_INAPPLICABLE, "need --n >= 1")
+    if not 1 <= args.n <= ser.SIZE_LIMIT:
+        return _fail(EXIT_INAPPLICABLE, f"need 1 <= --n <= {ser.SIZE_LIMIT}")
     coloring = equitable_tree_coloring(tree, args.n)
     colors = [c if c is not None else 0 for c in coloring.colors]
     print(f"colors:{colors}")
@@ -245,7 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RuntimeError as exc:
+        return _fail(EXIT_INVARIANT, f"internal invariant failed: {exc}")
 
 
 if __name__ == "__main__":

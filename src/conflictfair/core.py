@@ -128,11 +128,11 @@ class Uniform(ValuationModel):
 class Table(ValuationModel):
     """Explicit oracle over all 2^m subsets, keyed by bitmask (bit g = good g).
 
-    The table must be total and assign the empty set value 0; the per-mode
-    monotonicity direction is checked when the model enters an Instance.
+    The table must be total and assign the empty set value 0; both
+    monotonicity directions are scanned once, here, for ``check``.
     """
 
-    __slots__ = ("m", "entries")
+    __slots__ = ("m", "entries", "nondecreasing", "nonincreasing")
 
     def __init__(self, m: int, entries: Mapping[int, Rational]):
         if m > TABLE_MAX_GOODS:
@@ -146,6 +146,19 @@ class Table(ValuationModel):
             raise ValueError("table must assign value 0 to the empty set")
         self.m = m
         self.entries = table
+        # Exhaustive: every subset against each one-good extension.
+        up = down = False
+        for mask in range(1 << m):
+            base = table[mask]
+            for g in range(m):
+                if not mask >> g & 1:
+                    grown = table[mask | 1 << g]
+                    if grown > base:
+                        up = True
+                    elif grown < base:
+                        down = True
+        self.nondecreasing = not down
+        self.nonincreasing = not up
 
     def value(self, subset: frozenset) -> Fraction:
         mask = 0
@@ -157,19 +170,12 @@ class Table(ValuationModel):
             raise ValueError(f"table model is missing subset mask {mask}") from None
 
     def check(self, m: int, mode: str) -> None:
-        """Exhaustive: every subset against each one-good extension."""
         if self.m != m:
             raise ValueError(f"table is over {self.m} goods, expected {m}")
-        for mask in range(1 << m):
-            base = self.entries[mask]
-            for g in range(m):
-                if mask & (1 << g):
-                    continue
-                grown = self.entries[mask | (1 << g)]
-                if mode == GOODS and grown < base:
-                    raise ValueError("table is not monotone non-decreasing")
-                if mode == CHORES and grown > base:
-                    raise ValueError("table is not monotone non-increasing")
+        if mode == GOODS and not self.nondecreasing:
+            raise ValueError("table is not monotone non-decreasing")
+        if mode == CHORES and not self.nonincreasing:
+            raise ValueError("table is not monotone non-increasing")
 
     def to_json(self) -> dict:
         return {"type": "table", "entries": [[str(mask), str(self.entries[mask])] for mask in sorted(self.entries)]}

@@ -3,8 +3,8 @@ graphs, and the m <= n+1 round-robin procedure."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .core import (
@@ -23,10 +23,10 @@ from .chain import build_chain, chain_ef1, _require_two_agent_identical_goods
 class IntervalSet:
     """Half-open intervals [l, r), one per good, with exact endpoints.
 
-    Equal endpoints are allowed on input; the algorithms run on perturbed
-    keys that make all 2m endpoints distinct while preserving the overlap
-    graph exactly (at a tie, right endpoints are ordered before left ones,
-    matching half-open semantics; remaining ties break by good index).
+    Equal endpoints are allowed on input; the algorithms run on ``keys``,
+    the ranks 0..2m-1 of the 2m endpoints, which keep the overlap graph
+    exactly (at a tie, right endpoints rank before left ones, matching
+    half-open semantics; remaining ties break by good index).
     """
 
     __slots__ = ("intervals", "keys")
@@ -39,26 +39,12 @@ class IntervalSet:
                 raise ValueError(f"interval [{l},{r}) is empty")
             parsed.append((l, r))
         self.intervals = tuple(parsed)
-        self.keys = self._distinct_keys(self.intervals)
-
-    @staticmethod
-    def _distinct_keys(intervals) -> tuple:
-        values = sorted({x for l, r in intervals for x in (l, r)})
-        if len(values) < 2:
-            gap = Fraction(1)
-        else:
-            gap = min(b - a for a, b in zip(values, values[1:]))
-        eps = gap / (2 * len(intervals) + 2)
-        # kind 0 = right endpoint, 1 = left endpoint; rights sort first at ties
-        records = []
-        for g, (l, r) in enumerate(intervals):
-            records.append((l, 1, g, "l"))
-            records.append((r, 0, g, "r"))
-        records.sort(key=lambda rec: rec[:3])
-        keys = [[None, None] for _ in intervals]
-        for rank, (value, _kind, g, side) in enumerate(records):
-            keys[g][0 if side == "l" else 1] = value + eps * rank
-        return tuple((l, r) for l, r in keys)
+        # side 0 = right endpoint, 1 = left endpoint; rights rank first at ties
+        events = sorted((x, side, g) for g, (l, r) in enumerate(parsed) for side, x in ((1, l), (0, r)))
+        keys = [[None, None] for _ in parsed]
+        for rank, (_x, side, g) in enumerate(events):
+            keys[g][1 - side] = rank
+        self.keys = tuple((l, r) for l, r in keys)
 
     def __len__(self):
         return len(self.intervals)
@@ -69,36 +55,20 @@ class IntervalSet:
         return li < rj and lj < ri
 
     def induced_graph(self) -> ConflictGraph:
-        m = len(self.intervals)
-        edges = [(i, j) for i in range(m) for j in range(i + 1, m) if self.overlaps(i, j)]
-        return ConflictGraph(m, edges)
-
-
-@dataclass(frozen=True)
-class SchedulingSolution:
-    """A feasible interval-scheduling pick: chosen goods in ascending order
-    of right endpoint, with no point covered by more than ``capacity``."""
-
-    chosen: tuple
-    capacity: int
-
-
-def _fits(intervals: IntervalSet, chosen, candidate: int, c: int) -> bool:
-    """True iff adding ``candidate`` keeps point coverage at most ``c``."""
-    lo, hi = intervals.keys[candidate]
-    events = []
-    for g in chosen:
-        l, r = intervals.keys[g]
-        if l < hi and lo < r:
-            events.append((max(l, lo), 1))
-            events.append((min(r, hi), -1))
-    events.sort()
-    cur = 0
-    for point, delta in events:
-        cur += delta
-        if point < hi and cur > c - 1:
-            return False
-    return True
+        """One sweep over the ranked endpoints: each interval overlaps every
+        interval still open at its left endpoint."""
+        owner = [None] * (2 * len(self.keys))
+        for g, (l, r) in enumerate(self.keys):
+            owner[l] = owner[r] = g
+        open_goods = set()
+        edges = []
+        for rank, g in enumerate(owner):
+            if rank == self.keys[g][1]:
+                open_goods.remove(g)
+            else:
+                edges.extend((g, h) for h in open_goods)
+                open_goods.add(g)
+        return ConflictGraph(len(self.keys), edges)
 
 
 def interval_scheduling_greedy(
@@ -106,27 +76,33 @@ def interval_scheduling_greedy(
     subset: Optional[Iterable[int]] = None,
     c: int = 1,
     direction: str = "forward",
-) -> SchedulingSolution:
-    """Maximum-size subset covering no point more than ``c`` times.
+) -> tuple:
+    """Maximum-size subset covering no point more than ``c`` times, in
+    ascending order of right endpoint.
 
     Forward scans by increasing right endpoint; reverse is the mirror scan
-    by decreasing left endpoint.
+    by decreasing left endpoint. ``cover[p]`` counts the chosen intervals
+    over the gap between endpoint ranks p and p+1.
     """
     if c < 1:
         raise ValueError("capacity must be at least 1")
-    goods = range(len(intervals)) if subset is None else set(subset)
+    keys = intervals.keys
+    goods = range(len(keys)) if subset is None else set(subset)
     if direction == "forward":
-        order = sorted(goods, key=lambda g: intervals.keys[g][1])
+        order = sorted(goods, key=lambda g: keys[g][1])
     elif direction == "reverse":
-        order = sorted(goods, key=lambda g: intervals.keys[g][0], reverse=True)
+        order = sorted(goods, key=lambda g: keys[g][0], reverse=True)
     else:
         raise ValueError("direction must be 'forward' or 'reverse'")
+    cover = [0] * (2 * len(keys))
     chosen = []
     for g in order:
-        if _fits(intervals, chosen, g, c):
+        lo, hi = keys[g]
+        if max(cover[lo:hi]) < c:
+            cover[lo:hi] = [k + 1 for k in cover[lo:hi]]
             chosen.append(g)
-    chosen.sort(key=lambda g: intervals.keys[g][1])
-    return SchedulingSolution(tuple(chosen), c)
+    chosen.sort(key=lambda g: keys[g][1])
+    return tuple(chosen)
 
 
 @dataclass(frozen=True)
@@ -147,17 +123,15 @@ def _two_color_pick(intervals: IntervalSet, chosen) -> Tuple[set, set]:
     colors always suffice; with no nested intervals this reproduces the
     odd/even alternation along the right-endpoint order.
     """
-    last = [None, None]
+    last = [-1, -1]  # per color, the latest right-endpoint rank so far
     sides = (set(), set())
     for g in sorted(chosen, key=lambda g: intervals.keys[g][0]):
         l, r = intervals.keys[g]
-        free = [i for i in range(2) if last[i] is None or last[i] <= l]
+        free = [i for i in range(2) if last[i] <= l]
         if not free:
             raise RuntimeError("pick covers a point three times; not a c=2 solution")
-        idx = free[0]
-        sides[idx].add(g)
-        if last[idx] is None or r > last[idx]:
-            last[idx] = r
+        sides[free[0]].add(g)
+        last[free[0]] = max(last[free[0]], r)
     return sides
 
 
@@ -185,20 +159,20 @@ def interval_chains(instance: Instance, intervals: IntervalSet) -> IntervalChain
     by_right = lambda g: intervals.keys[g][1]
     by_left = lambda g: intervals.keys[g][0]
 
-    z = interval_scheduling_greedy(intervals, c=2).chosen
+    z = interval_scheduling_greedy(intervals, c=2)
     z1, z2 = _two_color_pick(intervals, z)
     if evaluate(model, z1) < evaluate(model, z2):
         z1, z2 = z2, z1
     for g in sorted(z2, key=by_right):
-        if all(not intervals.overlaps(g, h) for h in z1):
+        if not instance.graph.adj[g] & z1:
             z1.add(g)
             z2.discard(g)
     z1 = frozenset(z1)
     z2 = frozenset(z2)
 
     rest = frozenset(range(instance.m)) - z1
-    x1 = frozenset(interval_scheduling_greedy(intervals, rest, c=1, direction="forward").chosen)
-    x2 = frozenset(interval_scheduling_greedy(intervals, rest, c=1, direction="reverse").chosen)
+    x1 = frozenset(interval_scheduling_greedy(intervals, rest, c=1, direction="forward"))
+    x2 = frozenset(interval_scheduling_greedy(intervals, rest, c=1, direction="reverse"))
     if not (len(x1) == len(x2) == len(z2)):
         raise RuntimeError("one-side greedy solutions must match |Z_2|; optimality violated")
 
@@ -222,10 +196,7 @@ def interval_chains(instance: Instance, intervals: IntervalSet) -> IntervalChain
     widening.reverse()
 
     combined = list(narrowing)
-    for step in core:
-        if not combined or step != combined[-1]:
-            combined.append(step)
-    for step in widening:
+    for step in core + widening:
         if not combined or step != combined[-1]:
             combined.append(step)
     return IntervalChains(tuple(narrowing), tuple(core), tuple(widening), tuple(combined))
@@ -249,9 +220,9 @@ def bipartition(graph: ConflictGraph) -> Tuple[frozenset, frozenset]:
         if color[root] is not None:
             continue
         color[root] = 0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in graph.adj[u]:
                 if color[w] is None:
                     color[w] = 1 - color[u]

@@ -30,6 +30,11 @@ class ParseError(ValueError):
     """Input file does not match the expected schema."""
 
 
+# The largest agent, good or vertex count a file may declare, and the CLI's
+# --n: far beyond what the solvers finish on, small enough to allocate.
+SIZE_LIMIT = 100_000
+
+
 def rational_to_str(value: Fraction) -> str:
     return str(value)
 
@@ -50,6 +55,14 @@ def integer_from_json(value, what: str, decimal_string: bool = False) -> int:
     if decimal_string and isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
     raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def size_from_json(value, what: str) -> int:
+    """An agent, good or vertex count: an integer of at most SIZE_LIMIT."""
+    size = integer_from_json(value, what)
+    if size > SIZE_LIMIT:
+        raise ParseError(f"{what} must be at most {SIZE_LIMIT}, got {size}")
+    return size
 
 
 def _edges_from_json(data) -> list:
@@ -113,8 +126,8 @@ def instance_from_json(data) -> Tuple[Instance, Optional[IntervalSet]]:
     if not isinstance(data, dict):
         raise ParseError("instance file must be a JSON object")
     try:
-        n = integer_from_json(data["agents"], "agents")
-        m = integer_from_json(data["goods"], "goods")
+        n = size_from_json(data["agents"], "agents")
+        m = size_from_json(data["goods"], "goods")
         mode = data.get("mode", "goods")
         graph = ConflictGraph(m, _edges_from_json(data))
         valuations = data["valuations"]
@@ -161,7 +174,7 @@ def graph_from_json(data) -> ConflictGraph:
     if not isinstance(data, dict):
         raise ParseError("graph file must be a JSON object")
     try:
-        return ConflictGraph(integer_from_json(data["vertices"], "vertices"), _edges_from_json(data))
+        return ConflictGraph(size_from_json(data["vertices"], "vertices"), _edges_from_json(data))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph file: {exc}") from exc
 

@@ -3,7 +3,7 @@
 A maximal equitable n-coloring partitions part of the vertex set into n
 independent classes whose sizes differ by at most one, such that every
 uncolored vertex has a neighbor in every class. The construction is a
-post-order merge: child subtrees are colored recursively, their classes are
+post-order merge: child subtrees are colored first, their classes are
 relabeled largest-first, and a rotating offset distributes them so the
 merged coloring stays equitable; the root is then either left uncolored or
 given the smallest class after freeing that color along offending subtrees.
@@ -147,14 +147,15 @@ def _relabel_desc(coloring: Dict[int, Optional[int]], n: int) -> Dict[int, Optio
     return {v: (perm[c] if c is not None else None) for v, c in coloring.items()}
 
 
-def _color_subtree(tree: RootedTree, u: int, n: int) -> Dict[int, Optional[int]]:
+def _color_subtree(tree: RootedTree, u: int, n: int, colored: dict) -> Dict[int, Optional[int]]:
+    """Coloring of the subtree at ``u``, merged from its children's in ``colored``."""
     children = tree.children[u]
     if not children:
         return {u: 1}
 
     reports = []
     for child in children:
-        coloring = _relabel_desc(_color_subtree(tree, child, n), n)
+        coloring = _relabel_desc(colored.pop(child), n)
         sizes = _sizes(coloring, n)
         top = max(sizes[1:])
         higher = sum(1 for c in range(1, n + 1) if sizes[c] == top)
@@ -201,7 +202,10 @@ def equitable_tree_coloring(tree: RootedTree, n: int) -> PartialColoring:
     of maximum size or uncolored."""
     if n < 1:
         raise ValueError("need at least one color")
-    coloring = _color_subtree(tree, tree.root, n)
+    colored = {}
+    for u in reversed(tree.order):
+        colored[u] = _color_subtree(tree, u, n, colored)
+    coloring = colored[tree.root]
     colors = tuple(coloring[v] for v in range(tree.vertex_count))
     problems = coloring_violations(tree.to_conflict_graph(), colors, n)
     if problems:

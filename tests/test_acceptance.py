@@ -181,9 +181,9 @@ def test_criterion_06_interval_suite():
 
         for c in (1, 2):
             greedy = interval_scheduling_greedy(iv, c=c)
-            assert len(greedy.chosen) == brute_max_schedule_size(iv, range(m), c)
+            assert len(greedy) == brute_max_schedule_size(iv, range(m), c)
 
-        greedy1 = interval_scheduling_greedy(iv, c=1).chosen
+        greedy1 = interval_scheduling_greedy(iv, c=1)
         k = len(greedy1)
         optima = [
             pick

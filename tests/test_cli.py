@@ -12,10 +12,13 @@ from conflictfair import (
     Instance,
     Negated,
     Uniform,
+    coloring_violations,
     gen_counterexample,
 )
+from conflictfair import cli
 from conflictfair.cli import main
 from conflictfair.serialization import (
+    SIZE_LIMIT,
     ParseError,
     allocation_from_json,
     allocation_to_json,
@@ -176,6 +179,8 @@ class TestSolve:
             {"agents": 2.9},
             {"agents": True},
             {"goods": 3.0},
+            {"agents": SIZE_LIMIT + 1},
+            {"goods": SIZE_LIMIT + 1},
             {"edges": [[True, 2]]},
             {"edges": [[0, 1.0]]},
             {"valuations": {"identical": {"type": "table", "entries": table}}},
@@ -189,6 +194,14 @@ class TestSolve:
             for algorithm in ("auto", "interval"):
                 assert main(["solve", path, "--algorithm", algorithm]) == 3, (change, algorithm)
                 assert capsys.readouterr().err.startswith("error:")
+
+    def test_invariant_failure_exits_7(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("chain contained no EF1 step")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        assert main(["solve", path_instance(tmp_path)]) == 7
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCheck:
@@ -288,6 +301,11 @@ class TestGen:
     def test_counterexample_needs_three_agents(self, tmp_path):
         assert main(["gen", "counterexample", str(tmp_path / "x.json"), "--n", "2"]) == 2
 
+    def test_counterexample_n_above_limit(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["gen", "counterexample", str(out), "--n", str(SIZE_LIMIT + 1)]) == 2
+        assert not out.exists()
+
     def test_reduction_figure_instance(self, tmp_path, capsys):
         base = write(tmp_path, "base.json", instance_to_json(gen_counterexample(4)))
         h = write(
@@ -353,6 +371,22 @@ class TestColorTree:
     @pytest.mark.parametrize("tree", [{"vertices": 2.0, "edges": [[0, 1]]}, {"vertices": 2, "edges": [[False, 1]]}])
     def test_non_integer_is_parse_failure(self, tmp_path, tree):
         assert main(["color-tree", write(tmp_path, "t.json", tree), "--n", "2"]) == 3
+
+    def test_sizes_above_limit(self, tmp_path):
+        big = write(tmp_path, "big.json", {"vertices": SIZE_LIMIT + 1, "edges": []})
+        assert main(["color-tree", big, "--n", "2"]) == 3
+        tree = write(tmp_path, "t.json", {"vertices": 2, "edges": [[0, 1]]})
+        assert main(["color-tree", tree, "--n", str(SIZE_LIMIT + 1)]) == 2
+
+    def test_deep_path(self, tmp_path, capsys):
+        # deeper than the default recursion limit
+        nv = 1200
+        edges = [[v, v + 1] for v in range(nv - 1)]
+        tree = write(tmp_path, "path.json", {"vertices": nv, "edges": edges})
+        assert main(["color-tree", tree, "--n", "2"]) == 0
+        colors = json.loads(report_lines(capsys)["colors"])
+        graph = ConflictGraph(nv, edges)
+        assert coloring_violations(graph, [c or None for c in colors], 2) == []
 
 
 def _random_instance_with_intervals(rng):

@@ -304,3 +304,8 @@ class TestInstanceValidation:
         entries = {0: 0, 1: 2, 2: 1, 3: 1}
         with pytest.raises(ValueError, match="monotone"):
             Instance(ConflictGraph(2), 1, Table(2, entries))
+        # one table, scanned once, checked in both modes
+        both_ways = Table(2, {0: 0, 1: 2, 2: -1, 3: 1})
+        for mode, direction in (("goods", "non-decreasing"), ("chores", "non-increasing")):
+            with pytest.raises(ValueError, match=direction):
+                Instance(ConflictGraph(2), 1, both_ways, mode)

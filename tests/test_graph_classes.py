@@ -57,25 +57,30 @@ class TestIntervalSet:
             iv = IntervalSet(raw)
             keys = [k for pair in iv.keys for k in pair]
             assert len(set(keys)) == 2 * m
+            assert sorted(keys) == list(range(2 * m))
+            raw_overlaps = set()
             for i in range(m):
                 for j in range(i + 1, m):
                     li, ri = raw[i]
                     lj, rj = raw[j]
                     assert iv.overlaps(i, j) == (li < rj and lj < ri)
+                    if li < rj and lj < ri:
+                        raw_overlaps.add((i, j))
+            assert iv.induced_graph().edges == raw_overlaps
 
 
 class TestSchedulingGreedy:
     def test_capacity_one_example(self):
         iv = IntervalSet([(0, 2), (1, 3), (2, 4)])
-        assert interval_scheduling_greedy(iv, c=1).chosen == (0, 2)
+        assert interval_scheduling_greedy(iv, c=1) == (0, 2)
 
     def test_capacity_two_takes_all(self):
         iv = IntervalSet([(0, 2), (1, 3), (2, 4)])
-        assert interval_scheduling_greedy(iv, c=2).chosen == (0, 1, 2)
+        assert interval_scheduling_greedy(iv, c=2) == (0, 1, 2)
 
     def test_single_interval(self):
         iv = IntervalSet([(5, 9)])
-        assert interval_scheduling_greedy(iv, c=1).chosen == (0,)
+        assert interval_scheduling_greedy(iv, c=1) == (0,)
 
     def test_matches_brute_force_optimum(self, rng):
         for _ in range(60):
@@ -85,8 +90,8 @@ class TestSchedulingGreedy:
             for c in (1, 2):
                 for direction in ("forward", "reverse"):
                     sol = interval_scheduling_greedy(iv, subset, c, direction)
-                    assert schedule_feasible(iv, sol.chosen, c)
-                    assert len(sol.chosen) == brute_max_schedule_size(iv, subset, c)
+                    assert schedule_feasible(iv, sol, c)
+                    assert len(sol) == brute_max_schedule_size(iv, subset, c)
 
     def test_feasibility_oracles_agree(self, rng):
         # cross-check the pairwise-overlap shortcut used by the brute
@@ -114,7 +119,7 @@ class TestSchedulingGreedy:
             m = rng.randint(2, 9)
             iv = random_intervals(rng, m, span=12)
             for c in (1, 2):
-                greedy = interval_scheduling_greedy(iv, c=c).chosen
+                greedy = interval_scheduling_greedy(iv, c=c)
                 k = len(greedy)
                 rights = [iv.keys[g][1] for g in greedy]
                 goods = list(range(m))
@@ -128,7 +133,7 @@ class TestSchedulingGreedy:
         for _ in range(40):
             m = rng.randint(1, 9)
             iv = random_intervals(rng, m, span=12)
-            greedy = interval_scheduling_greedy(iv, c=1).chosen
+            greedy = interval_scheduling_greedy(iv, c=1)
             k = len(greedy)
             optima = [
                 pick
