@@ -276,20 +276,39 @@ def bipartite_ef1(
     return outcome.allocation
 
 
+def _favourite(instance: Instance, agent: int, goods: Iterable[int]) -> int:
+    model = instance.model_for(agent)
+    return max(goods, key=lambda g: (evaluate(model, (g,)), -g))
+
+
 def round_robin_small(instance: Instance) -> Allocation:
-    """One round-robin cycle plus a feasibility pass for the single leftover
-    good; valid whenever m <= n+1."""
+    """Maximal EF1 allocation for m <= n+1. Goods: one round-robin cycle, then
+    the leftover good goes to the first agent it fits. Chores: one each in
+    index order, but with m = n+1 the first agent whose least-bad chore f has
+    a non-neighbour y takes {f, y}; if none has, agent 1's f conflicts with
+    every other chore and stays unassigned."""
     if instance.m > instance.n + 1:
         raise ValueError(f"round robin needs m <= n+1, got m={instance.m}, n={instance.n}")
-    if instance.mode != GOODS:
-        raise ValueError("chores instances must be negated into goods mode first")
-    remaining = set(range(instance.m))
     bundles = [set() for _ in range(instance.n)]
-    for agent in range(instance.n):
-        if not remaining:
-            break
-        model = instance.model_for(agent)
-        pick = max(remaining, key=lambda g: (evaluate(model, (g,)), -g))
+    if instance.mode != GOODS:
+        rest = list(range(instance.m))
+        if instance.m == instance.n + 1:
+            for agent in range(instance.n):
+                f = _favourite(instance, agent, rest)
+                free = [y for y in rest if y != f and y not in instance.graph.adj[f]]
+                if free:
+                    bundles[agent] = {f, free[0]}
+                    rest.remove(free[0])
+                    break
+            else:
+                f = _favourite(instance, 0, rest)
+            rest.remove(f)
+        for bundle, chore in zip([b for b in bundles if not b], rest):
+            bundle.add(chore)
+        return Allocation(bundles)
+    remaining = set(range(instance.m))
+    for agent in range(min(instance.n, instance.m)):
+        pick = _favourite(instance, agent, remaining)
         bundles[agent].add(pick)
         remaining.remove(pick)
     if remaining:

@@ -149,7 +149,7 @@ def instance_from_json(data) -> Tuple[Instance, Optional[IntervalSet]]:
         return instance, intervals
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"malformed instance file: {exc}") from exc
 
 
@@ -183,7 +183,7 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

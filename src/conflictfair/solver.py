@@ -73,14 +73,15 @@ def solve(instance: Instance, algorithm: str = "auto", intervals: Optional[Inter
     agents, the interval solver when ``intervals`` is given, the bipartite
     solver when the graph is 2-colorable, and the swap solver otherwise.
 
-    Chores are solved in negated goods form; two agents with different
-    valuations go through cut-and-choose on the original instance.
+    Round robin takes chores as they are; the two-agent solvers take them in
+    negated goods form, and two agents with different valuations go through
+    cut-and-choose on the original instance.
     """
     if algorithm == "auto":
         algorithm = _auto(instance, intervals)
     _require_applicable(algorithm, instance, intervals)
     if algorithm == "roundrobin":
-        allocation = round_robin_small(to_goods(instance))
+        allocation = round_robin_small(instance)
     elif instance.identical:
         allocation = _solve_identical(algorithm, to_goods(instance), intervals)
     else:

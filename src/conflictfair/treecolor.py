@@ -3,10 +3,13 @@
 A maximal equitable n-coloring partitions part of the vertex set into n
 independent classes whose sizes differ by at most one, such that every
 uncolored vertex has a neighbor in every class. The construction is a
-post-order merge: child subtrees are colored first, their classes are
-relabeled largest-first, and a rotating offset distributes them so the
-merged coloring stays equitable; the root is then either left uncolored or
-given the smallest class after freeing that color along offending subtrees.
+post-order merge over class lists: a subtree's result is its non-empty
+classes (color -> vertices) and the color of its root. At a vertex, each
+child's classes are relabeled largest-first and rotated by a running offset,
+so the merged coloring stays equitable; the root is then either left
+uncolored or given color n, after a child that landed on n trades n for an
+equally large class. Only colors change, through one permutation per child;
+the largest child's lists are kept and the others are appended to them.
 """
 
 from __future__ import annotations
@@ -131,70 +134,46 @@ def coloring_violations(graph: ConflictGraph, colors: Sequence[Optional[int]], n
     return problems
 
 
-def _sizes(coloring: Dict[int, Optional[int]], n: int) -> List[int]:
-    sizes = [0] * (n + 1)
-    for c in coloring.values():
-        if c is not None:
-            sizes[c] += 1
-    return sizes
-
-
-def _relabel_desc(coloring: Dict[int, Optional[int]], n: int) -> Dict[int, Optional[int]]:
-    """Stable relabel so class 1 is largest; ties keep original order."""
-    sizes = _sizes(coloring, n)
-    ranked = sorted(range(1, n + 1), key=lambda c: (-sizes[c], c))
-    perm = {old: rank + 1 for rank, old in enumerate(ranked)}
-    return {v: (perm[c] if c is not None else None) for v, c in coloring.items()}
-
-
-def _color_subtree(tree: RootedTree, u: int, n: int, colored: dict) -> Dict[int, Optional[int]]:
-    """Coloring of the subtree at ``u``, merged from its children's in ``colored``."""
+def _color_subtree(tree: RootedTree, u: int, n: int, colored: dict) -> Tuple[Dict[int, List[int]], Optional[int]]:
+    """Classes (color -> vertices) and root color of the subtree at ``u``,
+    merged from its children's in ``colored``."""
     children = tree.children[u]
     if not children:
-        return {u: 1}
+        return {1: [u]}, 1
 
     reports = []
     for child in children:
-        coloring = _relabel_desc(colored.pop(child), n)
-        sizes = _sizes(coloring, n)
-        top = max(sizes[1:])
-        higher = sum(1 for c in range(1, n + 1) if sizes[c] == top)
-        singular = coloring[child] is not None and higher == 1
-        reports.append((child, coloring, higher, singular))
+        classes, root_color = colored.pop(child)
+        ranked = sorted(classes, key=lambda c: (-len(classes[c]), c))  # largest first, stable
+        top = len(classes[ranked[0]])
+        higher = sum(1 for c in ranked if len(classes[c]) == top)
+        singular = root_color is not None and higher == 1
+        reports.append((singular, classes, root_color, ranked, higher))
 
-    reports.sort(key=lambda rep: (not rep[3],))  # singular subtrees first, stable
-    merged: Dict[int, Optional[int]] = {}
-    child_span: Dict[int, List[int]] = {}
+    reports.sort(key=lambda rep: not rep[0])  # singular subtrees first, stable
+    color_root = sum(rep[0] for rep in reports) < n
+    moves = []
     offset = 0
-    for child, coloring, higher, _singular in reports:
-        for v, c in coloring.items():
-            merged[v] = ((c - 1 + offset) % n) + 1 if c is not None else None
-        child_span[child] = list(coloring)
+    for _singular, classes, root_color, ranked, higher in reports:
+        perm = {c: (rank + offset) % n + 1 for rank, c in enumerate(ranked)}
         offset = (offset + higher) % n
+        if color_root and root_color is not None and perm[root_color] == n:
+            # non-singular child: another equally large class exists to trade with
+            trade = min((c for c in ranked[:higher] if c != root_color), key=perm.__getitem__)
+            perm[root_color], perm[trade] = perm[trade], n
+        moves.append((classes, perm))
 
-    singular_count = sum(1 for rep in reports if rep[3])
-    if singular_count >= n:
-        merged[u] = None
-        return merged
-
-    for child in children:
-        if merged[child] != n:
-            continue
-        span = child_span[child]
-        sizes = [0] * (n + 1)
-        for v in span:
-            if merged[v] is not None:
-                sizes[merged[v]] += 1
-        top = max(sizes[1:])
-        # non-singular child: another equally large class exists to trade with
-        swap_color = min(c for c in range(1, n + 1) if sizes[c] == top and c != n)
-        for v in span:
-            if merged[v] == swap_color:
-                merged[v] = n
-            elif merged[v] == n:
-                merged[v] = swap_color
-    merged[u] = n
-    return merged
+    # reuse the largest child's lists, so each vertex moves O(log V) times
+    base, base_perm = max(moves, key=lambda move: sum(map(len, move[0].values())))
+    merged = {base_perm[c]: vertices for c, vertices in base.items()}
+    for classes, perm in moves:
+        if classes is not base:
+            for c, vertices in classes.items():
+                merged.setdefault(perm[c], []).extend(vertices)
+    if not color_root:
+        return merged, None
+    merged.setdefault(n, []).append(u)
+    return merged, n
 
 
 def equitable_tree_coloring(tree: RootedTree, n: int) -> PartialColoring:
@@ -205,13 +184,14 @@ def equitable_tree_coloring(tree: RootedTree, n: int) -> PartialColoring:
     colored = {}
     for u in reversed(tree.order):
         colored[u] = _color_subtree(tree, u, n, colored)
-    coloring = colored[tree.root]
-    colors = tuple(coloring[v] for v in range(tree.vertex_count))
+    classes = colored[tree.root][0]
+    color_of = {v: c for c, vertices in classes.items() for v in vertices}
+    colors = tuple(color_of.get(v) for v in range(tree.vertex_count))
     problems = coloring_violations(tree.to_conflict_graph(), colors, n)
     if problems:
-        raise AssertionError("construction violated its own invariants: " + "; ".join(problems))
-    sizes = _sizes(coloring, n)
+        raise RuntimeError("construction violated its own invariants: " + "; ".join(problems))
+    sizes = tuple(len(classes.get(c, ())) for c in range(1, n + 1))
     root_color = colors[tree.root]
-    if root_color is not None and sizes[root_color] != max(sizes[1:]):
-        raise AssertionError("root is colored but not with a higher color")
-    return PartialColoring(n, colors, tuple(sizes[1:]))
+    if root_color is not None and sizes[root_color - 1] != max(sizes):
+        raise RuntimeError("root is colored but not with a higher color")
+    return PartialColoring(n, colors, sizes)

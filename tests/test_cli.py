@@ -15,7 +15,7 @@ from conflictfair import (
     coloring_violations,
     gen_counterexample,
 )
-from conflictfair import cli
+from conflictfair import cli, serialization, treecolor
 from conflictfair.cli import main
 from conflictfair.serialization import (
     SIZE_LIMIT,
@@ -171,8 +171,10 @@ class TestSolve:
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["solve", str(bad)]) == 3
+        for raw in ("{not json", "[" * 5000 + "]" * 5000):
+            bad.write_text(raw)
+            assert main(["solve", str(bad)]) == 3
+            assert capsys.readouterr().err.startswith("error:")
         table = [[True if mask == 1 else str(mask), "0"] for mask in range(8)]
         composite = {"type": "composite", "baseGoods": 1.5, "base": {"type": "uniform"}, "tail": ["0"] * 3}
         for change in [
@@ -195,12 +197,26 @@ class TestSolve:
                 assert main(["solve", path, "--algorithm", algorithm]) == 3, (change, algorithm)
                 assert capsys.readouterr().err.startswith("error:")
 
+    def test_model_recursion_is_parse_error(self, tmp_path, capsys, monkeypatch):
+        # a model nested just below the JSON decoder's limit overflows while
+        # it is built; where that depth lies depends on the stack in use
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(serialization, "model_from_json", too_deep)
+        assert main(["solve", path_instance(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_invariant_failure_exits_7(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("chain contained no EF1 step")
 
         monkeypatch.setattr(cli, "solve", broken)
         assert main(["solve", path_instance(tmp_path)]) == 7
+        assert capsys.readouterr().err.startswith("error:")
+        monkeypatch.setattr(treecolor, "coloring_violations", lambda *args: ["vertex 0 has color 3 outside 1..2"])
+        tree = write(tmp_path, "t.json", {"vertices": 2, "edges": [[0, 1]]})
+        assert main(["color-tree", tree, "--n", "2"]) == 7
         assert capsys.readouterr().err.startswith("error:")
 
 

@@ -6,10 +6,12 @@ import random
 import pytest
 
 from conflictfair import (
+    CHORES,
     Additive,
     ConflictGraph,
     Instance,
     IntervalSet,
+    Negated,
     Uniform,
     bipartite_ef1,
     bipartition,
@@ -302,8 +304,9 @@ class TestRoundRobin:
                 graph = ConflictGraph(m, edges)
                 for n in {max(1, m - 1), m}:
                     models = [random_additive(rng, m) for _ in range(n)]
-                    instance = Instance(graph, n, models)
-                    allocation = round_robin_small(instance)
-                    assert validate_allocation(instance, allocation).wellformed
-                    assert is_maximal(instance, allocation)
-                    assert is_ef1(instance, allocation)
+                    chores = Instance(graph, n, [Negated(v) for v in models], CHORES)
+                    for instance in (Instance(graph, n, models), chores):
+                        allocation = round_robin_small(instance)
+                        assert validate_allocation(instance, allocation).wellformed
+                        assert is_maximal(instance, allocation)
+                        assert is_ef1(instance, allocation)

@@ -134,7 +134,7 @@ class TestMatchesDirectCalls:
             instance = Instance(random_graph(rng, m), n, models)
             assert solve(instance, "roundrobin").allocation == round_robin_small(instance)
             chores = Instance(instance.graph, n, [Negated(v) for v in models], CHORES)
-            assert solve(chores, "roundrobin").allocation == round_robin_small(instance)
+            assert solve(chores, "roundrobin").allocation == round_robin_small(chores)
 
 
 def _expected_auto(instance, intervals):

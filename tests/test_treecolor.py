@@ -1,6 +1,7 @@
 """Maximal equitable tree coloring: the four conditions, the root property,
-and agreement with brute force on small trees."""
+agreement with brute force on small trees, and the exact colorings."""
 
+import hashlib
 import itertools
 import random
 
@@ -20,6 +21,33 @@ from conflictfair import (
 )
 
 from conftest import random_tree_edges
+
+
+# sha256 of the colorings of ``tree_corpus(random.Random(2718))``, as made by
+# the construction that copied each child's coloring at every level.
+PINNED_COLORINGS = "1e50a30df2dfcc667778618d6f513450217753578cb15b0fd552e0b783998f58"
+
+
+def tree_corpus(rng):
+    """Paths, brooms, stars and random recursive trees on up to 120 vertices,
+    half of them with shuffled vertex ids, each with an n from 1 to 9."""
+    for i in range(320):
+        nv = rng.randint(1, 120)
+        shape = i % 4
+        if shape == 0:
+            edges = [(v - 1, v) for v in range(1, nv)]
+        elif shape == 1:
+            handle = rng.randrange(nv)
+            edges = [(v - 1, v) for v in range(1, handle + 1)] + [(handle, v) for v in range(handle + 1, nv)]
+        elif shape == 2:
+            edges = [(0, v) for v in range(1, nv)]
+        else:
+            edges = random_tree_edges(rng, nv)
+        if rng.random() < 0.5:
+            ids = list(range(nv))
+            rng.shuffle(ids)
+            edges = [(ids[u], ids[w]) for u, w in edges]
+        yield nv, edges, rng.randint(1, 9)
 
 
 def brute_force_colorings(graph: ConflictGraph, n: int):
@@ -120,3 +148,10 @@ class TestConstruction:
             allocation = Allocation(coloring.classes())
             assert is_maximal(instance, allocation)
             assert is_ef1(instance, allocation)
+
+    def test_colorings_match_parent(self):
+        digest = hashlib.sha256()
+        for nv, edges, n in tree_corpus(random.Random(2718)):
+            coloring = equitable_tree_coloring(RootedTree.from_edges(nv, edges), n)
+            digest.update(repr((coloring.colors, coloring.class_sizes)).encode())
+        assert digest.hexdigest() == PINNED_COLORINGS
