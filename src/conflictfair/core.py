@@ -7,7 +7,8 @@ sign comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -67,10 +68,23 @@ class ConflictGraph:
 
 class ValuationModel:
     """Base for the valuation family; subclasses implement ``value``,
-    ``check`` and ``to_json``."""
+    ``check`` and ``to_json``, and may replace ``min_drop`` and ``max_drop``
+    with exact closed forms."""
 
     def value(self, subset: frozenset) -> Fraction:
         raise NotImplementedError
+
+    def min_drop(self, subset: frozenset) -> Fraction:
+        """min over g in subset of v(subset - {g}); 0 for the empty set."""
+        if not subset:
+            return Fraction(0)
+        return min(self.value(subset - {g}) for g in subset)
+
+    def max_drop(self, subset: frozenset) -> Fraction:
+        """max over g in subset of v(subset - {g}); 0 for the empty set."""
+        if not subset:
+            return Fraction(0)
+        return max(self.value(subset - {g}) for g in subset)
 
     def check(self, m: int, mode: str) -> None:
         """Raise ValueError unless this is a valuation over ``m`` goods,
@@ -85,20 +99,48 @@ class ValuationModel:
 
 @dataclass(frozen=True)
 class Additive(ValuationModel):
-    """v(S) = sum of fixed per-good values."""
+    """v(S) = sum of fixed per-good values.
+
+    ``values`` define the model (equality, hash, repr, file form); the sums
+    run on ``nums``, the values' numerators over their common denominator
+    ``den``, so a sum is exact integer arithmetic and one division.
+    """
 
     values: tuple
+    nums: tuple = field(compare=False, repr=False)
+    den: int = field(compare=False, repr=False)
 
     def __init__(self, values: Iterable[Rational]):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in values))
+        values = tuple(as_fraction(v) for v in values)
+        den = math.lcm(*(v.denominator for v in values))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "nums", tuple(v.numerator * (den // v.denominator) for v in values))
+        object.__setattr__(self, "den", den)
+
+    def _numerators(self, subset: frozenset) -> list:
+        nums = self.nums
+        # Checked up front: a negative index would silently wrap.
+        if subset and not (min(subset) >= 0 and max(subset) < len(nums)):
+            bad = next(g for g in subset if not 0 <= g < len(nums))
+            raise ValueError(f"good {bad} outside additive vector of length {len(nums)}")
+        return [nums[g] for g in subset]
 
     def value(self, subset: frozenset) -> Fraction:
-        total = Fraction(0)
-        for g in subset:
-            if not 0 <= g < len(self.values):
-                raise ValueError(f"good {g} outside additive vector of length {len(self.values)}")
-            total += self.values[g]
-        return total
+        return Fraction(sum(self._numerators(subset)), self.den)
+
+    def min_drop(self, subset: frozenset) -> Fraction:
+        """v(S) minus the largest value in S."""
+        if not subset:
+            return Fraction(0)
+        picked = self._numerators(subset)
+        return Fraction(sum(picked) - max(picked), self.den)
+
+    def max_drop(self, subset: frozenset) -> Fraction:
+        """v(S) minus the smallest value in S."""
+        if not subset:
+            return Fraction(0)
+        picked = self._numerators(subset)
+        return Fraction(sum(picked) - min(picked), self.den)
 
     def check(self, m: int, mode: str) -> None:
         if len(self.values) != m:
@@ -160,14 +202,29 @@ class Table(ValuationModel):
         self.nondecreasing = not down
         self.nonincreasing = not up
 
-    def value(self, subset: frozenset) -> Fraction:
+    def _mask(self, subset: frozenset) -> int:
         mask = 0
         for g in subset:
             mask |= 1 << g
-        try:
-            return self.entries[mask]
-        except KeyError:
-            raise ValueError(f"table model is missing subset mask {mask}") from None
+        if mask not in self.entries:
+            raise ValueError(f"table model is missing subset mask {mask}")
+        return mask
+
+    def value(self, subset: frozenset) -> Fraction:
+        return self.entries[self._mask(subset)]
+
+    # The table is total, so every sub-mask of a present mask is present.
+    def min_drop(self, subset: frozenset) -> Fraction:
+        if not subset:
+            return Fraction(0)
+        mask, entries = self._mask(subset), self.entries
+        return min(entries[mask & ~(1 << g)] for g in subset)
+
+    def max_drop(self, subset: frozenset) -> Fraction:
+        if not subset:
+            return Fraction(0)
+        mask, entries = self._mask(subset), self.entries
+        return max(entries[mask & ~(1 << g)] for g in subset)
 
     def check(self, m: int, mode: str) -> None:
         if self.m != m:
@@ -195,6 +252,12 @@ class Negated(ValuationModel):
 
     def value(self, subset: frozenset) -> Fraction:
         return -self.inner.value(subset)
+
+    def min_drop(self, subset: frozenset) -> Fraction:
+        return -self.inner.max_drop(subset)
+
+    def max_drop(self, subset: frozenset) -> Fraction:
+        return -self.inner.min_drop(subset)
 
     def check(self, m: int, mode: str) -> None:
         self.inner.check(m, CHORES if mode == GOODS else GOODS)
@@ -365,10 +428,7 @@ def evaluate(model: ValuationModel, subset: Iterable[int]) -> Fraction:
 
 def value_minus_one(model: ValuationModel, subset: Iterable[int]) -> Fraction:
     """min over g in subset of v(subset - {g}); 0 for the empty set."""
-    s = frozenset(subset)
-    if not s:
-        return Fraction(0)
-    return min(model.value(s - {g}) for g in s)
+    return model.min_drop(frozenset(subset))
 
 
 def is_independent_set(graph: ConflictGraph, subset: Iterable[int]) -> bool:
@@ -425,7 +485,7 @@ def is_ef1(instance: Instance, allocation: Allocation) -> bool:
         mine = bundles[i]
         if not mine:
             continue
-        best_after_removal = max(model.value(mine - {c}) for c in mine)
+        best_after_removal = model.max_drop(mine)
         for j in range(instance.n):
             if i == j:
                 continue

@@ -126,8 +126,9 @@ def coloring_violations(graph: ConflictGraph, colors: Sequence[Optional[int]], n
     for v, c in enumerate(colors):
         if c is not None:
             continue
+        around = {colors[w] for w in graph.adj[v]}
         for cls in range(1, n + 1):
-            if not any(colors[w] == cls for w in graph.adj[v]):
+            if cls not in around:
                 problems.append(f"uncolored vertex {v} has no neighbor of color {cls}")
     if max(sizes[1:]) - min(sizes[1:]) > 1:
         problems.append(f"class sizes {sizes[1:]} differ by more than one")

@@ -2,6 +2,7 @@
 of the direct solver call, ``auto`` picks as documented, and every explicit
 algorithm handles an instance without goods."""
 
+import hashlib
 import json
 import random
 
@@ -19,6 +20,7 @@ from conflictfair import (
     bipartite_ef1,
     chain_ef1,
     complete_to_maximal_is,
+    compute_gamma,
     cut_and_choose,
     evaluate,
     interval_ef1,
@@ -28,9 +30,16 @@ from conflictfair import (
     swap_ef1,
 )
 from conflictfair.cli import main
+from conflictfair.core import to_goods
 from conflictfair.solver import ALGORITHMS
 
 from conftest import random_additive, random_connected_graph, random_graph, random_intervals, random_monotone_table
+
+
+# sha256 of the outputs over the corpus of ``test_allocations_match_parent``,
+# as made by the valuation models that summed Fractions good by good and
+# took "value minus one good" as |S| separate subset values.
+PINNED_ALLOCATIONS = "ee394638159d87408dcd85f991a1d127c0ab0dbe575611f86e563f7ca0c2c3ab"
 
 
 def _model(rng, m):
@@ -190,3 +199,37 @@ def test_zero_goods_under_every_algorithm(tmp_path, capsys, algorithm):
     lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
     assert lines["algorithm"] == algorithm
     assert lines["found"] == "true" and lines["bundles"] == "[[], []]"
+
+
+def _bipartite_graph(rng, m):
+    side = [rng.random() < 0.5 for _ in range(m)]
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m) if side[u] != side[v] and rng.random() < 0.4]
+    return ConflictGraph(m, edges)
+
+
+def test_allocations_match_parent():
+    """The two-agent solvers, cut-and-choose and gamma give exactly the
+    outputs they gave before the closed-form valuation drops."""
+    rng = random.Random(2025)
+    digest = hashlib.sha256()
+
+    def put(*items):
+        digest.update(repr(items).encode())
+
+    for i in range(120):
+        m = rng.randint(1, 9)
+        mode = CHORES if i % 2 else GOODS
+        models = [_model(rng, m) for _ in range(2)]
+        if mode == CHORES:
+            models = [Negated(v) for v in models]
+        graph = random_connected_graph(rng, m)
+        allocation, trace = swap_ef1(to_goods(Instance(graph, 2, models[0], mode)))
+        put("swap", repr(allocation), len(trace))
+        put("cut", repr(cut_and_choose(Instance(graph, 2, models, mode))))
+        intervals = random_intervals(rng, m, span=12)
+        put("interval", repr(interval_ef1(to_goods(Instance(intervals.induced_graph(), 2, models[0], mode)), intervals)))
+        put("bipartite", repr(bipartite_ef1(to_goods(Instance(_bipartite_graph(rng, m), 2, models[0], mode)))))
+        if m <= 6:
+            n = rng.randint(2, 3)
+            put("gamma", compute_gamma(Instance(random_graph(rng, m), n, models[0], mode)))
+    assert digest.hexdigest() == PINNED_ALLOCATIONS

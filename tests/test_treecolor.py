@@ -60,6 +60,54 @@ def brute_force_colorings(graph: ConflictGraph, n: int):
     return valid
 
 
+def reference_violations(graph: ConflictGraph, colors, n: int):
+    """``coloring_violations`` as it scanned the neighbours once per color
+    for each uncolored vertex."""
+    problems = []
+    sizes = [0] * (n + 1)
+    for v, c in enumerate(colors):
+        if c is None:
+            continue
+        if not 1 <= c <= n:
+            problems.append(f"vertex {v} has color {c} outside 1..{n}")
+            continue
+        sizes[c] += 1
+    for u, w in graph.edges:
+        if colors[u] is not None and colors[u] == colors[w]:
+            problems.append(f"adjacent vertices {u},{w} share color {colors[u]}")
+    for v, c in enumerate(colors):
+        if c is not None:
+            continue
+        for cls in range(1, n + 1):
+            if not any(colors[w] == cls for w in graph.adj[v]):
+                problems.append(f"uncolored vertex {v} has no neighbor of color {cls}")
+    if max(sizes[1:]) - min(sizes[1:]) > 1:
+        problems.append(f"class sizes {sizes[1:]} differ by more than one")
+    return problems
+
+
+class TestViolations:
+    def test_matches_reference_on_random_partial_colorings(self):
+        rng = random.Random(4242)
+        valid = 0
+        for nv, edges, n in tree_corpus(random.Random(99)):
+            graph = RootedTree.from_edges(nv, edges).to_conflict_graph()
+            colored = list(equitable_tree_coloring(RootedTree.from_edges(nv, edges), n).colors)
+            candidates = [colored]
+            for _ in range(3):
+                # Mutate a few vertices: uncolor, recolor, or color outside 1..n.
+                mutated = list(colored)
+                for v in rng.sample(range(nv), min(nv, rng.randint(1, 3))):
+                    mutated[v] = rng.choice([None, rng.randint(1, n), rng.choice([0, n + 1])])
+                candidates.append(mutated)
+            candidates.append([rng.choice([None] + list(range(1, n + 1))) for _ in range(nv)])
+            for colors in candidates:
+                expected = reference_violations(graph, colors, n)
+                assert coloring_violations(graph, colors, n) == expected
+                valid += not expected
+        assert 320 <= valid < 320 * 5
+
+
 class TestExamples:
     def test_single_vertex_one_color(self):
         tree = RootedTree.from_edges(1, [])
