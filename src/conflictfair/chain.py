@@ -17,6 +17,8 @@ from .core import (
     Allocation,
     Instance,
     ValuationModel,
+    _grow_independent,
+    _most_valuable,
     complete_to_maximal_is,
     evaluate,
     is_ef1,
@@ -68,8 +70,7 @@ def most_valuable_source(instance: Instance) -> frozenset:
     model = _require_two_agent_identical_goods(instance)
     if instance.m == 0:
         return frozenset()
-    g_star = max(range(instance.m), key=lambda g: (evaluate(model, (g,)), -g))
-    return complete_to_maximal_is(instance.graph, (g_star,))
+    return complete_to_maximal_is(instance.graph, (_most_valuable(model, range(instance.m)),))
 
 
 def build_chain(
@@ -109,19 +110,10 @@ def build_chain(
         p[t] = min(hits)
         q[t] = max(hits)
 
-    outside = sorted(p)
     if x1 is None:
-        chosen = set()
-        for t in sorted(outside, key=lambda t: (q[t], t)):
-            if not (graph.adj[t] & chosen):
-                chosen.add(t)
-        x1 = frozenset(chosen)
+        x1 = _grow_independent(graph, (), sorted(p, key=lambda t: (q[t], t)))
     if x2 is None:
-        chosen = set()
-        for t in sorted(outside, key=lambda t: (-p[t], -t)):
-            if not (graph.adj[t] & chosen):
-                chosen.add(t)
-        x2 = frozenset(chosen)
+        x2 = _grow_independent(graph, (), sorted(p, key=lambda t: (-p[t], -t)))
 
     steps = []
     for i in range(k + 1):
@@ -162,11 +154,11 @@ def cut_and_choose(
 
         solve = lambda inst: swap_ef1(inst)[0]
 
-    allocation = solve(to_goods(Instance(instance.graph, 2, instance.model_for(0), instance.mode)))
+    allocation = solve(to_goods(Instance(instance.graph, 2, instance.models[0], instance.mode)))
     if allocation is None:
         return None
 
-    v2 = instance.model_for(1)
+    v2 = instance.models[1]
     if evaluate(v2, allocation[1]) < evaluate(v2, allocation[0]):
         allocation = Allocation([allocation[1], allocation[0]])
     return allocation

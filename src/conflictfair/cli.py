@@ -112,7 +112,7 @@ def cmd_oracle(args) -> int:
         if args.count:
             print(f"count:{count_maximal_allocations(instance, budget)}")
         if args.gamma:
-            print(f"gamma:{ser.rational_to_str(compute_gamma(instance, budget))}")
+            print(f"gamma:{compute_gamma(instance, budget)}")
     except BudgetExceededError as exc:
         return _fail(EXIT_BUDGET, str(exc))
     return EXIT_OK
@@ -149,8 +149,8 @@ def cmd_gen(args) -> int:
     ser.dump_json(
         spec_path,
         {
-            "gamma": ser.rational_to_str(spec.gamma),
-            "lambda": ser.rational_to_str(spec.lam),
+            "gamma": str(spec.gamma),
+            "lambda": str(spec.lam),
             "t": spec.is_instance.t,
             "goods": instance.m,
             "goodMap": {
@@ -162,8 +162,8 @@ def cmd_gen(args) -> int:
     )
     print(f"goods:{instance.m}")
     print(f"edges:{len(instance.graph.edges)}")
-    print(f"gamma:{ser.rational_to_str(spec.gamma)}")
-    print(f"lambda:{ser.rational_to_str(spec.lam)}")
+    print(f"gamma:{spec.gamma}")
+    print(f"lambda:{spec.lam}")
     print(f"out:{args.out}")
     print(f"spec:{spec_path}")
     return EXIT_OK

@@ -338,10 +338,6 @@ class Instance:
     def m(self) -> int:
         return self.graph.m
 
-    def model_for(self, agent: int) -> ValuationModel:
-        """Model of agent ``agent`` (0-based)."""
-        return self.models[agent]
-
     @property
     def identical_model(self) -> ValuationModel:
         if not self.identical:
@@ -426,6 +422,12 @@ def evaluate(model: ValuationModel, subset: Iterable[int]) -> Fraction:
     return model.value(frozenset(subset))
 
 
+def _most_valuable(model: ValuationModel, goods: Iterable[int]) -> int:
+    """The good of ``goods`` worth most on its own, lowest index among
+    equals."""
+    return max(goods, key=lambda g: (evaluate(model, (g,)), -g))
+
+
 def value_minus_one(model: ValuationModel, subset: Iterable[int]) -> Fraction:
     """min over g in subset of v(subset - {g}); 0 for the empty set."""
     return model.min_drop(frozenset(subset))
@@ -504,10 +506,18 @@ def is_ordered_adjacent(first: Allocation, second: Allocation) -> bool:
 def complete_to_maximal_is(graph: ConflictGraph, seed: Iterable[int]) -> frozenset:
     """Grow ``seed`` into a maximal independent set, scanning candidate goods
     in ascending index."""
-    result = set(seed)
-    if not is_independent_set(graph, result):
+    seed = set(seed)
+    if not is_independent_set(graph, seed):
         raise ValueError("seed is not an independent set")
-    for g in range(graph.m):
-        if g not in result and not (graph.adj[g] & result):
+    return _grow_independent(graph, seed, range(graph.m))
+
+
+def _grow_independent(graph: ConflictGraph, chosen: Iterable[int], candidates: Iterable[int]) -> frozenset:
+    """``chosen`` plus each candidate, in order, that has no neighbour in
+    the set so far; ``chosen`` must be independent."""
+    adj = graph.adj
+    result = set(chosen)
+    for g in candidates:
+        if not adj[g] & result:
             result.add(g)
     return frozenset(result)

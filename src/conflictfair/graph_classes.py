@@ -13,6 +13,8 @@ from .core import (
     ConflictGraph,
     Instance,
     Rational,
+    _grow_independent,
+    _most_valuable,
     as_fraction,
     evaluate,
     is_ef1,
@@ -54,21 +56,39 @@ class IntervalSet:
         lj, rj = self.keys[j]
         return li < rj and lj < ri
 
-    def induced_graph(self) -> ConflictGraph:
-        """One sweep over the ranked endpoints: each interval overlaps every
-        interval still open at its left endpoint."""
+    def _sweep(self):
+        """One sweep over the ranked endpoints, yielding each good at its
+        left endpoint with the set of goods still open there, which are
+        exactly the goods it overlaps that start before it. The set is the
+        sweep's own and changes once the next pair is asked for."""
         owner = [None] * (2 * len(self.keys))
         for g, (l, r) in enumerate(self.keys):
             owner[l] = owner[r] = g
         open_goods = set()
-        edges = []
         for rank, g in enumerate(owner):
             if rank == self.keys[g][1]:
                 open_goods.remove(g)
             else:
-                edges.extend((g, h) for h in open_goods)
+                yield g, open_goods
                 open_goods.add(g)
-        return ConflictGraph(len(self.keys), edges)
+
+    def induced_graph(self) -> ConflictGraph:
+        """The overlap graph: each interval overlaps every interval still
+        open at its left endpoint."""
+        return ConflictGraph(len(self.keys), [(g, h) for g, opened in self._sweep() for h in opened])
+
+    def check(self, graph: ConflictGraph) -> None:
+        """Raise ValueError unless these intervals induce ``graph``: one
+        interval per good, every edge an overlap, and as many overlapping
+        pairs as edges, so that the edges are exactly the overlaps.
+        Allocates no graph."""
+        if len(self) != graph.m:
+            raise ValueError(f"{len(self)} intervals for {graph.m} goods")
+        for u, v in graph.edges:
+            if not self.overlaps(u, v):
+                raise ValueError(f"intervals do not induce the graph: edge ({u},{v}) joins disjoint intervals")
+        if sum(len(opened) for _, opened in self._sweep()) != len(graph.edges):
+            raise ValueError("intervals do not induce the graph: some overlapping pair is not an edge")
 
 
 def interval_scheduling_greedy(
@@ -151,10 +171,7 @@ def _splice_steps(prefix_order, tail_order, fixed: frozenset, fixed_side: int):
 def interval_chains(instance: Instance, intervals: IntervalSet) -> IntervalChains:
     """Build the full three-segment chain used by the interval solver."""
     model = _require_two_agent_identical_goods(instance)
-    if len(intervals) != instance.m:
-        raise ValueError("interval count does not match the good count")
-    if intervals.induced_graph() != instance.graph:
-        raise ValueError("intervals do not induce the instance graph")
+    intervals.check(instance.graph)
 
     by_right = lambda g: intervals.keys[g][1]
     by_left = lambda g: intervals.keys[g][0]
@@ -163,12 +180,8 @@ def interval_chains(instance: Instance, intervals: IntervalSet) -> IntervalChain
     z1, z2 = _two_color_pick(intervals, z)
     if evaluate(model, z1) < evaluate(model, z2):
         z1, z2 = z2, z1
-    for g in sorted(z2, key=by_right):
-        if not instance.graph.adj[g] & z1:
-            z1.add(g)
-            z2.discard(g)
-    z1 = frozenset(z1)
-    z2 = frozenset(z2)
+    z1 = _grow_independent(instance.graph, z1, sorted(z2, key=by_right))
+    z2 = frozenset(z2 - z1)
 
     rest = frozenset(range(instance.m)) - z1
     x1 = frozenset(interval_scheduling_greedy(intervals, rest, c=1, direction="forward"))
@@ -241,44 +254,21 @@ def is_bipartite(graph: ConflictGraph) -> bool:
         return False
 
 
-def bipartite_ef1(
-    instance: Instance,
-    parts: Optional[Tuple[Iterable[int], Iterable[int]]] = None,
-) -> Allocation:
+def bipartite_ef1(instance: Instance) -> Allocation:
     """Maximal EF1 allocation on a bipartite graph: run the chain with the
     heavier part (holding all isolated vertices) as the maximal set."""
     model = _require_two_agent_identical_goods(instance)
     graph = instance.graph
     isolated = frozenset(g for g in range(graph.m) if not graph.adj[g])
-    if parts is None:
-        side0, side1 = bipartition(graph)
-        side0 -= isolated
-        side1 -= isolated
-        if evaluate(model, side0) >= evaluate(model, side1):
-            m1, m2 = side0 | isolated, side1
-        else:
-            m1, m2 = side1 | isolated, side0
-    else:
-        m1, m2 = frozenset(parts[0]), frozenset(parts[1])
-        if m1 & m2 or (m1 | m2) != frozenset(range(graph.m)):
-            raise ValueError("parts do not partition the goods")
-        for u, w in graph.edges:
-            if (u in m1) == (w in m1):
-                raise ValueError("parts are not a bipartition: edge inside one part")
-        if not isolated <= m1:
-            raise ValueError("all isolated vertices must be in the first part")
-        if evaluate(model, m1) < evaluate(model, m2):
-            raise ValueError("first part must have the larger value; swap the parts")
-
-    outcome = chain_ef1(instance, sorted(m1))
+    side0, side1 = bipartition(graph)
+    side0 -= isolated
+    side1 -= isolated
+    if evaluate(model, side0) < evaluate(model, side1):
+        side0, side1 = side1, side0
+    outcome = chain_ef1(instance, sorted(side0 | isolated))
     if not outcome.found:
         raise RuntimeError("bipartite chain contained no EF1 step; invariant violated")
     return outcome.allocation
-
-
-def _favourite(instance: Instance, agent: int, goods: Iterable[int]) -> int:
-    model = instance.model_for(agent)
-    return max(goods, key=lambda g: (evaluate(model, (g,)), -g))
 
 
 def round_robin_small(instance: Instance) -> Allocation:
@@ -294,21 +284,21 @@ def round_robin_small(instance: Instance) -> Allocation:
         rest = list(range(instance.m))
         if instance.m == instance.n + 1:
             for agent in range(instance.n):
-                f = _favourite(instance, agent, rest)
+                f = _most_valuable(instance.models[agent], rest)
                 free = [y for y in rest if y != f and y not in instance.graph.adj[f]]
                 if free:
                     bundles[agent] = {f, free[0]}
                     rest.remove(free[0])
                     break
             else:
-                f = _favourite(instance, 0, rest)
+                f = _most_valuable(instance.models[0], rest)
             rest.remove(f)
         for bundle, chore in zip([b for b in bundles if not b], rest):
             bundle.add(chore)
         return Allocation(bundles)
     remaining = set(range(instance.m))
     for agent in range(min(instance.n, instance.m)):
-        pick = _favourite(instance, agent, remaining)
+        pick = _most_valuable(instance.models[agent], remaining)
         bundles[agent].add(pick)
         remaining.remove(pick)
     if remaining:

@@ -35,10 +35,6 @@ class ParseError(ValueError):
 SIZE_LIMIT = 100_000
 
 
-def rational_to_str(value: Fraction) -> str:
-    return str(value)
-
-
 def rational_from_str(text) -> Fraction:
     try:
         return Fraction(str(text))
@@ -116,9 +112,7 @@ def instance_to_json(instance: Instance, intervals: Optional[IntervalSet] = None
         "valuations": valuations,
     }
     if intervals is not None:
-        data["intervals"] = [
-            [rational_to_str(l), rational_to_str(r)] for l, r in intervals.intervals
-        ]
+        data["intervals"] = [[str(l), str(r)] for l, r in intervals.intervals]
     return data
 
 
@@ -140,12 +134,8 @@ def instance_from_json(data) -> Tuple[Instance, Optional[IntervalSet]]:
         instance = Instance(graph, n, models, mode)
         intervals = None
         if "intervals" in data and data["intervals"] is not None:
-            raw = [(rational_from_str(l), rational_from_str(r)) for l, r in data["intervals"]]
-            if len(raw) != m:
-                raise ParseError(f"{len(raw)} intervals for {m} goods")
-            intervals = IntervalSet(raw)
-            if intervals.induced_graph() != graph:
-                raise ParseError("intervals do not induce the instance graph")
+            intervals = IntervalSet((rational_from_str(l), rational_from_str(r)) for l, r in data["intervals"])
+            intervals.check(graph)
         return instance, intervals
     except ParseError:
         raise

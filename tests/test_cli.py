@@ -106,6 +106,26 @@ class TestSolve:
         lines = report_lines(capsys)
         assert code == 0 and lines["algorithm"] == "interval"
 
+    def test_interval_file_builds_one_graph(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(6)
+        iv = random_intervals(rng, 40, span=30)
+        graph = iv.induced_graph()
+        values = [[rng.randint(0, 9) for _ in range(40)] for _ in range(2)]
+        built = []
+        original = ConflictGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConflictGraph, "__init__", counted)
+        for valuations in (Additive(values[0]), [Additive(v) for v in values]):
+            path = write(tmp_path, "iv.json", instance_to_json(Instance(graph, 2, valuations), iv))
+            built.clear()
+            assert main(["solve", path]) == 0
+            assert report_lines(capsys)["algorithm"] == "interval"
+            assert len(built) == 1
+
     def test_auto_fails_for_large_three_agent_instance(self, tmp_path, capsys):
         instance = Instance(ConflictGraph(6), 3, Uniform())
         path = write(tmp_path, "big3.json", instance_to_json(instance))
@@ -189,6 +209,10 @@ class TestSolve:
             {"valuations": {"identical": composite}},
             # the overlap graph of these intervals has no edges
             {"intervals": [["0", "2"], ["3", "4"], ["5", "6"]]},
+            # two overlaps, as many as edges, but (0,2) where the edge is (1,2)
+            {"intervals": [["0", "4"], ["1", "2"], ["3", "5"]]},
+            # two intervals for three goods
+            {"intervals": [["0", "2"], ["1", "3"]]},
         ]:
             data = json.loads(open(path_instance(tmp_path)).read())
             data.update(change)

@@ -70,6 +70,34 @@ class TestIntervalSet:
                         raw_overlaps.add((i, j))
             assert iv.induced_graph().edges == raw_overlaps
 
+    def test_check_agrees_with_induced_graph(self, rng):
+        def accepts(iv, graph):
+            try:
+                iv.check(graph)
+            except ValueError:
+                return False
+            return True
+
+        kinds = set()
+        for _ in range(300):
+            m = rng.randint(1, 10)
+            iv = random_intervals(rng, m, span=rng.randint(2, 16))
+            edges = sorted(iv.induced_graph().edges)
+            others = [(u, v) for u in range(m) for v in range(u + 1, m) if (u, v) not in edges]
+            cases = [("induced", ConflictGraph(m, edges), True), ("count", ConflictGraph(m + 1, edges), False)]
+            if edges:
+                cases.append(("dropped", ConflictGraph(m, edges[1:]), False))
+            if others:
+                cases.append(("added", ConflictGraph(m, edges + [rng.choice(others)]), False))
+            if edges and others:
+                swapped = edges[:]
+                swapped[rng.randrange(len(edges))] = rng.choice(others)
+                cases.append(("swapped", ConflictGraph(m, swapped), False))
+            for kind, graph, expected in cases:
+                assert accepts(iv, graph) == (iv.induced_graph() == graph) == expected, (kind, iv.keys)
+                kinds.add(kind)
+        assert kinds == {"induced", "count", "dropped", "added", "swapped"}
+
 
 class TestSchedulingGreedy:
     def test_capacity_one_example(self):
@@ -227,18 +255,6 @@ class TestBipartite:
         triangle = ConflictGraph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError, match="bipartite"):
             bipartite_ef1(Instance(triangle, 2, Uniform()))
-
-    def test_supplied_parts_validation(self):
-        graph = ConflictGraph(3, [(0, 1)])
-        instance = Instance(graph, 2, Additive([1, 5, 1]))
-        with pytest.raises(ValueError, match="partition"):
-            bipartite_ef1(instance, parts=({0}, {1}))
-        with pytest.raises(ValueError, match="bipartition"):
-            bipartite_ef1(instance, parts=({0, 1}, {2}))
-        with pytest.raises(ValueError, match="isolated"):
-            bipartite_ef1(instance, parts=({0}, {1, 2}))
-        with pytest.raises(ValueError, match="swap"):
-            bipartite_ef1(instance, parts=({0, 2}, {1}))
 
     def test_random_bipartite_graphs(self, rng):
         for _ in range(60):

@@ -85,7 +85,7 @@ def reference_ef1(instance, allocation):
     (chores) in turn."""
     bundles = allocation.bundles
     for i in range(instance.n):
-        v = instance.model_for(i)
+        v = instance.models[i]
         own = v.value(bundles[i])
         for j in range(instance.n):
             if i == j:
