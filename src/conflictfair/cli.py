@@ -4,6 +4,10 @@ Exit codes: 0 success (all reported checks true), 1 failed check or no
 allocation found, 2 inapplicable algorithm or invalid parameters, 3 parse
 error, 4 no applicable algorithm for n >= 3, 5 enumeration budget exceeded,
 6 reduction precondition failure, 7 a solver's internal invariant failed.
+
+``main`` maps the exceptions a command raises to codes by one table,
+``EXIT_CODES``; a command handles a plain ``ValueError`` itself only where
+it means something specific to that one call.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ EXIT_BUDGET = 5
 EXIT_REDUCTION_PRECONDITION = 6
 EXIT_INVARIANT = 7
 
+# Checked in order by isinstance; a RuntimeError is EXIT_INVARIANT.
+EXIT_CODES = {
+    ser.ParseError: EXIT_PARSE,
+    NoAlgorithmError: EXIT_NO_ALGORITHM,
+    InapplicableError: EXIT_INAPPLICABLE,
+    BudgetExceededError: EXIT_BUDGET,
+}
+
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
@@ -42,18 +54,8 @@ def _certificate(instance, allocation) -> dict:
 
 
 def cmd_solve(args) -> int:
-    try:
-        instance, intervals = ser.instance_from_json(ser.load_json(args.instance))
-    except ser.ParseError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-
-    try:
-        solution = solve(instance, args.algorithm, intervals)
-    except NoAlgorithmError as exc:
-        return _fail(EXIT_NO_ALGORITHM, str(exc))
-    except InapplicableError as exc:
-        return _fail(EXIT_INAPPLICABLE, str(exc))
-
+    instance, intervals = ser.instance_from_json(ser.load_json(args.instance))
+    solution = solve(instance, args.algorithm, intervals)
     print(f"algorithm:{solution.algorithm}")
     allocation = solution.allocation
     if allocation is None:
@@ -74,11 +76,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    instance, _ = ser.instance_from_json(ser.load_json(args.instance))
+    allocation, _ = ser.allocation_from_json(ser.load_json(args.allocation))
     try:
-        instance, _ = ser.instance_from_json(ser.load_json(args.instance))
-        allocation, _ = ser.allocation_from_json(ser.load_json(args.allocation))
         report = validate_allocation(instance, allocation)
-    except (ser.ParseError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
     maximal = is_maximal(instance, allocation)
     ef1 = is_ef1(instance, allocation)
@@ -89,32 +91,26 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        instance, _ = ser.instance_from_json(ser.load_json(args.instance))
-    except ser.ParseError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    instance, _ = ser.instance_from_json(ser.load_json(args.instance))
     budget = EnumerationBudget(
         max_assignments=args.max_assignments,
         wall_clock_seconds=args.wall_clock,
     )
     if args.gamma and not instance.identical:
         return _fail(EXIT_INAPPLICABLE, "gamma needs identical valuations")
-    try:
-        result = exists_maximal_ef1(instance, budget)
-        print(f"exists:{_bool(result.exists)}")
-        if args.witness:
-            if result.exists:
-                certificate = _certificate(instance, result.witness)
-                ser.dump_json(args.witness, ser.allocation_to_json(result.witness, certificate))
-                print(f"witness:{args.witness}")
-            else:
-                print("witness:none")
-        if args.count:
-            print(f"count:{count_maximal_allocations(instance, budget)}")
-        if args.gamma:
-            print(f"gamma:{compute_gamma(instance, budget)}")
-    except BudgetExceededError as exc:
-        return _fail(EXIT_BUDGET, str(exc))
+    result = exists_maximal_ef1(instance, budget)
+    print(f"exists:{_bool(result.exists)}")
+    if args.witness:
+        if result.exists:
+            certificate = _certificate(instance, result.witness)
+            ser.dump_json(args.witness, ser.allocation_to_json(result.witness, certificate))
+            print(f"witness:{args.witness}")
+        else:
+            print("witness:none")
+    if args.count:
+        print(f"count:{count_maximal_allocations(instance, budget)}")
+    if args.gamma:
+        print(f"gamma:{compute_gamma(instance, budget)}")
     return EXIT_OK
 
 
@@ -131,17 +127,13 @@ def cmd_gen(args) -> int:
 
     if args.base is None or args.graph is None or args.t is None:
         return _fail(EXIT_INAPPLICABLE, "reduction needs --base, --graph and --t")
-    try:
-        base, _ = ser.instance_from_json(ser.load_json(args.base))
-        h = ser.graph_from_json(ser.load_json(args.graph))
-    except ser.ParseError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    base, _ = ser.instance_from_json(ser.load_json(args.base))
+    h = ser.graph_from_json(ser.load_json(args.graph))
     if not 1 <= args.t <= h.m:
         return _fail(EXIT_INAPPLICABLE, f"need 1 <= t <= |V_H| = {h.m}")
+    is_instance = ISInstance(h, args.t)
     try:
-        instance, spec = build_reduction(base, ISInstance(h, args.t))
-    except BudgetExceededError as exc:
-        return _fail(EXIT_BUDGET, str(exc))
+        instance, spec = build_reduction(base, is_instance)
     except ValueError as exc:
         return _fail(EXIT_REDUCTION_PRECONDITION, str(exc))
     ser.dump_json(args.out, ser.instance_to_json(instance))
@@ -170,12 +162,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_color_tree(args) -> int:
+    graph = ser.graph_from_json(ser.load_json(args.tree))
     try:
-        graph = ser.graph_from_json(ser.load_json(args.tree))
-    except ser.ParseError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        tree = RootedTree.from_edges(graph.m, sorted(graph.edges), root=0)
+        tree = RootedTree(graph)
     except ValueError as exc:
         return _fail(EXIT_INAPPLICABLE, f"input graph is not a tree: {exc}")
     if not 1 <= args.n <= ser.SIZE_LIMIT:
@@ -248,6 +237,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        return _fail(next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), str(exc))
     except RuntimeError as exc:
         return _fail(EXIT_INVARIANT, f"internal invariant failed: {exc}")
 

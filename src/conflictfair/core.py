@@ -28,6 +28,13 @@ def as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple:
+    """The values' integer numerators over their least common denominator,
+    and that denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 class ConflictGraph:
     """Undirected graph over goods 0..m-1; an edge forbids both endpoints
     in one bundle."""
@@ -112,9 +119,9 @@ class Additive(ValuationModel):
 
     def __init__(self, values: Iterable[Rational]):
         values = tuple(as_fraction(v) for v in values)
-        den = math.lcm(*(v.denominator for v in values))
+        nums, den = _over_common_denominator(values)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "nums", tuple(v.numerator * (den // v.denominator) for v in values))
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
     def _numerators(self, subset: frozenset) -> list:
@@ -188,17 +195,15 @@ class Table(ValuationModel):
             raise ValueError("table must assign value 0 to the empty set")
         self.m = m
         self.entries = table
-        # Exhaustive: every subset against each one-good extension.
+        # Exhaustive: every subset against each one-good extension, as
+        # integer differences over the entries' common denominator.
+        nums, _ = _over_common_denominator([table[mask] for mask in range(1 << m)])
         up = down = False
-        for mask in range(1 << m):
-            base = table[mask]
-            for g in range(m):
-                if not mask >> g & 1:
-                    grown = table[mask | 1 << g]
-                    if grown > base:
-                        up = True
-                    elif grown < base:
-                        down = True
+        for g in range(m):
+            bit = 1 << g
+            steps = [nums[mask | bit] - nums[mask] for mask in range(1 << m) if not mask & bit]
+            up = up or max(steps) > 0
+            down = down or min(steps) < 0
         self.nondecreasing = not down
         self.nonincreasing = not up
 

@@ -27,7 +27,7 @@ from .core import (
     is_independent_set,
     value_minus_one,
 )
-from .oracle import EnumerationBudget, compute_gamma, enumerate_maximal_allocations, exists_maximal_ef1, worst_envy_gap
+from .oracle import EnumerationBudget, compute_gamma, enumerate_maximal_allocations, worst_envy_gap
 
 
 def _three_agent_table() -> Table:
@@ -119,11 +119,12 @@ def build_reduction(
         raise ValueError("base instance must have identical valuations")
     if base.mode != GOODS:
         raise ValueError("negate a chores base into goods mode before reducing")
-    if exists_maximal_ef1(base, budget).exists:
-        raise ValueError("base instance admits a maximal EF1 allocation")
+    # With identical monotone goods valuations, gamma <= 0 exactly when some
+    # maximal allocation is EF1: a bundle's own term and an empty bundle's
+    # term of the gap are never positive.
     gamma = compute_gamma(base, budget)
     if gamma <= 0:
-        raise ValueError(f"base instance has gamma = {gamma}; need gamma > 0")
+        raise ValueError("base instance admits a maximal EF1 allocation")
     lam = gamma / is_instance.t
 
     n = base.n

@@ -31,29 +31,19 @@ class Solution:
     allocation: Optional[Allocation]
 
 
-def _auto(instance: Instance, intervals: Optional[IntervalSet]) -> str:
-    if instance.m <= instance.n + 1:
-        return "roundrobin"
-    if instance.n == 2:
-        if intervals is not None:
-            return "interval"
-        if is_bipartite(instance.graph):
-            return "bipartite"
-        return "swap"
-    raise NoAlgorithmError(f"no algorithm applies to {instance.n} agents on {instance.m} goods")
-
-
-def _require_applicable(algorithm: str, instance: Instance, intervals: Optional[IntervalSet]) -> None:
+def _inapplicable(algorithm: str, instance: Instance, intervals: Optional[IntervalSet]) -> Optional[str]:
+    """Why ``algorithm`` does not apply to the instance, or None if it does."""
     if algorithm not in ALGORITHMS:
-        raise InapplicableError(f"unknown algorithm {algorithm!r}")
-    if algorithm != "roundrobin" and instance.n != 2:
-        raise InapplicableError(f"algorithm {algorithm} needs exactly 2 agents")
+        return f"unknown algorithm {algorithm!r}"
+    if algorithm == "roundrobin":
+        return f"round robin needs m <= n+1, got m={instance.m}" if instance.m > instance.n + 1 else None
+    if instance.n != 2:
+        return f"algorithm {algorithm} needs exactly 2 agents"
     if algorithm == "bipartite" and not is_bipartite(instance.graph):
-        raise InapplicableError("graph is not bipartite")
+        return "graph is not bipartite"
     if algorithm == "interval" and intervals is None:
-        raise InapplicableError("instance file has no intervals")
-    if algorithm == "roundrobin" and instance.m > instance.n + 1:
-        raise InapplicableError(f"round robin needs m <= n+1, got m={instance.m}")
+        return "instance file has no intervals"
+    return None
 
 
 def _solve_identical(algorithm: str, instance: Instance, intervals: Optional[IntervalSet]) -> Optional[Allocation]:
@@ -78,8 +68,14 @@ def solve(instance: Instance, algorithm: str = "auto", intervals: Optional[Inter
     cut-and-choose on the original instance.
     """
     if algorithm == "auto":
-        algorithm = _auto(instance, intervals)
-    _require_applicable(algorithm, instance, intervals)
+        picks = ("roundrobin", "interval", "bipartite", "swap")
+        algorithm = next((a for a in picks if _inapplicable(a, instance, intervals) is None), None)
+        if algorithm is None:
+            raise NoAlgorithmError(f"no algorithm applies to {instance.n} agents on {instance.m} goods")
+    else:
+        reason = _inapplicable(algorithm, instance, intervals)
+        if reason is not None:
+            raise InapplicableError(reason)
     if algorithm == "roundrobin":
         allocation = round_robin_small(instance)
     elif instance.identical:

@@ -14,7 +14,6 @@ the largest child's lists are kept and the others are appended to them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -22,75 +21,42 @@ from .core import ConflictGraph
 
 
 class RootedTree:
-    """Tree described by a parent array; children are kept in ascending
-    vertex order for deterministic output."""
+    """A tree conflict graph rooted at ``root``: children are kept in
+    ascending vertex order and ``order`` is their preorder, for deterministic
+    output."""
 
-    __slots__ = ("parents", "root", "children", "order")
+    __slots__ = ("graph", "root", "children", "order")
 
-    def __init__(self, parents: Sequence[Optional[int]], root: int):
-        nv = len(parents)
+    def __init__(self, graph: ConflictGraph, root: int = 0):
+        nv = graph.m
+        if len(graph.edges) != nv - 1:
+            raise ValueError("a tree on v vertices has exactly v-1 edges")
         if not 0 <= root < nv:
             raise ValueError("root out of range")
-        if parents[root] is not None:
-            raise ValueError("root must have no parent")
-        children = [[] for _ in range(nv)]
-        seen_root = 0
-        for v, parent in enumerate(parents):
-            if parent is None:
-                seen_root += 1
-                continue
-            if not 0 <= parent < nv:
-                raise ValueError(f"parent of {v} out of range")
-            children[parent].append(v)
-        if seen_root != 1:
-            raise ValueError("exactly one vertex may lack a parent")
+        # Marked when pushed: in a tree, a vertex's unmarked neighbours are its children.
+        children = [()] * nv
+        seen = [False] * nv
+        seen[root] = True
         order = []
         stack = [root]
         while stack:
             u = stack.pop()
             order.append(u)
-            stack.extend(reversed(children[u]))
+            kids = sorted(w for w in graph.adj[u] if not seen[w])
+            for w in kids:
+                seen[w] = True
+            children[u] = tuple(kids)
+            stack.extend(reversed(kids))
         if len(order) != nv:
-            raise ValueError("parent array does not describe a single tree")
-        self.parents = tuple(parents)
+            raise ValueError("graph is not connected")
+        self.graph = graph
         self.root = root
-        self.children = tuple(tuple(c) for c in children)
+        self.children = tuple(children)
         self.order = tuple(order)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]], root: int = 0) -> "RootedTree":
-        edges = [tuple(e) for e in edges]
-        if len(edges) != vertex_count - 1:
-            raise ValueError("a tree on v vertices has exactly v-1 edges")
-        adj = [set() for _ in range(vertex_count)]
-        for u, w in edges:
-            if u == w or not (0 <= u < vertex_count and 0 <= w < vertex_count):
-                raise ValueError(f"bad edge ({u},{w})")
-            adj[u].add(w)
-            adj[w].add(u)
-        parents: List[Optional[int]] = [None] * vertex_count
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in sorted(adj[u]):
-                if w not in seen:
-                    seen.add(w)
-                    parents[w] = u
-                    queue.append(w)
-        if len(seen) != vertex_count:
-            raise ValueError("graph is not connected")
-        return cls(parents, root)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.parents)
-
-    def edges(self) -> List[Tuple[int, int]]:
-        return [(min(v, p), max(v, p)) for v, p in enumerate(self.parents) if p is not None]
-
-    def to_conflict_graph(self) -> ConflictGraph:
-        return ConflictGraph(self.vertex_count, self.edges())
+        return cls(ConflictGraph(vertex_count, edges), root)
 
 
 @dataclass(frozen=True)
@@ -187,8 +153,8 @@ def equitable_tree_coloring(tree: RootedTree, n: int) -> PartialColoring:
         colored[u] = _color_subtree(tree, u, n, colored)
     classes = colored[tree.root][0]
     color_of = {v: c for c, vertices in classes.items() for v in vertices}
-    colors = tuple(color_of.get(v) for v in range(tree.vertex_count))
-    problems = coloring_violations(tree.to_conflict_graph(), colors, n)
+    colors = tuple(color_of.get(v) for v in range(tree.graph.m))
+    problems = coloring_violations(tree.graph, colors, n)
     if problems:
         raise RuntimeError("construction violated its own invariants: " + "; ".join(problems))
     sizes = tuple(len(classes.get(c, ())) for c in range(1, n + 1))

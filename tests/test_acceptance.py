@@ -307,7 +307,7 @@ def test_criterion_10_tree_coloring_suite():
             edges = random_tree_edges(rng, nv)
         tree = RootedTree.from_edges(nv, edges)
         coloring = equitable_tree_coloring(tree, n)
-        graph = tree.to_conflict_graph()
+        graph = tree.graph
         assert not coloring_violations(graph, coloring.colors, n)
         root_color = coloring.colors[tree.root]
         if root_color is not None:
@@ -320,7 +320,7 @@ def test_criterion_10_tree_coloring_suite():
     for g in small_trees:
         nv = g.number_of_nodes()
         tree = RootedTree.from_edges(nv, list(g.edges()))
-        graph = tree.to_conflict_graph()
+        graph = tree.graph
         for n in (1, 2, 3):
             coloring = equitable_tree_coloring(tree, n)
             valid = set()

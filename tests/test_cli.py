@@ -418,6 +418,20 @@ class TestColorTree:
         tree = write(tmp_path, "t.json", {"vertices": 2, "edges": [[0, 1]]})
         assert main(["color-tree", tree, "--n", str(SIZE_LIMIT + 1)]) == 2
 
+    def test_builds_one_graph(self, tmp_path, capsys, monkeypatch):
+        built = []
+        original = ConflictGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConflictGraph, "__init__", counted)
+        tree = write(tmp_path, "t.json", {"vertices": 5, "edges": [[0, 1], [1, 2], [1, 3], [3, 4]]})
+        dot = str(tmp_path / "tree.dot")
+        assert main(["color-tree", tree, "--n", "2", "--dot", dot]) == 0
+        assert len(built) == 1
+
     def test_deep_path(self, tmp_path, capsys):
         # deeper than the default recursion limit
         nv = 1200

@@ -309,3 +309,32 @@ class TestInstanceValidation:
         for mode, direction in (("goods", "non-decreasing"), ("chores", "non-increasing")):
             with pytest.raises(ValueError, match=direction):
                 Instance(ConflictGraph(2), 1, both_ways, mode)
+
+    def test_monotonicity_flags_match_fraction_scan(self):
+        def fraction_scan(m, entries):
+            up = down = False
+            for mask in range(1 << m):
+                for g in range(m):
+                    if not mask >> g & 1:
+                        up |= entries[mask | 1 << g] > entries[mask]
+                        down |= entries[mask | 1 << g] < entries[mask]
+            return not down, not up
+
+        rng = random.Random(1212)
+        seen = set()
+        for _ in range(200):
+            m = rng.randint(0, 6)
+            # monotone in one direction, over mixed denominators
+            sign, pick = rng.choice([(1, max), (-1, min)])
+            entries = {0: Fraction(0)}
+            for mask in sorted(range(1, 1 << m), key=lambda x: bin(x).count("1")):
+                start = pick(entries[mask & ~(1 << g)] for g in range(m) if mask >> g & 1)
+                entries[mask] = start + sign * Fraction(rng.randint(0, 3), rng.choice([1, 2, 3, 4, 6, 7]))
+            if m and rng.random() < 0.5:
+                # nudge one entry either way, by less than most steps
+                entries[rng.randrange(1, 1 << m)] += rng.choice([-1, 1]) * Fraction(1, rng.choice([5, 9, 11, 13]))
+            table = Table(m, entries)
+            flags = (table.nondecreasing, table.nonincreasing)
+            assert flags == fraction_scan(m, entries)
+            seen.add(flags)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -99,11 +99,17 @@ class TestGamma:
             compute_gamma(instance)
 
     def test_positive_gamma_forbids_ef1(self, rng):
-        # the one direction that is literally true: gamma > 0 implies that
-        # no maximal allocation is EF1
+        # For identical monotone goods valuations gamma <= 0 exactly when
+        # some maximal allocation is EF1: the gap's own-bundle and
+        # empty-bundle terms are never positive.
+        corpus = [gen_counterexample(3), gen_counterexample(4)]
         for _ in range(30):
             m = rng.randint(1, 5)
             n = rng.randint(1, 3)
-            instance = Instance(random_graph(rng, m), n, random_monotone_table(rng, m))
-            if compute_gamma(instance) > 0:
-                assert not exists_maximal_ef1(instance).exists
+            corpus.append(Instance(random_graph(rng, m), n, random_monotone_table(rng, m)))
+        seen = set()
+        for instance in corpus:
+            exists = exists_maximal_ef1(instance).exists
+            assert exists == (compute_gamma(instance) <= 0)
+            seen.add(exists)
+        assert seen == {True, False}

@@ -29,6 +29,7 @@ from conflictfair import (
     solve,
     swap_ef1,
 )
+from conflictfair import solver
 from conflictfair.cli import main
 from conflictfair.core import to_goods
 from conflictfair.solver import ALGORITHMS
@@ -163,6 +164,14 @@ class TestAuto:
             assert solution.allocation == solve(instance, solution.algorithm, intervals).allocation
             picked.add(solution.algorithm)
         assert picked == {"roundrobin", "interval", "bipartite", "swap"}
+
+    def test_bipartite_graph_checked_once(self, monkeypatch):
+        calls = []
+        original = solver.is_bipartite
+        monkeypatch.setattr(solver, "is_bipartite", lambda graph: calls.append(graph) or original(graph))
+        instance = Instance(ConflictGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), 2, Uniform())
+        assert solve(instance).algorithm == "bipartite"
+        assert len(calls) == 1
 
     def test_no_algorithm_for_three_agents(self):
         with pytest.raises(NoAlgorithmError, match="no algorithm applies to 3 agents on 5 goods"):

@@ -91,8 +91,9 @@ class TestViolations:
         rng = random.Random(4242)
         valid = 0
         for nv, edges, n in tree_corpus(random.Random(99)):
-            graph = RootedTree.from_edges(nv, edges).to_conflict_graph()
-            colored = list(equitable_tree_coloring(RootedTree.from_edges(nv, edges), n).colors)
+            tree = RootedTree.from_edges(nv, edges)
+            graph = tree.graph
+            colored = list(equitable_tree_coloring(tree, n).colors)
             candidates = [colored]
             for _ in range(3):
                 # Mutate a few vertices: uncolor, recolor, or color outside 1..n.
@@ -121,14 +122,14 @@ class TestExamples:
         assert coloring.colors[0] is None
         assert sorted(coloring.class_sizes) == [1, 2]
         # the only valid shape up to color swap, per exhaustive search
-        valid = brute_force_colorings(tree.to_conflict_graph(), 2)
+        valid = brute_force_colorings(tree.graph, 2)
         assert coloring.colors in valid
         assert all(v[0] is None for v in valid)
 
     def test_five_path_two_colors(self):
         tree = RootedTree.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         coloring = equitable_tree_coloring(tree, 2)
-        assert not coloring_violations(tree.to_conflict_graph(), coloring.colors, 2)
+        assert not coloring_violations(tree.graph, coloring.colors, 2)
         assert max(coloring.class_sizes) - min(coloring.class_sizes) <= 1
 
     def test_rejects_zero_colors(self):
@@ -149,7 +150,13 @@ class TestRootedTree:
     def test_round_trips_edges(self):
         edges = [(0, 1), (1, 2), (1, 3)]
         tree = RootedTree.from_edges(4, edges)
-        assert sorted(tree.edges()) == sorted(edges)
+        assert sorted(tree.graph.edges) == sorted(edges)
+        assert tree.children == ((1,), (2, 3), (), ())
+        assert tree.order == (0, 1, 2, 3)
+
+    def test_rejects_root_out_of_range(self):
+        with pytest.raises(ValueError, match="root out of range"):
+            RootedTree(ConflictGraph(2, [(0, 1)]), root=2)
 
 
 class TestConstruction:
@@ -160,7 +167,7 @@ class TestConstruction:
             n = rng.randint(1, 10)
             tree = RootedTree.from_edges(nv, random_tree_edges(rng, nv))
             coloring = equitable_tree_coloring(tree, n)
-            graph = tree.to_conflict_graph()
+            graph = tree.graph
             assert not coloring_violations(graph, coloring.colors, n)
             root_color = coloring.colors[tree.root]
             if root_color is not None:
@@ -171,7 +178,7 @@ class TestConstruction:
             tree = RootedTree.from_edges(nv, [(v - 1, v) for v in range(1, nv)])
             for n in (1, 2, 3, 7):
                 coloring = equitable_tree_coloring(tree, n)
-                assert not coloring_violations(tree.to_conflict_graph(), coloring.colors, n)
+                assert not coloring_violations(tree.graph, coloring.colors, n)
 
     def test_matches_brute_force_on_small_trees(self):
         trees = [nx.empty_graph(1)]
@@ -180,7 +187,7 @@ class TestConstruction:
         for g in trees:
             nv = g.number_of_nodes()
             tree = RootedTree.from_edges(nv, list(g.edges()))
-            graph = tree.to_conflict_graph()
+            graph = tree.graph
             for n in (1, 2, 3):
                 coloring = equitable_tree_coloring(tree, n)
                 assert coloring.colors in brute_force_colorings(graph, n)
@@ -192,7 +199,7 @@ class TestConstruction:
             n = rng.randint(1, 6)
             tree = RootedTree.from_edges(nv, random_tree_edges(rng, nv))
             coloring = equitable_tree_coloring(tree, n)
-            instance = Instance(tree.to_conflict_graph(), n, Uniform())
+            instance = Instance(tree.graph, n, Uniform())
             allocation = Allocation(coloring.classes())
             assert is_maximal(instance, allocation)
             assert is_ef1(instance, allocation)
