@@ -1,9 +1,27 @@
 """Brute-force ground truth: enumerate every maximal allocation of a small
-instance by assigning each good to an agent or to nobody."""
+instance by assigning each good to an agent or to nobody.
+
+The enumerator is a depth-first search over per-good labels (label 0 =
+unassigned, label a = agent a's bundle). It decides goods 0..m-1 in order
+and tries labels 0..n in increasing order at each good, so allocations come
+out in mixed-radix order over the label vectors, good 0 most significant:
+the order of a sweep over all (n+1)^m labelings. Callers rely on that order:
+``exists_maximal_ef1`` returns the first EF1 allocation, and
+``hardness._gamma_allocation`` the first one attaining gamma.
+
+A good joins a bundle only if it has no neighbour there. A branch is cut as
+soon as some good u is unassigned and every good in u's closed neighbourhood
+is decided, yet some bundle holds no neighbour of u: no later placement can
+make u blocked everywhere. Every leaf is therefore maximal, and each one is
+re-checked with the definitional checkers before it is handed out.
+
+Budgets: the search refuses up front (``BudgetExceededError``) when (n+1)^m
+exceeds ``max_assignments``, however much of the tree pruning would cut; the
+wall-clock deadline is checked every 1024 visited search nodes.
+"""
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,11 +62,14 @@ def enumerate_maximal_allocations(
     instance: Instance,
     budget: Optional[EnumerationBudget] = None,
 ) -> Iterator[Allocation]:
-    """Yield every maximal allocation, in mixed-radix order over per-good
+    """Yield every maximal allocation once, in mixed-radix order over per-good
     labels (good 0 most significant; label 0 = unassigned, label a = agent a).
 
-    Candidates are pre-filtered with bitmask adjacency, then the survivors
-    are re-checked with the definitional checkers before being yielded.
+    Depth-first with an explicit stack: one label cursor per good, no
+    recursion, so m is limited by the budget alone. Raises
+    ``BudgetExceededError`` before the search when (n+1)^m exceeds
+    ``budget.max_assignments``, and during it when the wall clock passes
+    ``budget.wall_clock_seconds`` (checked every 1024 visited nodes).
     """
     budget = budget or DEFAULT_BUDGET
     n, m = instance.n, instance.m
@@ -61,44 +82,57 @@ def enumerate_maximal_allocations(
     for u, w in instance.graph.edges:
         adj_mask[u] |= 1 << w
         adj_mask[w] |= 1 << u
+    # settled[d]: (u, adj_mask[u]) for each good u whose last neighbour, or u
+    # itself, is good d; once d is decided, an unassigned u is final.
+    settled = [[] for _ in range(m)]
+    for u in range(m):
+        settled[max(u, adj_mask[u].bit_length() - 1)].append((u, adj_mask[u]))
 
     deadline = None
     if budget.wall_clock_seconds is not None:
         deadline = time.monotonic() + budget.wall_clock_seconds
 
-    count = 0
-    for assignment in itertools.product(range(n + 1), repeat=m):
-        count += 1
-        if deadline is not None and count % 1024 == 0 and time.monotonic() > deadline:
+    agents = range(1, n + 1)
+    bundle_mask = [0] * (n + 1)  # bundle_mask[a] for label a; index 0 unused
+    labels = [-1] * m  # the label cursor of each decided good; -1 = none tried yet
+    depth = visited = 0
+    while depth >= 0:
+        visited += 1
+        if deadline is not None and visited % 1024 == 0 and time.monotonic() > deadline:
             raise BudgetExceededError("enumeration exceeded the wall-clock budget")
-        bundle_mask = [0] * (n + 1)
-        ok = True
-        for g, label in enumerate(assignment):
-            if label and adj_mask[g] & bundle_mask[label]:
-                ok = False
-                break
-            bundle_mask[label] |= 1 << g
-        if not ok:
+        if depth == m:
+            allocation = Allocation(
+                [g for g in range(m) if bundle_mask[a] >> g & 1] for a in agents
+            )
+            report = validate_allocation(instance, allocation)
+            if not report.wellformed or not is_maximal(instance, allocation):
+                raise RuntimeError("prefilter and checkers disagree; enumeration bug")
+            yield allocation
+            depth -= 1
             continue
-        maximal = True
-        for g, label in enumerate(assignment):
-            if label:
+        # Advance good `depth` to its next label: leave its current bundle,
+        # then skip every agent whose bundle holds a neighbour.
+        label = labels[depth]
+        if label > 0:
+            bundle_mask[label] ^= 1 << depth
+        label += 1
+        if label:
+            conflicts = adj_mask[depth]
+            while label <= n and conflicts & bundle_mask[label]:
+                label += 1
+            if label > n:  # labels exhausted: backtrack
+                labels[depth] = -1
+                depth -= 1
                 continue
-            for a in range(1, n + 1):
-                if not adj_mask[g] & bundle_mask[a]:
-                    maximal = False
-                    break
-            if not maximal:
+            bundle_mask[label] |= 1 << depth
+        labels[depth] = label
+        # Descend unless a good settled by this decision stays unassigned
+        # while some bundle holds none of its neighbours.
+        for u, neighbours in settled[depth]:
+            if not labels[u] and not all(neighbours & bundle_mask[a] for a in agents):
                 break
-        if not maximal:
-            continue
-        allocation = Allocation(
-            [g for g in range(m) if assignment[g] == a + 1] for a in range(n)
-        )
-        report = validate_allocation(instance, allocation)
-        if not report.wellformed or not is_maximal(instance, allocation):
-            raise RuntimeError("prefilter and checkers disagree; enumeration bug")
-        yield allocation
+        else:
+            depth += 1
 
 
 def exists_maximal_ef1(

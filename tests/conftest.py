@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -138,6 +139,43 @@ def backtracking_maximal_allocations(instance: Instance):
                     bundle.remove(g)
 
     place(0)
+    return results
+
+
+def product_maximal_allocations(instance: Instance):
+    """Reference for the oracle's enumerator and its order: sweep all
+    (n+1)^m labelings in mixed-radix order (good 0 most significant; label 0
+    = unassigned, label a = agent a) and keep the maximal ones."""
+    n, m = instance.n, instance.m
+    adj_mask = [0] * m
+    for u, w in instance.graph.edges:
+        adj_mask[u] |= 1 << w
+        adj_mask[w] |= 1 << u
+    results = []
+    for assignment in itertools.product(range(n + 1), repeat=m):
+        bundle_mask = [0] * (n + 1)
+        ok = True
+        for g, label in enumerate(assignment):
+            if label and adj_mask[g] & bundle_mask[label]:
+                ok = False
+                break
+            bundle_mask[label] |= 1 << g
+        if not ok:
+            continue
+        maximal = True
+        for g, label in enumerate(assignment):
+            if label:
+                continue
+            for a in range(1, n + 1):
+                if not adj_mask[g] & bundle_mask[a]:
+                    maximal = False
+                    break
+            if not maximal:
+                break
+        if maximal:
+            results.append(
+                Allocation([g for g in range(m) if assignment[g] == a + 1] for a in range(n))
+            )
     return results
 
 

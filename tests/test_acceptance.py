@@ -105,13 +105,13 @@ def test_criterion_01_three_agent_counterexample_has_no_maximal_ef1():
 
 
 def test_criterion_02_four_and_five_agent_counterexamples():
-    for n in (4, 5):
+    for n in (4, 5, 6):
         start = time.monotonic()
         result = exists_maximal_ef1(gen_counterexample(n))
         elapsed = time.monotonic() - start
         assert not result.exists, f"n={n}"
         assert elapsed < 30.0, f"n={n} took {elapsed:.1f}s"
-    passed(2, "K_{3,n-1} counterexamples admit no maximal EF1 for n in {4,5}")
+    passed(2, "K_{3,n-1} counterexamples admit no maximal EF1 for n in {4,5,6}")
 
 
 def test_criterion_03_two_agent_solver_never_fails(solver_corpus):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from conflictfair.serialization import (
     allocation_to_json,
     instance_from_json,
     instance_to_json,
+    rational_from_str,
     to_dot,
 )
 from conflictfair.graph_classes import IntervalSet
@@ -327,6 +329,20 @@ class TestOracleCommand:
         )
         assert main(["oracle", inst, "--max-assignments", "100"]) == 5
 
+    def test_deep_search_stops_on_wall_clock(self, tmp_path, capsys):
+        # 1500 goods pass a 501-digit assignment budget; the search must
+        # reach the wall clock (exit 5), not the recursion limit (exit 7).
+        m = 1500
+        inst = write(
+            tmp_path,
+            "path.json",
+            instance_to_json(Instance(ConflictGraph(m, [(g, g + 1) for g in range(m - 1)]), 1, Uniform())),
+        )
+        budget = "9" * 501
+        code = main(["oracle", inst, "--count", "--wall-clock", "0.5", "--max-assignments", budget])
+        assert code == 5
+        assert "wall-clock" in capsys.readouterr().err
+
 
 class TestGen:
     def test_counterexample_file(self, tmp_path, capsys):
@@ -524,6 +540,42 @@ class TestRoundTrip:
                     "valuations": {"identical": {"type": "mystery"}},
                 }
             )
+
+
+def _outcome(parse, value, errors):
+    """The parsed value, or "error" for one of ``errors``; anything else
+    propagates."""
+    try:
+        return parse(value)
+    except errors:
+        return "error"
+
+
+def _fraction_of_str(value):
+    return Fraction(str(value))
+
+
+class TestRationalFromStr:
+    """The ASCII-integer fast path against ``Fraction(str(x))``: same value
+    where it parses, a ParseError where it does not."""
+
+    CASES = [
+        "007", "-0", "+3", " 4 ", "1_000", "\u0663", "1e3", "1/2", "-", "",
+        "-007", "--3", "-+3", "3-", "12", "0", "7/0", "3.5", "0x10", "\u00b2",
+        "1" * 5000, "-" + "2" * 4300, 0, 5, -12, 10**30, True, None,
+    ]
+
+    def test_cases_match_fraction(self):
+        for value in self.CASES:
+            got = _outcome(rational_from_str, value, ParseError)
+            assert got == _outcome(_fraction_of_str, value, (ValueError, ZeroDivisionError)), repr(value)
+            assert got == "error" or type(got) is Fraction
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(), st.text(alphabet="-+0123456789/ _e.\u0663")))
+    def test_random_inputs_match_fraction(self, value):
+        got = _outcome(rational_from_str, value, ParseError)
+        assert got == _outcome(_fraction_of_str, value, (ValueError, ZeroDivisionError))
 
 
 class TestDot:

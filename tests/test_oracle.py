@@ -1,5 +1,6 @@
 """Brute-force enumeration: completeness, gamma, budget handling."""
 
+import itertools
 import random
 
 import pytest
@@ -17,13 +18,49 @@ from conflictfair import (
     exists_maximal_ef1,
     gen_counterexample,
     is_ef1,
+    value_minus_one,
 )
+from conflictfair.hardness import ReductionSpec, _gamma_allocation
+from conflictfair.oracle import worst_envy_gap
 
 from conftest import (
     backtracking_maximal_allocations,
+    product_maximal_allocations,
+    random_additive,
     random_graph,
     random_monotone_table,
 )
+
+
+def order_corpus():
+    """Every m in 0..7 and n in 1..4 on an edgeless, a complete and a random
+    graph, with Uniform, Additive (per agent at odd m) or Table valuations,
+    plus the 3-, 4- and 5-agent counterexamples."""
+    rng = random.Random(0x0DE7)
+    corpus = []
+    for m in range(8):
+        for n in range(1, 5):
+            graphs = (
+                ConflictGraph(m),
+                ConflictGraph(m, itertools.combinations(range(m), 2)),
+                random_graph(rng, m, rng.uniform(0.2, 0.7)),
+            )
+            for k, graph in enumerate(graphs):
+                kind = (m + n + k) % 3
+                if kind == 0:
+                    models = Uniform()
+                elif kind == 1:
+                    models = [random_additive(rng, m) for _ in range(n)] if m % 2 else random_additive(rng, m)
+                else:
+                    models = random_monotone_table(rng, m)
+                corpus.append(Instance(graph, n, models))
+    corpus.extend(gen_counterexample(n) for n in (3, 4, 5))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def product_corpus():
+    return [(instance, product_maximal_allocations(instance)) for instance in order_corpus()]
 
 
 class TestEnumeration:
@@ -53,6 +90,10 @@ class TestEnumeration:
             assert sorted(mine, key=repr) == sorted(theirs, key=repr)
             assert len(set(map(repr, mine))) == len(mine)
 
+    def test_matches_product_sweep_in_order(self, product_corpus):
+        for instance, reference in product_corpus:
+            assert list(enumerate_maximal_allocations(instance)) == reference
+
     def test_assignment_budget(self):
         instance = Instance(ConflictGraph(4), 2, Uniform())
         with pytest.raises(BudgetExceededError, match="exceed"):
@@ -80,6 +121,32 @@ class TestExistence:
             result = exists_maximal_ef1(instance)
             assert result.exists
             assert is_ef1(instance, result.witness)
+
+
+class TestFirstEnumerated:
+    """Answers that take the first allocation in enumeration order equal
+    those read off the product sweep."""
+
+    def test_exists_witness_gamma_and_gamma_allocation(self, product_corpus):
+        identical = 0
+        for instance, reference in product_corpus:
+            witness = next((a for a in reference if is_ef1(instance, a)), None)
+            result = exists_maximal_ef1(instance)
+            assert result.exists == (witness is not None)
+            assert result.witness == witness
+            if not instance.identical:
+                continue
+            identical += 1
+            model = instance.identical_model
+            gaps = [worst_envy_gap(model, a) for a in reference]
+            gamma = min(gaps)
+            assert compute_gamma(instance) == gamma
+            first = reference[gaps.index(gamma)]
+            order = sorted(range(instance.n), key=lambda i: -value_minus_one(model, first[i]))
+            # _gamma_allocation reads only the spec's base instance and gamma.
+            spec = ReductionSpec(instance, None, gamma, None, None)
+            assert _gamma_allocation(spec) == Allocation([first[i] for i in order])
+        assert identical >= len(product_corpus) // 2
 
 
 class TestGamma:
