@@ -27,7 +27,7 @@ from .core import (
     value_minus_one,
 )
 from .chain import Chain, ChainOutcome, build_chain, chain_ef1, cut_and_choose
-from .swap import SwapIteration, SwapTrace, iteration_bound_additive, swap_ef1
+from .swap import SwapIteration, iteration_bound_additive, swap_ef1
 from .graph_classes import (
     IntervalChains,
     IntervalSet,

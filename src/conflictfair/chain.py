@@ -123,21 +123,24 @@ def build_chain(
     return Chain(tuple(steps), s, x1, x2, p, q)
 
 
+def _first_ef1(instance: Instance, steps: Sequence[Allocation]) -> Optional[int]:
+    """Index of the first EF1 step, or None when no step is EF1."""
+    return next((i for i, step in enumerate(steps) if is_ef1(instance, step)), None)
+
+
 def chain_ef1(instance: Instance, source: Sequence[int]) -> ChainOutcome:
     """Walk the chain for ``source`` and return its first EF1 step, or a
     null outcome when no step is EF1."""
     chain = build_chain(instance, source)
-    for i, step in enumerate(chain.steps):
-        if is_ef1(instance, step):
-            return ChainOutcome(step, i, chain)
-    return ChainOutcome(None, None, chain)
+    i = _first_ef1(instance, chain.steps)
+    return ChainOutcome(None if i is None else chain.steps[i], i, chain)
 
 
 def cut_and_choose(
     instance: Instance,
-    solve: Optional[Callable[[Instance], Optional[Allocation]]] = None,
+    solve: Callable[[Instance], Optional[Allocation]],
 ) -> Optional[Allocation]:
-    """Two-agent protocol for possibly distinct valuations: solve the
+    """Two-agent protocol for possibly distinct valuations: ``solve`` the
     identical-valuation problem under agent 1's valuation, then let agent 2
     take the preferred bundle. When ``solve`` returns None (a solver that
     may fail), so does the protocol.
@@ -149,11 +152,6 @@ def cut_and_choose(
     """
     if instance.n != 2:
         raise ValueError("cut-and-choose needs exactly 2 agents")
-    if solve is None:
-        from .swap import swap_ef1
-
-        solve = lambda inst: swap_ef1(inst)[0]
-
     allocation = solve(to_goods(Instance(instance.graph, 2, instance.models[0], instance.mode)))
     if allocation is None:
         return None

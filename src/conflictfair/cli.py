@@ -1,9 +1,10 @@
 """Command-line interface: solve, check, oracle, gen, color-tree.
 
 Exit codes: 0 success (all reported checks true), 1 failed check or no
-allocation found, 2 inapplicable algorithm or invalid parameters, 3 parse
-error, 4 no applicable algorithm for n >= 3, 5 enumeration budget exceeded,
-6 reduction precondition failure, 7 a solver's internal invariant failed.
+allocation found, 2 inapplicable algorithm, invalid parameters or an
+unwritable output path, 3 parse error, 4 no applicable algorithm for n >= 3,
+5 enumeration budget exceeded, 6 reduction precondition failure, 7 a
+solver's internal invariant failed.
 
 ``main`` maps the exceptions a command raises to codes by one table,
 ``EXIT_CODES``; a command handles a plain ``ValueError`` itself only where
@@ -31,12 +32,14 @@ EXIT_BUDGET = 5
 EXIT_REDUCTION_PRECONDITION = 6
 EXIT_INVARIANT = 7
 
-# Checked in order by isinstance; a RuntimeError is EXIT_INVARIANT.
+# Checked in order by isinstance; a RuntimeError is EXIT_INVARIANT. Reads
+# raise ParseError, so an OSError comes from writing an output file.
 EXIT_CODES = {
     ser.ParseError: EXIT_PARSE,
     NoAlgorithmError: EXIT_NO_ALGORITHM,
     InapplicableError: EXIT_INAPPLICABLE,
     BudgetExceededError: EXIT_BUDGET,
+    OSError: EXIT_INAPPLICABLE,
 }
 
 

@@ -372,9 +372,8 @@ def to_goods(instance: Instance) -> Instance:
     chores."""
     if instance.mode == GOODS:
         return instance
-    if instance.identical:
-        return Instance(instance.graph, instance.n, Negated(instance.identical_model), GOODS)
-    return Instance(instance.graph, instance.n, [Negated(v) for v in instance.models], GOODS)
+    models = Negated(instance.identical_model) if instance.identical else [Negated(v) for v in instance.models]
+    return Instance(instance.graph, instance.n, models, GOODS)
 
 
 class Allocation:

@@ -17,9 +17,8 @@ from .core import (
     _most_valuable,
     as_fraction,
     evaluate,
-    is_ef1,
 )
-from .chain import build_chain, chain_ef1, _require_two_agent_identical_goods
+from .chain import build_chain, chain_ef1, _first_ef1, _require_two_agent_identical_goods
 
 
 class IntervalSet:
@@ -219,10 +218,10 @@ def interval_ef1(instance: Instance, intervals: IntervalSet) -> Allocation:
     """Maximal EF1 allocation for an interval graph via the concatenated
     gapless chain; some member is always EF1."""
     chains = interval_chains(instance, intervals)
-    for step in chains.combined:
-        if is_ef1(instance, step):
-            return step
-    raise RuntimeError("gapless chain contained no EF1 step; invariant violated")
+    i = _first_ef1(instance, chains.combined)
+    if i is None:
+        raise RuntimeError("gapless chain contained no EF1 step; invariant violated")
+    return chains.combined[i]
 
 
 def bipartition(graph: ConflictGraph) -> Tuple[frozenset, frozenset]:
@@ -262,7 +261,6 @@ def bipartite_ef1(instance: Instance) -> Allocation:
     isolated = frozenset(g for g in range(graph.m) if not graph.adj[g])
     side0, side1 = bipartition(graph)
     side0 -= isolated
-    side1 -= isolated
     if evaluate(model, side0) < evaluate(model, side1):
         side0, side1 = side1, side0
     outcome = chain_ef1(instance, sorted(side0 | isolated))

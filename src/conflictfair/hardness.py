@@ -27,7 +27,7 @@ from .core import (
     is_independent_set,
     value_minus_one,
 )
-from .oracle import EnumerationBudget, compute_gamma, enumerate_maximal_allocations, worst_envy_gap
+from .oracle import EnumerationBudget, _gamma_and_allocation, enumerate_maximal_allocations
 
 
 def _three_agent_table() -> Table:
@@ -102,11 +102,15 @@ class GoodMap:
 
 @dataclass(frozen=True)
 class ReductionSpec:
+    """The reduction's parameters; ``gamma_allocation`` is the first base
+    maximal allocation, in enumeration order, whose worst gap is gamma."""
+
     base: Instance
     is_instance: ISInstance
     gamma: Fraction
     lam: Fraction
     good_map: GoodMap
+    gamma_allocation: Allocation
 
 
 def build_reduction(
@@ -122,7 +126,7 @@ def build_reduction(
     # With identical monotone goods valuations, gamma <= 0 exactly when some
     # maximal allocation is EF1: a bundle's own term and an empty bundle's
     # term of the gap are never positive.
-    gamma = compute_gamma(base, budget)
+    gamma, gamma_allocation = _gamma_and_allocation(base, budget)
     if gamma <= 0:
         raise ValueError("base instance admits a maximal EF1 allocation")
     lam = gamma / is_instance.t
@@ -163,21 +167,7 @@ def build_reduction(
     else:
         model = Composite(base_model, m_base, Additive(tail))
     instance = Instance(graph, n, model)
-    return instance, ReductionSpec(base, is_instance, gamma, lam, good_map)
-
-
-def _gamma_allocation(spec: ReductionSpec) -> Allocation:
-    """First enumerated base allocation attaining gamma, with bundles
-    reordered (stable) so agent 1 has the largest one-removed value."""
-    model = spec.base.identical_model
-    for allocation in enumerate_maximal_allocations(spec.base):
-        if worst_envy_gap(model, allocation) == spec.gamma:
-            order = sorted(
-                range(spec.base.n),
-                key=lambda i: -value_minus_one(model, allocation[i]),
-            )
-            return Allocation([allocation[i] for i in order])
-    raise RuntimeError("no gamma-attaining maximal allocation found")
+    return instance, ReductionSpec(base, is_instance, gamma, lam, good_map, gamma_allocation)
 
 
 def _assemble(spec: ReductionSpec, base_bundles, picks: Iterable[Iterable[int]]) -> Allocation:
@@ -202,8 +192,10 @@ def yes_certificate(spec: ReductionSpec, witness: Iterable[int]) -> Allocation:
     if not is_independent_set(spec.is_instance.graph, witness):
         raise ValueError("witness is not an independent set of H")
 
-    base_alloc = _gamma_allocation(spec)
+    # Gamma's allocation, bundles reordered (stable) so agent 1 has the
+    # largest one-removed value.
     model = spec.base.identical_model
+    base_alloc = Allocation(sorted(spec.gamma_allocation.bundles, key=lambda b: -value_minus_one(model, b)))
     top = value_minus_one(model, base_alloc[0])
     ordered_witness = sorted(witness)
     picks = []

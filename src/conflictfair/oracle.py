@@ -6,8 +6,8 @@ unassigned, label a = agent a's bundle). It decides goods 0..m-1 in order
 and tries labels 0..n in increasing order at each good, so allocations come
 out in mixed-radix order over the label vectors, good 0 most significant:
 the order of a sweep over all (n+1)^m labelings. Callers rely on that order:
-``exists_maximal_ef1`` returns the first EF1 allocation, and
-``hardness._gamma_allocation`` the first one attaining gamma.
+``exists_maximal_ef1`` returns the first EF1 allocation, and the reduction's
+gamma allocation is the first one attaining gamma.
 
 A good joins a bundle only if it has no neighbour there. A branch is cut as
 soon as some good u is unassigned and every good in u's closed neighbourhood
@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from .core import (
     Allocation,
@@ -161,19 +161,23 @@ def worst_envy_gap(model: ValuationModel, allocation: Allocation) -> Fraction:
     )
 
 
+def _gamma_and_allocation(
+    instance: Instance,
+    budget: Optional[EnumerationBudget] = None,
+) -> Tuple[Fraction, Allocation]:
+    """Smallest ``worst_envy_gap`` over all maximal allocations, and the
+    first allocation in enumeration order that attains it. There is always
+    one: greedy completion yields a maximal allocation."""
+    if not instance.identical:
+        raise ValueError("gamma is defined for identical valuations")
+    model = instance.identical_model
+    gaps = ((worst_envy_gap(model, a), a) for a in enumerate_maximal_allocations(instance, budget))
+    return min(gaps, key=lambda pair: pair[0])
+
+
 def compute_gamma(
     instance: Instance,
     budget: Optional[EnumerationBudget] = None,
 ) -> Fraction:
     """Smallest ``worst_envy_gap`` over all maximal allocations."""
-    if not instance.identical:
-        raise ValueError("gamma is defined for identical valuations")
-    model = instance.identical_model
-    gamma = None
-    for allocation in enumerate_maximal_allocations(instance, budget):
-        worst = worst_envy_gap(model, allocation)
-        if gamma is None or worst < gamma:
-            gamma = worst
-    if gamma is None:
-        raise RuntimeError("no maximal allocation found; greedy completion always yields one")
-    return gamma
+    return _gamma_and_allocation(instance, budget)[0]

@@ -34,6 +34,10 @@ class ParseError(ValueError):
 # --n: far beyond what the solvers finish on, small enough to allocate.
 SIZE_LIMIT = 100_000
 
+# The most negated and composite models a model may nest, one inside the
+# next: the models' ``value`` recurses once per level.
+_MODEL_NESTING_LIMIT = 64
+
 
 def rational_from_str(text) -> Fraction:
     """``Fraction(str(text))``, or a ParseError. A string of ASCII digits
@@ -75,6 +79,11 @@ def _edges_from_json(data) -> list:
 
 
 def model_from_json(data, m: int) -> ValuationModel:
+    return _model_from_json(data, m, 0)
+
+
+def _model_from_json(data, m: int, depth: int) -> ValuationModel:
+    """The model ``data`` nested inside ``depth`` negated or composite models."""
     if not isinstance(data, dict) or "type" not in data:
         raise ParseError("model must be an object with a 'type' field")
     kind = data["type"]
@@ -94,11 +103,13 @@ def model_from_json(data, m: int) -> ValuationModel:
                 return Table(m, entries)
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
+        if kind in ("negated", "composite") and depth == _MODEL_NESTING_LIMIT:
+            raise ParseError(f"models nest more than {_MODEL_NESTING_LIMIT} levels deep")
         if kind == "negated":
-            return Negated(model_from_json(data["inner"], m))
+            return Negated(_model_from_json(data["inner"], m, depth + 1))
         if kind == "composite":
             base_goods = integer_from_json(data["baseGoods"], "baseGoods")
-            base = model_from_json(data["base"], base_goods)
+            base = _model_from_json(data["base"], base_goods, depth + 1)
             return Composite(base, base_goods, Additive(rational_from_str(v) for v in data["tail"]))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed {kind} model: {exc}") from exc

@@ -27,17 +27,10 @@ class SwapIteration:
     chosen: Optional[int]
 
 
-@dataclass(frozen=True)
-class SwapTrace:
-    iterations: tuple
-
-    def __len__(self):
-        return len(self.iterations)
-
-
-def swap_ef1(instance: Instance) -> Tuple[Allocation, SwapTrace]:
+def swap_ef1(instance: Instance) -> Tuple[Allocation, Tuple[SwapIteration, ...]]:
     """Find a maximal EF1 allocation for 2 agents with identical monotone
-    valuation (goods mode; negate chores first)."""
+    valuation (goods mode; negate chores first), with the tuple of rounds
+    tried, the last one successful."""
     model = _require_two_agent_identical_goods(instance)
     graph = instance.graph
     source = most_valuable_source(instance)
@@ -52,7 +45,7 @@ def swap_ef1(instance: Instance) -> Tuple[Allocation, SwapTrace]:
         value = evaluate(model, source)
         if outcome.found:
             iterations.append(SwapIteration(ordered, value, None))
-            return outcome.allocation, SwapTrace(tuple(iterations))
+            return outcome.allocation, tuple(iterations)
         v1 = evaluate(model, outcome.chain.x1)
         v2 = evaluate(model, outcome.chain.x2)
         chosen = 1 if v1 >= v2 else 2

@@ -17,8 +17,14 @@ from conflictfair import (
     Table,
     is_independent_set,
     is_maximal,
+    swap_ef1,
     validate_allocation,
 )
+
+
+def swap_solver(instance: Instance) -> Allocation:
+    """The swap solver's allocation, as ``cut_and_choose`` takes it."""
+    return swap_ef1(instance)[0]
 
 
 def random_connected_graph(rng: random.Random, m: int, extra_edge_prob: float = 0.3) -> ConflictGraph:

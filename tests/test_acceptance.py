@@ -57,6 +57,7 @@ from conftest import (
     random_tree_edges,
     random_wellformed_allocation,
     schedule_feasible,
+    swap_solver,
 )
 
 
@@ -160,7 +161,7 @@ def test_criterion_05_additive_iteration_bounds(solver_corpus):
         m = instance.m
         if m >= 2:
             assert len(trace) <= iteration_bound_additive(m)
-        for earlier, later in zip(trace.iterations, trace.iterations[1:]):
+        for earlier, later in zip(trace, trace[1:]):
             assert later.value > Fraction(m, m - 1) * earlier.value
         checked += 1
     assert checked >= 500
@@ -373,7 +374,7 @@ def test_criterion_12_cut_and_choose_two_sided():
         graph = random_graph(rng, m, edge_prob=rng.choice([0.2, 0.5]))
         models = [random_additive(rng, m), random_additive(rng, m)]
         instance = Instance(graph, 2, models)
-        allocation = cut_and_choose(instance)
+        allocation = cut_and_choose(instance, swap_solver)
         assert validate_allocation(instance, allocation).wellformed
         assert is_maximal(instance, allocation)
         assert is_ef1(instance, allocation)

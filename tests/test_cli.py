@@ -53,6 +53,17 @@ def path_instance(tmp_path):
     )
 
 
+def negated_document(depth, values=("5", "0", "5")):
+    """An instance on a path whose additive model sits inside ``depth``
+    negated models, in the mode that keeps the model valid."""
+    model = {"type": "additive", "values": list(values)}
+    for _ in range(depth):
+        model = {"type": "negated", "inner": model}
+    edges = [[g, g + 1] for g in range(len(values) - 1)]
+    mode = "chores" if depth % 2 else "goods"
+    return {"agents": 2, "goods": len(values), "edges": edges, "mode": mode, "valuations": {"identical": model}}
+
+
 def report_lines(capsys):
     return dict(
         line.split(":", 1) for line in capsys.readouterr().out.strip().splitlines()
@@ -199,29 +210,64 @@ class TestSolve:
             assert capsys.readouterr().err.startswith("error:")
         table = [[True if mask == 1 else str(mask), "0"] for mask in range(8)]
         composite = {"type": "composite", "baseGoods": 1.5, "base": {"type": "uniform"}, "tail": ["0"] * 3}
-        for change in [
-            {"agents": 2.9},
-            {"agents": True},
-            {"goods": 3.0},
-            {"agents": SIZE_LIMIT + 1},
-            {"goods": SIZE_LIMIT + 1},
-            {"edges": [[True, 2]]},
-            {"edges": [[0, 1.0]]},
-            {"valuations": {"identical": {"type": "table", "entries": table}}},
-            {"valuations": {"identical": composite}},
+        too_deep = {"type": "uniform"}
+        for _ in range(serialization._MODEL_NESTING_LIMIT + 1):
+            too_deep = {"type": "composite", "baseGoods": 3, "base": too_deep, "tail": ["0"] * 3}
+        for change, message in [
+            ({"agents": 2.9}, "agents must be an integer"),
+            ({"agents": True}, "agents must be an integer"),
+            ({"goods": 3.0}, "goods must be an integer"),
+            ({"agents": SIZE_LIMIT + 1}, f"agents must be at most {SIZE_LIMIT}"),
+            ({"goods": SIZE_LIMIT + 1}, f"goods must be at most {SIZE_LIMIT}"),
+            ({"edges": [[True, 2]]}, "edge endpoint must be an integer"),
+            ({"edges": [[0, 1.0]]}, "edge endpoint must be an integer"),
+            ({"valuations": {"identical": {"type": "table", "entries": table}}}, "table mask must be an integer"),
+            ({"valuations": {"identical": composite}}, "baseGoods must be an integer"),
             # the overlap graph of these intervals has no edges
-            {"intervals": [["0", "2"], ["3", "4"], ["5", "6"]]},
+            ({"intervals": [["0", "2"], ["3", "4"], ["5", "6"]]}, "edge (0,1) joins disjoint intervals"),
             # two overlaps, as many as edges, but (0,2) where the edge is (1,2)
-            {"intervals": [["0", "4"], ["1", "2"], ["3", "5"]]},
+            ({"intervals": [["0", "4"], ["1", "2"], ["3", "5"]]}, "edge (1,2) joins disjoint intervals"),
             # two intervals for three goods
-            {"intervals": [["0", "2"], ["1", "3"]]},
+            ({"intervals": [["0", "2"], ["1", "3"]]}, "2 intervals for 3 goods"),
+            (
+                {"valuations": {"identical": {"type": "table", "entries": [[str(k), "1"] for k in range(8)]}}},
+                "table must assign value 0 to the empty set",
+            ),
+            (
+                {"valuations": {"identical": {"type": "table", "entries": [["1", "1"]] + [[str(k), "1"] for k in range(8)]}}},
+                "duplicate table entry for mask 1",
+            ),
+            (
+                {"valuations": {"identical": {"type": "composite", "baseGoods": 4, "base": {"type": "uniform"}, "tail": ["0"] * 3}}},
+                "composite base goods out of range",
+            ),
+            ({"mode": "chores", "valuations": {"identical": {"type": "uniform"}}}, "negate it for chores"),
+            ({"agents": 0}, "need at least one agent"),
+            ({"valuations": {}}, "valuations must contain 'identical' or 'perAgent'"),
+            ({"valuations": {"identical": too_deep}}, "models nest more than"),
+            (negated_document(serialization._MODEL_NESTING_LIMIT + 1), "models nest more than"),
         ]:
             data = json.loads(open(path_instance(tmp_path)).read())
             data.update(change)
             path = write(tmp_path, "bad.json", data)
             for algorithm in ("auto", "interval"):
                 assert main(["solve", path, "--algorithm", algorithm]) == 3, (change, algorithm)
-                assert capsys.readouterr().err.startswith("error:")
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and message in err, (change, algorithm, err)
+
+    def test_model_nesting_limit(self, tmp_path, capsys, monkeypatch):
+        limit = serialization._MODEL_NESTING_LIMIT
+        assert main(["solve", write(tmp_path, "deep.json", negated_document(limit))]) == 0
+        assert report_lines(capsys)["ef1"] == "true"
+        # Without the bound, 983 levels on a 5-good path parsed at the top of
+        # a fresh interpreter and then overflowed the stack while solving
+        # (exit 7). The document is handed over already decoded, since the
+        # JSON decoder's own limit, lower under pytest, depends on the stack.
+        for depth in (limit + 1, 983):
+            document = negated_document(depth, "12345")
+            monkeypatch.setattr(serialization, "load_json", lambda path: document)
+            assert main(["solve", "nested.json"]) == 3, depth
+            assert capsys.readouterr().err == f"error:models nest more than {limit} levels deep\n", depth
 
     def test_model_recursion_is_parse_error(self, tmp_path, capsys, monkeypatch):
         # a model nested just below the JSON decoder's limit overflows while
@@ -293,6 +339,10 @@ class TestOracleCommand:
         code = main(["oracle", cx])
         assert code == 0
         assert report_lines(capsys)["exists"] == "false"
+        witness = tmp_path / "w.json"
+        assert main(["oracle", cx, "--witness", str(witness)]) == 0
+        assert report_lines(capsys) == {"exists": "false", "witness": "none"}
+        assert not witness.exists()
 
     def test_gamma_flag(self, tmp_path, capsys):
         cx = write(tmp_path, "cx4.json", instance_to_json(gen_counterexample(4)))
@@ -383,18 +433,30 @@ class TestGen:
         instance, _ = instance_from_json(json.loads(open(out).read()))
         assert instance.m == 46 and len(instance.graph.edges) == 657
 
-    def test_reduction_t_out_of_range(self, tmp_path):
+    def test_reduction_t_out_of_range(self, tmp_path, capsys):
         base = write(tmp_path, "base.json", instance_to_json(gen_counterexample(4)))
         h = write(tmp_path, "h.json", {"vertices": 2, "edges": [[0, 1]]})
         out = str(tmp_path / "red.json")
-        assert main(["gen", "reduction", out, "--base", base, "--graph", h, "--t", "3"]) == 2
+        for args, message in [
+            (["--base", base, "--graph", h, "--t", "3"], "need 1 <= t <= |V_H| = 2"),
+            (["--graph", h, "--t", "1"], "reduction needs --base, --graph and --t"),
+        ]:
+            assert main(["gen", "reduction", out, *args]) == 2, args
+            assert capsys.readouterr().err == f"error:{message}\n"
 
-    def test_reduction_rejects_solvable_base(self, tmp_path):
-        inst = Instance(ConflictGraph(2, [(0, 1)]), 2, Uniform())
-        base = write(tmp_path, "base.json", instance_to_json(inst))
+    def test_reduction_rejects_solvable_base(self, tmp_path, capsys):
         h = write(tmp_path, "h.json", {"vertices": 2, "edges": []})
         out = str(tmp_path / "red.json")
-        assert main(["gen", "reduction", out, "--base", base, "--graph", h, "--t", "1"]) == 6
+        for inst, mode, message in [
+            (Instance(ConflictGraph(2, [(0, 1)]), 2, Uniform()), "goods", "admits a maximal EF1 allocation"),
+            (gen_counterexample(4), "chores", "negate a chores base into goods mode"),
+        ]:
+            if mode == "chores":
+                inst = Instance(inst.graph, inst.n, Negated(inst.identical_model), "chores")
+            base = write(tmp_path, "base.json", instance_to_json(inst))
+            assert main(["gen", "reduction", out, "--base", base, "--graph", h, "--t", "1"]) == 6, mode
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err, mode
 
 
 class TestColorTree:
@@ -424,9 +486,12 @@ class TestColorTree:
         )
         assert main(["color-tree", cyc, "--n", "2"]) == 2
 
-    @pytest.mark.parametrize("tree", [{"vertices": 2.0, "edges": [[0, 1]]}, {"vertices": 2, "edges": [[False, 1]]}])
-    def test_non_integer_is_parse_failure(self, tmp_path, tree):
+    @pytest.mark.parametrize(
+        "tree", [{"vertices": 2.0, "edges": [[0, 1]]}, {"vertices": 2, "edges": [[False, 1]]}, [[0, 1]]]
+    )
+    def test_non_integer_is_parse_failure(self, tmp_path, capsys, tree):
         assert main(["color-tree", write(tmp_path, "t.json", tree), "--n", "2"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_sizes_above_limit(self, tmp_path):
         big = write(tmp_path, "big.json", {"vertices": SIZE_LIMIT + 1, "edges": []})
@@ -457,6 +522,27 @@ class TestColorTree:
         colors = json.loads(report_lines(capsys)["colors"])
         graph = ConflictGraph(nv, edges)
         assert coloring_violations(graph, [c or None for c in colors], 2) == []
+
+
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    # every option that writes a file, pointed into a directory that is not there
+    missing = str(tmp_path / "missing" / "out.json")
+    instance = path_instance(tmp_path)
+    base = write(tmp_path, "base.json", instance_to_json(gen_counterexample(4)))
+    h = write(tmp_path, "h.json", {"vertices": 2, "edges": []})
+    tree = write(tmp_path, "t.json", {"vertices": 2, "edges": [[0, 1]]})
+    for argv in [
+        ["gen", "counterexample", missing, "--n", "3"],
+        ["solve", instance, "--out", missing],
+        ["oracle", instance, "--witness", missing],
+        ["gen", "reduction", str(tmp_path / "red.json"), "--base", base, "--graph", h, "--t", "1", "--spec", missing],
+        ["color-tree", tree, "--n", "2", "--out", missing],
+        ["color-tree", tree, "--n", "2", "--dot", missing],
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and missing in err, (argv, err)
+    assert not (tmp_path / "missing").exists()
 
 
 def _random_instance_with_intervals(rng):

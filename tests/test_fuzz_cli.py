@@ -10,7 +10,7 @@ import json
 
 from hypothesis import example, given, settings, strategies as st
 
-from conflictfair import cli
+from conflictfair import cli, serialization
 from conflictfair.solver import ALGORITHMS
 
 EXPECTED_EXIT_CODES = range(7)  # the README table without 7, which marks a solver bug
@@ -18,10 +18,22 @@ EXPECTED_EXIT_CODES = range(7)  # the README table without 7, which marks a solv
 RATIONALS = st.sampled_from(["0", "1", "2", "3", "1/2", "7/3"])
 JUNK = st.sampled_from(["x", "-1", "1/0", "goods", 1.5, 2.0, True, None, [], {}, -1, 0, 7, 10**6, [0, 1], [[0]]])
 
-# Two reproducers: nesting deeper than the JSON decoder's recursion limit,
-# and m = n+1 chores with per-agent valuations, where agents that each take
-# their worst remaining chore leave the one holding two chores envious.
+# Four reproducers: nesting deeper than the JSON decoder's recursion limit;
+# m = n+1 chores with per-agent valuations, where agents that each take
+# their worst remaining chore leave the one holding two chores envious; a
+# model nested 983 levels deep, which parsed at the top of a fresh
+# interpreter and then overflowed the stack while solving; and an output
+# path in a missing directory, which escaped as a FileNotFoundError.
 DEEP_NESTING = "[" * 5000 + "]" * 5000
+DEEP_MODEL = (
+    '{"agents": 2, "goods": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]], "mode": "chores", "valuations": {"identical": '
+    + '{"type": "negated", "inner": ' * 983
+    + '{"type": "additive", "values": ["1", "2", "3", "4", "5"]}'
+    + "}" * 984
+)
+# Pairs of negated models wrapped around a model: a few drawn depths straddle
+# the nesting limit.
+NEGATED_PAIRS = st.sampled_from([0] * 6 + [serialization._MODEL_NESTING_LIMIT // 2 + k for k in (-1, 0, 1)])
 CHORES_PER_AGENT = json.dumps(
     {
         "agents": 2,
@@ -73,6 +85,8 @@ def instance_documents(draw):
 
     def model():
         inner = draw(goods_models(m))
+        for _ in range(2 * draw(NEGATED_PAIRS)):
+            inner = {"type": "negated", "inner": inner}
         return {"type": "negated", "inner": inner} if mode == "chores" else inner
 
     valuations = {"identical": model()} if draw(st.booleans()) else {"perAgent": [model() for _ in range(n)]}
@@ -136,19 +150,28 @@ def _run(argv):
 
 
 @settings(max_examples=150, deadline=None)
-@given(instance=mutated(instance_documents()), allocation=mutated(allocation_documents))
-@example(instance=DEEP_NESTING, allocation='{"bundles": []}')
-@example(instance=CHORES_PER_AGENT, allocation='{"bundles": [[0], [1, 2]]}')
-def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, instance, allocation):
+@given(
+    instance=mutated(instance_documents()),
+    allocation=mutated(allocation_documents),
+    unwritable=st.sampled_from([False] * 4 + [True]),
+)
+@example(instance=DEEP_NESTING, allocation='{"bundles": []}', unwritable=False)
+@example(instance=CHORES_PER_AGENT, allocation='{"bundles": [[0], [1, 2]]}', unwritable=False)
+@example(instance=DEEP_MODEL, allocation='{"bundles": []}', unwritable=False)
+@example(instance=CHORES_PER_AGENT, allocation='{"bundles": []}', unwritable=True)
+def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, instance, allocation, unwritable):
     directory = tmp_path_factory.mktemp("fuzz")
     instance_path, allocation_path = str(directory / "instance.json"), str(directory / "allocation.json")
-    solved_path = str(directory / "solved.json")
+    # with ``unwritable``, --out and --witness point into a directory that is not there
+    output_directory = directory / "missing" if unwritable else directory
+    solved_path, witness_path = str(output_directory / "solved.json"), str(output_directory / "witness.json")
     (directory / "instance.json").write_text(instance)
     (directory / "allocation.json").write_text(allocation)
     for algorithm in ("auto", *ALGORITHMS):
         _, report = _run(["solve", instance_path, "--algorithm", algorithm, "--out", solved_path])
         if report.get("found") == "true":
             assert report["maximal"] == "true" and report["ef1"] == "true", (algorithm, report)
-            assert _run(["check", instance_path, solved_path])[0] == 0
+            if not unwritable:
+                assert _run(["check", instance_path, solved_path])[0] == 0
     _run(["check", instance_path, allocation_path])
-    _run(["oracle", instance_path, "--count", "--gamma", "--max-assignments", "2000"])
+    _run(["oracle", instance_path, "--count", "--gamma", "--max-assignments", "2000", "--witness", witness_path])

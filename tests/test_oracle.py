@@ -18,10 +18,8 @@ from conflictfair import (
     exists_maximal_ef1,
     gen_counterexample,
     is_ef1,
-    value_minus_one,
 )
-from conflictfair.hardness import ReductionSpec, _gamma_allocation
-from conflictfair.oracle import worst_envy_gap
+from conflictfair.oracle import _gamma_and_allocation, worst_envy_gap
 
 from conftest import (
     backtracking_maximal_allocations,
@@ -141,11 +139,7 @@ class TestFirstEnumerated:
             gaps = [worst_envy_gap(model, a) for a in reference]
             gamma = min(gaps)
             assert compute_gamma(instance) == gamma
-            first = reference[gaps.index(gamma)]
-            order = sorted(range(instance.n), key=lambda i: -value_minus_one(model, first[i]))
-            # _gamma_allocation reads only the spec's base instance and gamma.
-            spec = ReductionSpec(instance, None, gamma, None, None)
-            assert _gamma_allocation(spec) == Allocation([first[i] for i in order])
+            assert _gamma_and_allocation(instance) == (gamma, reference[gaps.index(gamma)])
         assert identical >= len(product_corpus) // 2
 
 

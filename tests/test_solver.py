@@ -34,7 +34,14 @@ from conflictfair.cli import main
 from conflictfair.core import to_goods
 from conflictfair.solver import ALGORITHMS
 
-from conftest import random_additive, random_connected_graph, random_graph, random_intervals, random_monotone_table
+from conftest import (
+    random_additive,
+    random_connected_graph,
+    random_graph,
+    random_intervals,
+    random_monotone_table,
+    swap_solver,
+)
 
 
 # sha256 of the outputs over the corpus of ``test_allocations_match_parent``,
@@ -234,7 +241,7 @@ def test_allocations_match_parent():
         graph = random_connected_graph(rng, m)
         allocation, trace = swap_ef1(to_goods(Instance(graph, 2, models[0], mode)))
         put("swap", repr(allocation), len(trace))
-        put("cut", repr(cut_and_choose(Instance(graph, 2, models, mode))))
+        put("cut", repr(cut_and_choose(Instance(graph, 2, models, mode), swap_solver)))
         intervals = random_intervals(rng, m, span=12)
         put("interval", repr(interval_ef1(to_goods(Instance(intervals.induced_graph(), 2, models[0], mode)), intervals)))
         put("bipartite", repr(bipartite_ef1(to_goods(Instance(_bipartite_graph(rng, m), 2, models[0], mode)))))

@@ -31,8 +31,8 @@ class TestSwapExamples:
         allocation, trace = swap_ef1(instance)
         assert bundles(allocation) == ({2}, {0})
         assert len(trace) == 1
-        assert trace.iterations[0].source == (0, 2)
-        assert trace.iterations[0].chosen is None
+        assert trace[0].source == (0, 2)
+        assert trace[0].chosen is None
 
     def test_single_good(self):
         instance = Instance(ConflictGraph(1), 2, Additive([7]))
@@ -45,7 +45,7 @@ class TestSwapExamples:
         instance = Instance(graph, 2, Additive([1, 3, 1, 3]))
         allocation, trace = swap_ef1(instance)
         assert bundles(allocation) == ({3}, {1})
-        assert trace.iterations[0].source == (1, 3)
+        assert trace[0].source == (1, 3)
         assert len(trace) == 1
 
     def test_rejects_three_agents(self):
@@ -107,7 +107,7 @@ class TestSwapInvariants:
 
     def test_strict_escalation(self, swap_corpus):
         for _instance, _allocation, trace in swap_corpus:
-            values = [it.value for it in trace.iterations]
+            values = [it.value for it in trace]
             assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_additive_multiplicative_increase(self, swap_corpus):
@@ -115,7 +115,7 @@ class TestSwapInvariants:
             if not isinstance(instance.identical_model, Additive):
                 continue
             m = instance.m
-            for earlier, later in zip(trace.iterations, trace.iterations[1:]):
+            for earlier, later in zip(trace, trace[1:]):
                 assert later.value > Fraction(m, m - 1) * earlier.value
 
     def test_iteration_count_bounds(self, swap_corpus):
