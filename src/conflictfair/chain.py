@@ -9,8 +9,9 @@ side sets, the end-to-end value gap flips sign and some step must be EF1.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .core import (
     GOODS,
@@ -21,18 +22,98 @@ from .core import (
     _most_valuable,
     complete_to_maximal_is,
     evaluate,
-    is_ef1,
     is_independent_set,
     to_goods,
 )
 
 
 @dataclass(frozen=True)
-class Chain:
-    """The allocation sequence built from an ordered maximal independent set,
-    with the side sets and per-good (p, q) indices that define each step."""
+class Walk(Sequence):
+    """A sequence of two-agent allocations kept as the first step's two
+    bundles and, for each later step, the goods that leave and join each
+    bundle: ``(out1, in1, out2, in2)``.
 
-    steps: tuple
+    Steps are built on demand. Iterating replays the moves once; ``[i]``,
+    slices and ``index`` replay as far as they need and materialize only
+    the allocations they return.
+    """
+
+    start: tuple  # (bundle 1, bundle 2) of step 0, as frozensets
+    moves: tuple
+
+    def __len__(self):
+        return len(self.moves) + 1
+
+    def _replay(self):
+        """Each step's two bundles, as two sets changed in place."""
+        one, two = set(self.start[0]), set(self.start[1])
+        yield one, two
+        for out1, in1, out2, in2 in self.moves:
+            one.difference_update(out1)
+            one.update(in1)
+            two.difference_update(out2)
+            two.update(in2)
+            yield one, two
+
+    def __iter__(self):
+        return (Allocation(pair) for pair in self._replay())
+
+    def __getitem__(self, key):
+        wanted = range(len(self))[key]
+        indices = wanted if isinstance(key, slice) else (wanted,)
+        picked = {}
+        for i, pair in zip(range(max(indices, default=-1) + 1), self._replay()):
+            if i in indices:
+                picked[i] = Allocation(pair)
+        steps = tuple(picked[i] for i in indices)
+        return steps if isinstance(key, slice) else steps[0]
+
+    def index(self, allocation) -> int:
+        """Position of the first step equal to ``allocation``."""
+        if isinstance(allocation, Allocation):
+            for i, pair in enumerate(self._replay()):
+                if allocation.bundles == pair:
+                    return i
+        raise ValueError(f"{allocation!r} is not a step of this walk")
+
+    def then(self, other: "Walk") -> "Walk":
+        """This walk followed by ``other``, which must start at this walk's
+        last step; the shared step appears once."""
+        *_, end = self._replay()
+        if end != other.start:
+            raise RuntimeError("walks do not meet: the second does not start where the first ends")
+        return Walk(self.start, self.moves + other.moves)
+
+    def first_ef1(self, model: ValuationModel) -> Optional[int]:
+        """Index of the first EF1 step for two agents with the identical
+        goods valuation ``model``, or None when no step is EF1.
+
+        A step is EF1 when each non-empty bundle, less its best good, is
+        worth at most the other. The scan keeps two running bundles, so
+        each move costs a few bundle updates, not a valuation of each step.
+        """
+        one, two = model._bundle(self.start[0]), model._bundle(self.start[1])
+        for i, (out1, in1, out2, in2) in enumerate((((), (), (), ()),) + self.moves):
+            for g in out1:
+                one.remove(g)
+            for g in in1:
+                one.add(g)
+            for g in out2:
+                two.remove(g)
+            for g in in2:
+                two.add(g)
+            if (not len(two) or two.min_drop <= one.value) and (not len(one) or one.min_drop <= two.value):
+                return i
+        return None
+
+
+@dataclass(frozen=True)
+class Chain:
+    """The chain A^(0)..A^(k) built from an ordered maximal independent set,
+    as a :class:`Walk` whose steps are materialized on demand, with the side
+    sets and per-good (p, q) indices that define each step."""
+
+    steps: Walk
     source: tuple
     x1: frozenset
     x2: frozenset
@@ -80,8 +161,10 @@ def build_chain(
     x1: Optional[frozenset] = None,
     x2: Optional[frozenset] = None,
 ) -> Chain:
-    """Build the full chain A^(0)..A^(k) for the ordered maximal independent
-    set ``source``, without the EF1 short-circuit.
+    """Build the chain A^(0)..A^(k) for the ordered maximal independent set
+    ``source`` as a walk: from step i to i+1, s_{i+1} moves from bundle 1
+    to bundle 2, the goods of X_1 with q = i+1 join bundle 1 and those of
+    X_2 with p = i+1 leave bundle 2, so each good moves at most once.
 
     ``x1``/``x2`` override the greedily computed side sets; an override must
     itself be a valid outcome of the greedy scan under some tie-break of
@@ -94,45 +177,43 @@ def build_chain(
     s_set = frozenset(s)
     if len(s) != len(s_set):
         raise ValueError("source contains duplicate goods")
+    if s and not 0 <= min(s) <= max(s) < graph.m:
+        raise ValueError(f"source holds a good outside [0,{graph.m})")
     if not is_independent_set(graph, s_set):
         raise ValueError("source is not an independent set")
     k = len(s)
-    pos = {g: i + 1 for i, g in enumerate(s)}  # 1-based positions in S
-
+    # p(t) and q(t): the first and last 1-based position in S of a
+    # neighbour of t; S is independent, so no neighbour of S is in S.
     p = {}
     q = {}
-    for t in range(graph.m):
-        if t in s_set:
-            continue
-        hits = [pos[u] for u in graph.adj[t] if u in s_set]
-        if not hits:
-            raise ValueError(f"source is not maximal: good {t} has no neighbor in it")
-        p[t] = min(hits)
-        q[t] = max(hits)
+    for i, u in enumerate(s, 1):
+        for t in graph.adj[u]:
+            if t not in p:
+                p[t] = i
+            q[t] = i
+    if len(p) != graph.m - k:
+        t = next(t for t in range(graph.m) if t not in s_set and t not in p)
+        raise ValueError(f"source is not maximal: good {t} has no neighbor in it")
 
     if x1 is None:
         x1 = _grow_independent(graph, (), sorted(p, key=lambda t: (q[t], t)))
     if x2 is None:
         x2 = _grow_independent(graph, (), sorted(p, key=lambda t: (-p[t], -t)))
 
-    steps = []
-    for i in range(k + 1):
-        a1 = frozenset(s[i:]) | frozenset(t for t in x1 if q[t] <= i)
-        a2 = frozenset(s[:i]) | frozenset(t for t in x2 if p[t] > i)
-        steps.append(Allocation([a1, a2]))
-    return Chain(tuple(steps), s, x1, x2, p, q)
-
-
-def _first_ef1(instance: Instance, steps: Sequence[Allocation]) -> Optional[int]:
-    """Index of the first EF1 step, or None when no step is EF1."""
-    return next((i for i, step in enumerate(steps) if is_ef1(instance, step)), None)
+    joins1, leaves2 = [[] for _ in range(k + 1)], [[] for _ in range(k + 1)]
+    for t in x1:
+        joins1[q[t]].append(t)
+    for t in x2:
+        leaves2[p[t]].append(t)
+    moves = tuple(((s[i],), tuple(joins1[i + 1]), tuple(leaves2[i + 1]), (s[i],)) for i in range(k))
+    return Chain(Walk((s_set, frozenset(x2)), moves), s, x1, x2, p, q)
 
 
 def chain_ef1(instance: Instance, source: Sequence[int]) -> ChainOutcome:
     """Walk the chain for ``source`` and return its first EF1 step, or a
     null outcome when no step is EF1."""
     chain = build_chain(instance, source)
-    i = _first_ef1(instance, chain.steps)
+    i = chain.steps.first_ef1(instance.identical_model)
     return ChainOutcome(None if i is None else chain.steps[i], i, chain)
 
 

@@ -14,6 +14,7 @@ it means something specific to that one call.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import is_ef1, is_maximal, validate_allocation
@@ -141,20 +142,22 @@ def cmd_gen(args) -> int:
         return _fail(EXIT_REDUCTION_PRECONDITION, str(exc))
     ser.dump_json(args.out, ser.instance_to_json(instance))
     spec_path = args.spec or args.out + ".spec.json"
-    ser.dump_json(
-        spec_path,
-        {
-            "gamma": str(spec.gamma),
-            "lambda": str(spec.lam),
-            "t": spec.is_instance.t,
-            "goods": instance.m,
-            "goodMap": {
-                "base": [spec.good_map.base.start, spec.good_map.base.stop],
-                "x": [[r.start, r.stop] for r in spec.good_map.x],
-                "y": [[r.start, r.stop] for r in spec.good_map.y],
-            },
+    sidecar = {
+        "gamma": str(spec.gamma),
+        "lambda": str(spec.lam),
+        "t": spec.is_instance.t,
+        "goods": instance.m,
+        "goodMap": {
+            "base": [spec.good_map.base.start, spec.good_map.base.stop],
+            "x": [[r.start, r.stop] for r in spec.good_map.x],
+            "y": [[r.start, r.stop] for r in spec.good_map.y],
         },
-    )
+    }
+    try:
+        ser.dump_json(spec_path, sidecar)
+    except OSError:
+        os.remove(args.out)  # no reduced instance without its sidecar
+        raise
     print(f"goods:{instance.m}")
     print(f"edges:{len(instance.graph.edges)}")
     print(f"gamma:{spec.gamma}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -93,6 +94,10 @@ class ValuationModel:
             return Fraction(0)
         return max(self.value(subset - {g}) for g in subset)
 
+    def _bundle(self, goods: Iterable[int] = ()) -> "_Bundle":
+        """A running bundle over this model, holding ``goods``."""
+        return _Bundle(self, goods)
+
     def check(self, m: int, mode: str) -> None:
         """Raise ValueError unless this is a valuation over ``m`` goods,
         monotone non-decreasing in goods mode and non-increasing in chores
@@ -102,6 +107,122 @@ class ValuationModel:
     def to_json(self) -> dict:
         """Instance-file form; rationals are strings."""
         raise NotImplementedError
+
+
+class _Bundle:
+    """A bundle that goods join and leave one at a time, with its value, its
+    drops and the gain of one more good under one model. Values are exact
+    and compare only with bundles of the same model. This default
+    recomputes each from the goods through the model's definitional
+    methods."""
+
+    __slots__ = ("model", "goods")
+
+    def __init__(self, model: ValuationModel, goods: Iterable[int]):
+        self.model = model
+        self.goods = set(goods)
+
+    def add(self, g: int) -> None:
+        self.goods.add(g)
+
+    def remove(self, g: int) -> None:
+        self.goods.remove(g)
+
+    def __len__(self):
+        return len(self.goods)
+
+    @property
+    def value(self):
+        return self.model.value(frozenset(self.goods))
+
+    @property
+    def min_drop(self):
+        return self.model.min_drop(frozenset(self.goods))
+
+    @property
+    def max_drop(self):
+        return self.model.max_drop(frozenset(self.goods))
+
+    def gain(self, g: int):
+        return self.model.value(frozenset(self.goods | {g})) - self.value
+
+
+class _AdditiveBundle:
+    """Running integer sum of the members' numerators (over the model's
+    ``den``). The largest and smallest member come from heaps built on
+    first use; a removed good stays in a heap until it reaches the top."""
+
+    __slots__ = ("nums", "goods", "value", "heaps")
+
+    def __init__(self, nums: tuple, goods: Iterable[int]):
+        self.nums = nums
+        self.goods = set(goods)
+        self.value = sum(nums[g] for g in self.goods)
+        self.heaps = {}  # sign -> heap of (sign * numerator, good)
+
+    def add(self, g: int) -> None:
+        if g not in self.goods:
+            x = self.nums[g]
+            self.goods.add(g)
+            self.value += x
+            for sign, heap in self.heaps.items():
+                heappush(heap, (sign * x, g))
+
+    def remove(self, g: int) -> None:
+        self.goods.remove(g)
+        self.value -= self.nums[g]
+
+    def __len__(self):
+        return len(self.goods)
+
+    def _top(self, sign: int) -> int:
+        """The least of sign * numerator over the members."""
+        heap = self.heaps.get(sign)
+        if heap is None:
+            heap = self.heaps[sign] = [(sign * self.nums[g], g) for g in self.goods]
+            heapify(heap)
+        while heap[0][1] not in self.goods:
+            heappop(heap)
+        return heap[0][0]
+
+    @property
+    def min_drop(self):
+        return self.value + self._top(-1) if self.goods else 0
+
+    @property
+    def max_drop(self):
+        return self.value - self._top(1) if self.goods else 0
+
+    def gain(self, g: int):
+        return 0 if g in self.goods else self.nums[g]
+
+
+class _NegatedBundle:
+    """The inner model's running bundle with its values negated, so its
+    two drops trade places; goods join and leave the inner bundle itself."""
+
+    __slots__ = ("inner", "add", "remove")
+
+    def __init__(self, inner):
+        self.inner, self.add, self.remove = inner, inner.add, inner.remove
+
+    def __len__(self):
+        return len(self.inner)
+
+    @property
+    def value(self):
+        return -self.inner.value
+
+    @property
+    def min_drop(self):
+        return -self.inner.max_drop
+
+    @property
+    def max_drop(self):
+        return -self.inner.min_drop
+
+    def gain(self, g: int):
+        return -self.inner.gain(g)
 
 
 @dataclass(frozen=True)
@@ -148,6 +269,9 @@ class Additive(ValuationModel):
             return Fraction(0)
         picked = self._numerators(subset)
         return Fraction(sum(picked) - min(picked), self.den)
+
+    def _bundle(self, goods: Iterable[int] = ()) -> _AdditiveBundle:
+        return _AdditiveBundle(self.nums, goods)
 
     def check(self, m: int, mode: str) -> None:
         if len(self.values) != m:
@@ -263,6 +387,9 @@ class Negated(ValuationModel):
 
     def max_drop(self, subset: frozenset) -> Fraction:
         return -self.inner.min_drop(subset)
+
+    def _bundle(self, goods: Iterable[int] = ()) -> _NegatedBundle:
+        return _NegatedBundle(self.inner._bundle(goods))
 
     def check(self, m: int, mode: str) -> None:
         self.inner.check(m, CHORES if mode == GOODS else GOODS)
@@ -429,7 +556,8 @@ def evaluate(model: ValuationModel, subset: Iterable[int]) -> Fraction:
 def _most_valuable(model: ValuationModel, goods: Iterable[int]) -> int:
     """The good of ``goods`` worth most on its own, lowest index among
     equals."""
-    return max(goods, key=lambda g: (evaluate(model, (g,)), -g))
+    gain = model._bundle().gain
+    return max(goods, key=lambda g: (gain(g), -g))
 
 
 def value_minus_one(model: ValuationModel, subset: Iterable[int]) -> Fraction:

@@ -3,7 +3,7 @@ graphs, and the m <= n+1 round-robin procedure."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -18,7 +18,7 @@ from .core import (
     as_fraction,
     evaluate,
 )
-from .chain import build_chain, chain_ef1, _first_ef1, _require_two_agent_identical_goods
+from .chain import Walk, build_chain, chain_ef1, _require_two_agent_identical_goods
 
 
 class IntervalSet:
@@ -127,12 +127,13 @@ def interval_scheduling_greedy(
 @dataclass(frozen=True)
 class IntervalChains:
     """The three chain segments of the interval solver and their gapless
-    concatenation (junction duplicates dropped)."""
+    concatenation, all as walks whose steps are built on demand. No walk
+    holds a step equal to the one before it."""
 
-    narrowing: tuple  # (Z1, Z2) -> (Z1, X'2)
-    core: tuple  # (Z1, X'2) -> (X'1, Z1), the maximal-IS chain
-    widening: tuple  # (X'1, Z1) -> (Z2, Z1)
-    combined: tuple
+    narrowing: Walk  # (Z1, Z2) -> (Z1, X'2)
+    core: Walk  # (Z1, X'2) -> (X'1, Z1), the maximal-IS chain
+    widening: Walk  # (X'1, Z1) -> (Z2, Z1)
+    combined: Walk
 
 
 def _two_color_pick(intervals: IntervalSet, chosen) -> Tuple[set, set]:
@@ -154,21 +155,31 @@ def _two_color_pick(intervals: IntervalSet, chosen) -> Tuple[set, set]:
     return sides
 
 
-def _splice_steps(prefix_order, tail_order, fixed: frozenset, fixed_side: int):
+def _splice_walk(prefix_order, tail_order, fixed: frozenset, fixed_side: int) -> Walk:
     """Allocations obtained by replacing ever-longer greedy prefixes of an
-    optimal solution, per the prefix-splice argument; both orders must list
-    the same-size solutions in scan order."""
-    k = len(tail_order)
-    steps = []
-    for i in range(k + 1):
-        moving = frozenset(prefix_order[:i]) | frozenset(tail_order[i:])
-        pair = (fixed, moving) if fixed_side == 0 else (moving, fixed)
-        steps.append(Allocation(pair))
-    return steps
+    optimal solution, per the prefix-splice argument: step i's moving
+    bundle is prefix_order[:i] + tail_order[i:]. Both orders must list the
+    same-size solutions in scan order. A good joins or leaves only when its
+    count over the two parts crosses zero, and a step equal to the one
+    before it is dropped."""
+    count = Counter(tail_order)
+    moves = []
+    for joining, leaving in zip(prefix_order, tail_order):
+        if joining == leaving:
+            continue
+        count[joining] += 1
+        count[leaving] -= 1
+        ins = (joining,) if count[joining] == 1 else ()
+        outs = (leaving,) if count[leaving] == 0 else ()
+        if ins or outs:
+            moves.append((outs, ins, (), ()) if fixed_side == 1 else ((), (), outs, ins))
+    moving = frozenset(tail_order)
+    return Walk((fixed, moving) if fixed_side == 0 else (moving, fixed), tuple(moves))
 
 
 def interval_chains(instance: Instance, intervals: IntervalSet) -> IntervalChains:
-    """Build the full three-segment chain used by the interval solver."""
+    """Build the interval solver's three chain segments and their
+    concatenation as walks; no allocation is materialized."""
     model = _require_two_agent_identical_goods(instance)
     intervals.check(instance.graph)
 
@@ -190,35 +201,32 @@ def interval_chains(instance: Instance, intervals: IntervalSet) -> IntervalChain
 
     # Bundle 1 fixed at Z_1; bundle 2 morphs Z_2 -> X'_2 along the mirrored
     # (decreasing left endpoint) scan order.
-    narrowing = _splice_steps(
+    narrowing = _splice_walk(
         sorted(x2, key=by_left, reverse=True),
         sorted(z2, key=by_left, reverse=True),
         z1,
         fixed_side=0,
     )
-    core = list(build_chain(instance, sorted(z1, key=by_left), x1=x1, x2=x2).steps)
+    core = build_chain(instance, sorted(z1, key=by_left), x1=x1, x2=x2).steps
     # Bundle 2 fixed at Z_1; bundle 1 morphs X'_1 -> Z_2 against the forward
-    # (increasing right endpoint) scan order.
-    widening = _splice_steps(
-        sorted(x1, key=by_right),
-        sorted(z2, key=by_right),
+    # (increasing right endpoint) scan order: the splice of X'_1 into Z_2
+    # in that order, walked backwards, which is the splice of Z_2 into X'_1
+    # in the reverse order. Right-endpoint ranks are distinct, so both
+    # sorts are exact reversals.
+    widening = _splice_walk(
+        sorted(z2, key=by_right, reverse=True),
+        sorted(x1, key=by_right, reverse=True),
         z1,
         fixed_side=1,
     )
-    widening.reverse()
-
-    combined = list(narrowing)
-    for step in core + widening:
-        if not combined or step != combined[-1]:
-            combined.append(step)
-    return IntervalChains(tuple(narrowing), tuple(core), tuple(widening), tuple(combined))
+    return IntervalChains(narrowing, core, widening, narrowing.then(core).then(widening))
 
 
 def interval_ef1(instance: Instance, intervals: IntervalSet) -> Allocation:
     """Maximal EF1 allocation for an interval graph via the concatenated
     gapless chain; some member is always EF1."""
     chains = interval_chains(instance, intervals)
-    i = _first_ef1(instance, chains.combined)
+    i = chains.combined.first_ef1(instance.identical_model)
     if i is None:
         raise RuntimeError("gapless chain contained no EF1 step; invariant violated")
     return chains.combined[i]

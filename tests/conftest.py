@@ -15,6 +15,7 @@ from conflictfair import (
     Instance,
     IntervalSet,
     Table,
+    build_chain,
     is_independent_set,
     is_maximal,
     swap_ef1,
@@ -183,6 +184,57 @@ def product_maximal_allocations(instance: Instance):
                 Allocation([g for g in range(m) if assignment[g] == a + 1] for a in range(n))
             )
     return results
+
+
+def eager_chain_steps(chain) -> list:
+    """Reference for ``build_chain``'s walk: every step A^(i) built from its
+    definition, bundle 1 = s_{i+1..k} + {t in X_1 : q(t) <= i} and
+    bundle 2 = s_{1..i} + {t in X_2 : p(t) > i}."""
+    s = chain.source
+    return [
+        Allocation(
+            [
+                frozenset(s[i:]) | {t for t in chain.x1 if chain.q[t] <= i},
+                frozenset(s[:i]) | {t for t in chain.x2 if chain.p[t] > i},
+            ]
+        )
+        for i in range(len(s) + 1)
+    ]
+
+
+def eager_splice(prefix_order, tail_order, fixed, fixed_side):
+    """Reference for the interval splice walk: step i's moving bundle is
+    prefix_order[:i] + tail_order[i:], beside the fixed bundle."""
+    steps = []
+    for i in range(len(tail_order) + 1):
+        moving = frozenset(prefix_order[:i]) | frozenset(tail_order[i:])
+        steps.append(Allocation((fixed, moving) if fixed_side == 0 else (moving, fixed)))
+    return steps
+
+
+def eager_interval_segments(instance: Instance, intervals: IntervalSet, chains):
+    """Reference for ``interval_chains``: the three segments built step by
+    step from the sets at the walks' junctions, and their concatenation,
+    which drops a core or widening step equal to the step before it but
+    keeps repeats inside the narrowing segment."""
+    by_right = lambda g: intervals.keys[g][1]
+    by_left = lambda g: intervals.keys[g][0]
+    z1, z2 = chains.narrowing.start
+    x2 = chains.core.start[1]
+    x1 = chains.widening.start[0]
+    narrowing = eager_splice(sorted(x2, key=by_left, reverse=True), sorted(z2, key=by_left, reverse=True), z1, 0)
+    core = eager_chain_steps(build_chain(instance, sorted(z1, key=by_left), x1=x1, x2=x2))
+    widening = eager_splice(sorted(x1, key=by_right), sorted(z2, key=by_right), z1, 1)[::-1]
+    combined = list(narrowing)
+    for step in core + widening:
+        if step != combined[-1]:
+            combined.append(step)
+    return narrowing, core, widening, combined
+
+
+def without_repeats(steps) -> list:
+    """``steps`` with each step equal to the one before it dropped."""
+    return [step for i, step in enumerate(steps) if i == 0 or step != steps[i - 1]]
 
 
 def brute_max_schedule_size(intervals: IntervalSet, subset, c: int) -> int:

@@ -543,6 +543,8 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and missing in err, (argv, err)
     assert not (tmp_path / "missing").exists()
+    # a failed sidecar write takes the reduced instance with it
+    assert not (tmp_path / "red.json").exists()
 
 
 def _random_instance_with_intervals(rng):

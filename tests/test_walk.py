@@ -1,0 +1,196 @@
+"""The lazy chain walk against the eager construction it replaces.
+
+``build_chain`` and ``interval_chains`` return walks (a start pair plus
+per-step moves) and scan them with running bundles; the references in
+``conftest`` build every step from its definition, and ``is_ef1`` on the
+materialized steps is the ground truth for the scan.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conflictfair import (
+    CHORES,
+    Additive,
+    Allocation,
+    Composite,
+    Instance,
+    Negated,
+    build_chain,
+    complete_to_maximal_is,
+    interval_chains,
+    interval_ef1,
+    is_ef1,
+    swap_ef1,
+)
+from conflictfair.chain import Walk, most_valuable_source
+from conflictfair.core import to_goods
+from conflictfair.graph_classes import _splice_walk
+
+from conftest import (
+    eager_chain_steps,
+    eager_interval_segments,
+    eager_splice,
+    random_additive,
+    random_graph,
+    random_intervals,
+    random_monotone_table,
+    without_repeats,
+)
+
+
+def _chores_model(rng, m):
+    """A chores valuation of each kind, before ``to_goods`` negates it."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Additive([-rng.randint(0, 10) for _ in range(m)])
+    if kind == 1:
+        return Negated(random_monotone_table(rng, m))
+    base = rng.randint(0, min(m, 4))
+    return Composite(Negated(random_monotone_table(rng, base)), base, Additive([-rng.randint(0, 3) for _ in range(m)]))
+
+
+def _goods_model(rng, m):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_additive(rng, m)
+    if kind == 1:
+        return random_monotone_table(rng, m)
+    base = rng.randint(0, min(m, 4))
+    return Composite(random_monotone_table(rng, base), base, random_additive(rng, m, hi=3))
+
+
+def _instance(rng, graph):
+    """Goods-mode two-agent instance over ``graph``: goods, or chores
+    negated into goods, with additive, table or composite valuations."""
+    m = graph.m
+    if rng.random() < 0.5:
+        return Instance(graph, 2, _goods_model(rng, m))
+    return to_goods(Instance(graph, 2, _chores_model(rng, m), CHORES))
+
+
+def _first_ef1_by_definition(instance, steps):
+    return next((i for i, step in enumerate(steps) if is_ef1(instance, step)), None)
+
+
+@pytest.fixture(scope="module")
+def swap_corpus():
+    rng = random.Random(101)
+    corpus = []
+    for _ in range(60):
+        m = rng.randint(1, 10)
+        instance = _instance(rng, random_graph(rng, m, rng.choice([0.2, 0.4, 0.6])))
+        sources = [most_valuable_source(instance), complete_to_maximal_is(instance.graph, ())]
+        for source in sources:
+            order = sorted(source)
+            rng.shuffle(order)
+            corpus.append((instance, tuple(order)))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def interval_corpus():
+    rng = random.Random(202)
+    corpus = []
+    for _ in range(60):
+        m = rng.randint(1, 10)
+        intervals = random_intervals(rng, m, span=rng.choice([6, 12, 20]))
+        corpus.append((_instance(rng, intervals.induced_graph()), intervals))
+    return corpus
+
+
+def test_chain_walk_equals_eager_steps(swap_corpus):
+    for instance, source in swap_corpus:
+        chain = build_chain(instance, source)
+        reference = eager_chain_steps(chain)
+        assert list(chain.steps) == without_repeats(reference) == reference
+        assert len(chain.steps) == len(reference)
+        assert chain.steps.first_ef1(instance.identical_model) == _first_ef1_by_definition(instance, reference)
+
+
+def test_interval_walks_equal_eager_segments(interval_corpus):
+    for instance, intervals in interval_corpus:
+        chains = interval_chains(instance, intervals)
+        narrowing, core, widening, combined = eager_interval_segments(instance, intervals, chains)
+        assert list(chains.narrowing) == without_repeats(narrowing)
+        assert list(chains.core) == without_repeats(core)
+        assert list(chains.widening) == without_repeats(widening)
+        assert list(chains.combined) == without_repeats(combined)
+        steps = list(chains.combined)
+        assert chains.combined.first_ef1(instance.identical_model) == _first_ef1_by_definition(instance, steps)
+        # dropping repeats cannot change the allocation the solver returns
+        assert interval_ef1(instance, intervals) == combined[_first_ef1_by_definition(instance, combined)]
+
+
+def test_splice_walk_equals_eager_splice_on_any_orders():
+    # orders the interval solver may never produce, such as a step whose
+    # joining good is still in the tail while its leaving good is already
+    # in the prefix, so that the bundle does not change
+    rng = random.Random(404)
+    cases = [((2, 0, 4), (3, 2, 0))]
+    for _ in range(300):
+        k = rng.randint(0, 6)
+        cases.append((tuple(rng.sample(range(9), k)), tuple(rng.sample(range(9), k))))
+    for prefix, tail in cases:
+        for side in (0, 1):
+            fixed = frozenset(range(10, 10 + rng.randint(0, 2)))
+            walk = _splice_walk(prefix, tail, fixed, side)
+            assert list(walk) == without_repeats(eager_splice(prefix, tail, fixed, side))
+
+
+def test_indexing_slicing_and_index_match_the_list(swap_corpus, interval_corpus):
+    walks = [build_chain(instance, source).steps for instance, source in swap_corpus[:20]]
+    walks += [interval_chains(instance, intervals).combined for instance, intervals in interval_corpus[:20]]
+    for walk in walks:
+        steps = list(walk)
+        assert [walk[i] for i in range(-len(steps), len(steps))] == steps + steps
+        for key in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2), slice(2, 1)):
+            assert walk[key] == tuple(steps[key])
+        assert all(walk.index(step) == steps.index(step) for step in steps)
+        with pytest.raises(IndexError):
+            walk[len(steps)]
+        with pytest.raises(ValueError):
+            walk.index(Allocation([{-1}, ()]))
+
+
+def test_then_needs_a_matching_start():
+    first = Walk((frozenset({0}), frozenset()), (((0,), (), (), (0,)),))
+    second = Walk((frozenset(), frozenset({0})), (((), (1,), (), ()),))
+    joined = first.then(second)
+    assert list(joined) == [Allocation([{0}, ()]), Allocation([(), {0}]), Allocation([{1}, {0}])]
+    with pytest.raises(RuntimeError):
+        second.then(first)
+    with pytest.raises(RuntimeError):
+        first.then(first)
+
+
+def test_solvers_build_only_the_allocation_they_return(monkeypatch):
+    rng = random.Random(303)
+    cases = []
+    for _ in range(20):
+        m = rng.randint(4, 14)
+        cases.append(("swap", _instance(rng, random_graph(rng, m, 0.3)), None))
+        intervals = random_intervals(rng, m, span=10)
+        cases.append(("interval", _instance(rng, intervals.induced_graph()), intervals))
+    built = []
+    init = Allocation.__init__
+
+    def counting(self, bundles):
+        built.append(1)
+        init(self, bundles)
+
+    monkeypatch.setattr(Allocation, "__init__", counting)
+    for kind, instance, intervals in cases:
+        built.clear()
+        result = swap_ef1(instance)[0] if kind == "swap" else interval_ef1(instance, intervals)
+        assert isinstance(result, Allocation)
+        assert len(built) == 1, kind
+
+
+def test_source_outside_the_goods_is_rejected():
+    instance = Instance(random_graph(random.Random(1), 3, 0.0), 2, Additive([1, 2, Fraction(1, 2)]))
+    for source in ([0, 1, 2, -1], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="outside"):
+            build_chain(instance, source)
