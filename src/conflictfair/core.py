@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import gt, lt
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -301,59 +302,76 @@ class Uniform(ValuationModel):
 class Table(ValuationModel):
     """Explicit oracle over all 2^m subsets, keyed by bitmask (bit g = good g).
 
-    The table must be total and assign the empty set value 0; both
-    monotonicity directions are scanned once, here, for ``check``.
+    Values are integer numerators ``nums``, indexed by mask, over one
+    denominator ``den`` (1 when all are ints), as in :class:`Additive`. The
+    table must be total and assign the empty set value 0. Both monotonicity
+    directions are scanned once, here, for ``check``, comparing slices of
+    ``nums`` so that the pairs are compared in C, not one by one in Python.
     """
 
-    __slots__ = ("m", "entries", "nondecreasing", "nonincreasing")
+    __slots__ = ("m", "nums", "den", "nondecreasing", "nonincreasing")
 
     def __init__(self, m: int, entries: Mapping[int, Rational]):
         if m > TABLE_MAX_GOODS:
             raise ValueError(f"table valuations support at most {TABLE_MAX_GOODS} goods, got {m}")
         if m < 0:
             raise ValueError("good count must be non-negative")
-        table = {int(mask): as_fraction(v) for mask, v in entries.items()}
-        if len(table) != 1 << m or set(table) != set(range(1 << m)):
-            raise ValueError(f"table must cover all {1 << m} subsets of {m} goods")
-        if table[0] != 0:
+        size = 1 << m
+        if len(entries) != size or not all(map(entries.__contains__, range(size))):
+            raise ValueError(f"table must cover all {size} subsets of {m} goods")
+        values = list(map(entries.__getitem__, range(size)))
+        if set(map(type, values)) == {int}:
+            nums, den = tuple(values), 1
+        else:
+            nums, den = _over_common_denominator([as_fraction(v) for v in values])
+        if nums[0] != 0:
             raise ValueError("table must assign value 0 to the empty set")
-        self.m = m
-        self.entries = table
-        # Exhaustive: every subset against each one-good extension, as
-        # integer differences over the entries' common denominator.
-        nums, _ = _over_common_denominator([table[mask] for mask in range(1 << m)])
+        self.m, self.nums, self.den = m, nums, den
+        # The masks without bit g are j + k*2b with b = 2^g and j < b:
+        # compare strided slices (one per j) while b is small and contiguous
+        # blocks (one per k) once it is large, about 2 * 2^(m/2) pairs in all.
         up = down = False
         for g in range(m):
-            bit = 1 << g
-            steps = [nums[mask | bit] - nums[mask] for mask in range(1 << m) if not mask & bit]
-            up = up or max(steps) > 0
-            down = down or min(steps) < 0
+            b = 1 << g
+            if 2 * b * b <= size:
+                pairs = ((nums[j::2 * b], nums[j + b::2 * b]) for j in range(b))
+            else:
+                pairs = ((nums[k:k + b], nums[k + b:k + 2 * b]) for k in range(0, size, 2 * b))
+            for lo, hi in pairs:
+                up = up or any(map(lt, lo, hi))
+                down = down or any(map(gt, lo, hi))
         self.nondecreasing = not down
         self.nonincreasing = not up
+
+    @property
+    def entries(self) -> dict:
+        """Each mask's value, as a ``Fraction``."""
+        den = self.den
+        return {mask: Fraction(num, den) for mask, num in enumerate(self.nums)}
 
     def _mask(self, subset: frozenset) -> int:
         mask = 0
         for g in subset:
             mask |= 1 << g
-        if mask not in self.entries:
+        if mask >> self.m:
             raise ValueError(f"table model is missing subset mask {mask}")
         return mask
 
     def value(self, subset: frozenset) -> Fraction:
-        return self.entries[self._mask(subset)]
+        return Fraction(self.nums[self._mask(subset)], self.den)
 
     # The table is total, so every sub-mask of a present mask is present.
     def min_drop(self, subset: frozenset) -> Fraction:
         if not subset:
             return Fraction(0)
-        mask, entries = self._mask(subset), self.entries
-        return min(entries[mask & ~(1 << g)] for g in subset)
+        mask, nums = self._mask(subset), self.nums
+        return Fraction(min(nums[mask & ~(1 << g)] for g in subset), self.den)
 
     def max_drop(self, subset: frozenset) -> Fraction:
         if not subset:
             return Fraction(0)
-        mask, entries = self._mask(subset), self.entries
-        return max(entries[mask & ~(1 << g)] for g in subset)
+        mask, nums = self._mask(subset), self.nums
+        return Fraction(max(nums[mask & ~(1 << g)] for g in subset), self.den)
 
     def check(self, m: int, mode: str) -> None:
         if self.m != m:
@@ -364,10 +382,10 @@ class Table(ValuationModel):
             raise ValueError("table is not monotone non-increasing")
 
     def to_json(self) -> dict:
-        return {"type": "table", "entries": [[str(mask), str(self.entries[mask])] for mask in sorted(self.entries)]}
+        return {"type": "table", "entries": [[str(mask), str(v)] for mask, v in self.entries.items()]}
 
     def __eq__(self, other):
-        return isinstance(other, Table) and self.m == other.m and self.entries == other.entries
+        return isinstance(other, Table) and (self.m, self.nums, self.den) == (other.m, other.nums, other.den)
 
     def __repr__(self):
         return f"Table(m={self.m})"

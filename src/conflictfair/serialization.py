@@ -40,16 +40,19 @@ _MODEL_NESTING_LIMIT = 64
 
 
 def rational_from_str(text) -> Fraction:
-    """``Fraction(str(text))``, or a ParseError. A string of ASCII digits
-    with an optional leading '-' skips ``Fraction``'s regular expression."""
+    """``Fraction(str(text))`` of a string or a JSON integer, else a
+    ParseError (a float is not exact). A string of ASCII digits with an
+    optional leading '-' skips ``Fraction``'s regular expression."""
     try:
         if type(text) is str:
             digits = text.removeprefix("-")
             if digits.isascii() and digits.isdigit():
                 return Fraction(int(text))
-        return Fraction(str(text))
+        if type(text) is not float:
+            return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
+    raise ParseError(f"bad rational {text!r}: floats are not exact, write it as a string")
 
 
 def integer_from_json(value, what: str, decimal_string: bool = False) -> int:
@@ -61,6 +64,16 @@ def integer_from_json(value, what: str, decimal_string: bool = False) -> int:
     if decimal_string and isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
     raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def array_from_json(value, what: str, length: Optional[int] = None) -> list:
+    """A JSON array, of ``length`` items if given; a string or an object
+    would unpack item by item."""
+    if type(value) is not list:
+        raise ParseError(f"{what} must be an array, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ParseError(f"{what} must hold {length} items, got {len(value)}")
+    return value
 
 
 def size_from_json(value, what: str) -> int:
@@ -89,16 +102,25 @@ def _model_from_json(data, m: int, depth: int) -> ValuationModel:
     kind = data["type"]
     try:
         if kind == "additive":
-            return Additive(rational_from_str(v) for v in data["values"])
+            return Additive(rational_from_str(v) for v in array_from_json(data["values"], "additive values"))
         if kind == "uniform":
             return Uniform()
         if kind == "table":
+            # The helpers' ASCII-digit cases inlined: no call and no Fraction
+            # per entry of a 2^m table.
             entries = {}
-            for mask_text, value_text in data["entries"]:
-                mask = integer_from_json(mask_text, "table mask", decimal_string=True)
+            for entry in array_from_json(data["entries"], "table entries"):
+                mask_text, value_text = array_from_json(entry, "table entry", 2)
+                if type(mask_text) is str and mask_text.isascii() and mask_text.isdigit():
+                    mask = int(mask_text)
+                else:
+                    mask = integer_from_json(mask_text, "table mask", decimal_string=True)
                 if mask in entries:
                     raise ParseError(f"duplicate table entry for mask {mask}")
-                entries[mask] = rational_from_str(value_text)
+                if type(value_text) is str and value_text.isascii() and value_text.isdigit():
+                    entries[mask] = int(value_text)
+                else:
+                    entries[mask] = rational_from_str(value_text)
             try:
                 return Table(m, entries)
             except ValueError as exc:
@@ -110,7 +132,8 @@ def _model_from_json(data, m: int, depth: int) -> ValuationModel:
         if kind == "composite":
             base_goods = integer_from_json(data["baseGoods"], "baseGoods")
             base = _model_from_json(data["base"], base_goods, depth + 1)
-            return Composite(base, base_goods, Additive(rational_from_str(v) for v in data["tail"]))
+            tail = array_from_json(data["tail"], "composite tail")
+            return Composite(base, base_goods, Additive(rational_from_str(v) for v in tail))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed {kind} model: {exc}") from exc
     raise ParseError(f"unknown model type {kind!r}")
@@ -151,7 +174,8 @@ def instance_from_json(data) -> Tuple[Instance, Optional[IntervalSet]]:
         instance = Instance(graph, n, models, mode)
         intervals = None
         if "intervals" in data and data["intervals"] is not None:
-            intervals = IntervalSet((rational_from_str(l), rational_from_str(r)) for l, r in data["intervals"])
+            pairs = (array_from_json(i, "interval", 2) for i in array_from_json(data["intervals"], "intervals"))
+            intervals = IntervalSet((rational_from_str(l), rational_from_str(r)) for l, r in pairs)
             intervals.check(graph)
         return instance, intervals
     except ParseError:

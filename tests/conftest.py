@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -184,6 +185,49 @@ def product_maximal_allocations(instance: Instance):
                 Allocation([g for g in range(m) if assignment[g] == a + 1] for a in range(n))
             )
     return results
+
+
+class ReferenceTable:
+    """Reference for ``Table``: the construction it replaced, a dict of one
+    ``Fraction`` per mask, with both monotonicity flags from every subset
+    against each one-good extension, as integers over the common
+    denominator."""
+
+    def __init__(self, m: int, entries):
+        table = {int(mask): Fraction(v) for mask, v in entries.items()}
+        if len(table) != 1 << m or set(table) != set(range(1 << m)):
+            raise ValueError(f"table must cover all {1 << m} subsets of {m} goods")
+        if table[0] != 0:
+            raise ValueError("table must assign value 0 to the empty set")
+        self.m = m
+        self.entries = table
+        den = math.lcm(*(v.denominator for v in table.values()))
+        nums = [table[mask].numerator * (den // table[mask].denominator) for mask in range(1 << m)]
+        up = down = False
+        for g in range(m):
+            bit = 1 << g
+            steps = [nums[mask | bit] - nums[mask] for mask in range(1 << m) if not mask & bit]
+            up = up or max(steps) > 0
+            down = down or min(steps) < 0
+        self.nondecreasing = not down
+        self.nonincreasing = not up
+
+    def value(self, subset):
+        return self.entries[sum(1 << g for g in subset)]
+
+    def min_drop(self, subset):
+        mask = sum(1 << g for g in subset)
+        return min((self.entries[mask & ~(1 << g)] for g in subset), default=Fraction(0))
+
+    def max_drop(self, subset):
+        mask = sum(1 << g for g in subset)
+        return max((self.entries[mask & ~(1 << g)] for g in subset), default=Fraction(0))
+
+    def to_json(self) -> dict:
+        return {"type": "table", "entries": [[str(mask), str(self.entries[mask])] for mask in sorted(self.entries)]}
+
+    def __eq__(self, other):
+        return self.m == other.m and self.entries == other.entries
 
 
 def eager_chain_steps(chain) -> list:

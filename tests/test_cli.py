@@ -64,6 +64,11 @@ def negated_document(depth, values=("5", "0", "5")):
     return {"agents": 2, "goods": len(values), "edges": edges, "mode": mode, "valuations": {"identical": model}}
 
 
+def one_good_table(entries):
+    """A change to ``path_instance``: one good, whose table has ``entries``."""
+    return {"goods": 1, "edges": [], "valuations": {"identical": {"type": "table", "entries": entries}}}
+
+
 def report_lines(capsys):
     return dict(
         line.split(":", 1) for line in capsys.readouterr().out.strip().splitlines()
@@ -202,6 +207,26 @@ class TestSolve:
         assert code == 1 and lines["found"] == "false"
         assert main(["solve", path, "--algorithm", "swap"]) == 0
 
+    def test_json_integers_are_rationals(self, tmp_path, capsys):
+        # Every rational field, and the table masks, as JSON integers
+        # solves as the same fields written as strings do.
+        def outputs(number):
+            models = [
+                {"type": "additive", "values": [number(5), number(0), number(5)]},
+                {"type": "table", "entries": [[number(mask), number(bin(mask).count("1"))] for mask in range(8)]},
+                {"type": "composite", "baseGoods": 3, "base": {"type": "uniform"}, "tail": [number(1)] * 3},
+            ]
+            printed = []
+            for model in models:
+                data = json.loads(open(path_instance(tmp_path)).read())
+                data["valuations"] = {"identical": model}
+                data["intervals"] = [[number(left), number(left + 2)] for left in range(3)]
+                assert main(["solve", write(tmp_path, "numbers.json", data)]) == 0
+                printed.append(capsys.readouterr().out)
+            return printed
+
+        assert outputs(int) == outputs(str)
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         for raw in ("{not json", "[" * 5000 + "]" * 5000):
@@ -246,6 +271,32 @@ class TestSolve:
             ({"valuations": {}}, "valuations must contain 'identical' or 'perAgent'"),
             ({"valuations": {"identical": too_deep}}, "models nest more than"),
             (negated_document(serialization._MODEL_NESTING_LIMIT + 1), "models nest more than"),
+            (
+                {"valuations": {"identical": {"type": "table", "entries": [[str(k), "0"] for k in range(7)]}}},
+                "table must cover all 8 subsets of 3 goods",
+            ),
+            (one_good_table([["0", "0"], ["1", "1", "2"]]), "table entry must hold 2 items, got 3"),
+            ({"intervals": [["0", "2", "9"], ["1", "3"], ["2", "4"]]}, "interval must hold 2 items, got 3"),
+            # Each of the rest was solved before arrays and exact rationals
+            # were required: a string or an object unpacked item by item,
+            # a float read through its decimal form.
+            (one_good_table({"00": "1", "11": "2"}), "table entries must be an array, got dict"),
+            (one_good_table(["00", "11"]), "table entry must be an array, got str"),
+            ({"valuations": {"identical": {"type": "additive", "values": "505"}}}, "additive values must be an array, got str"),
+            (
+                {"valuations": {"identical": {"type": "composite", "baseGoods": 3, "base": {"type": "uniform"}, "tail": "000"}}},
+                "composite tail must be an array, got str",
+            ),
+            ({"intervals": ["02", "13", "24"]}, "interval must be an array, got str"),
+            ({"intervals": {"02": 0, "13": 1, "24": 2}}, "intervals must be an array, got dict"),
+            ({"valuations": {"identical": {"type": "additive", "values": ["5", 1.5, "5"]}}}, "bad rational 1.5"),
+            ({"valuations": {"identical": {"type": "additive", "values": ["5", 0.0, "5"]}}}, "bad rational 0.0"),
+            (one_good_table([["0", "0"], ["1", 1.5]]), "bad rational 1.5"),
+            (
+                {"valuations": {"identical": {"type": "composite", "baseGoods": 3, "base": {"type": "uniform"}, "tail": [0, 0.5, 0]}}},
+                "bad rational 0.5",
+            ),
+            ({"intervals": [[0, 2.0], ["1", "3"], ["2", "4"]]}, "bad rational 2.0"),
         ]:
             data = json.loads(open(path_instance(tmp_path)).read())
             data.update(change)
@@ -290,6 +341,45 @@ class TestSolve:
         tree = write(tmp_path, "t.json", {"vertices": 2, "edges": [[0, 1]]})
         assert main(["color-tree", tree, "--n", "2"]) == 7
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestDispatch:
+    """One parser per process; each call looks its command up by name."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_reach_wrapped_commands(self, tmp_path, capsys, monkeypatch):
+        path, out = path_instance(tmp_path), str(tmp_path / "alloc.json")
+        assert main(["solve", path, "--out", out]) == 0
+        calls = []
+        for name in ("cmd_solve", "cmd_check"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda args, name=name, original=original: calls.append(name) or original(args))
+        assert main(["solve", path, "--out", out]) == 0
+        assert main(["check", path, out]) == 0
+        assert main(["solve", path]) == 0
+        assert calls == ["cmd_solve", "cmd_check", "cmd_solve"]
+
+    def test_repeated_calls_print_what_the_first_printed(self, tmp_path, capsys):
+        path, out = path_instance(tmp_path), str(tmp_path / "alloc.json")
+        tree = write(tmp_path, "tree.json", {"vertices": 4, "edges": [[0, 1], [1, 2], [1, 3]]})
+        calls = [
+            ["solve", path, "--algorithm", "swap", "--out", out],
+            ["check", path, out],
+            ["oracle", path, "--count", "--gamma"],
+            ["solve", path],
+            ["color-tree", tree, "--n", "2"],
+            ["oracle", path],
+            ["color-tree", tree, "--n", "3", "--out", str(tmp_path / "colors.json")],
+        ]
+        first = []
+        for argv in calls:
+            assert main(argv) == 0
+            first.append(capsys.readouterr().out)
+        for i in reversed(range(len(calls))):
+            assert main(calls[i]) == 0
+            assert capsys.readouterr().out == first[i], calls[i]
 
 
 class TestCheck:

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 import random
 
@@ -35,6 +36,31 @@ def test_traced_functions_resolve(tracing):
     for name, attrs in tracing.FUNCTIONS.items():
         for attr in attrs:
             assert callable(getattr(layer(name), attr, None)), f"{name}.{attr}"
+
+
+def test_traced_cli_functions_are_called_through_the_module(tracing, tmp_path, monkeypatch, capsys):
+    # install() rebinds the module attributes, so each traced CLI function
+    # must be looked up there on every call, also after a first call.
+    cli = layer("cli")
+    instance, allocation, tree = tmp_path / "instance.json", str(tmp_path / "alloc.json"), tmp_path / "tree.json"
+    instance.write_text(json.dumps({"agents": 2, "goods": 3, "edges": [[0, 1], [1, 2]],
+                                    "valuations": {"identical": {"type": "additive", "values": ["5", "0", "5"]}}}))
+    tree.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]]}))
+    argv = {
+        "solve": ["solve", str(instance), "--out", allocation],
+        "check": ["check", str(instance), allocation],
+        "oracle": ["oracle", str(instance)],
+        "color-tree": ["color-tree", str(tree), "--n", "2"],
+    }
+    assert cli.main(argv["solve"]) == 0
+    for name in tracing.FUNCTIONS["cli"]:
+        calls = []
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or original(*args))
+        command = "solve" if name == "main" else name.removeprefix("cmd_").replace("_", "-")
+        assert cli.main(argv[command]) == 0, name
+        assert calls, f"cli.{name} was not reached through the module attribute"
+        monkeypatch.undo()
 
 
 def test_traced_methods_resolve(tracing):
