@@ -55,9 +55,6 @@ from .hardness import (
     ReductionSpec,
     build_reduction,
     gen_counterexample,
-    independent_sets,
-    max_independent_set_size,
-    structured_maximal_allocations,
     yes_certificate,
 )
 from .treecolor import PartialColoring, RootedTree, coloring_violations, equitable_tree_coloring

@@ -527,7 +527,7 @@ class Allocation:
     __slots__ = ("bundles",)
 
     def __init__(self, bundles: Iterable[Iterable[int]]):
-        self.bundles = tuple(frozenset(b) for b in bundles)
+        self.bundles = tuple(map(frozenset, bundles))
 
     @property
     def n(self) -> int:
@@ -535,10 +535,7 @@ class Allocation:
 
     @property
     def allocated(self) -> frozenset:
-        out = frozenset()
-        for b in self.bundles:
-            out |= b
-        return out
+        return frozenset().union(*self.bundles)
 
     def unallocated(self, m: int) -> frozenset:
         return frozenset(range(m)) - self.allocated
@@ -585,9 +582,10 @@ def value_minus_one(model: ValuationModel, subset: Iterable[int]) -> Fraction:
 
 def is_independent_set(graph: ConflictGraph, subset: Iterable[int]) -> bool:
     """True iff no edge has both endpoints in ``subset``."""
-    s = set(subset)
+    s = subset if isinstance(subset, (set, frozenset)) else set(subset)
+    adj = graph.adj
     for g in s:
-        if graph.adj[g] & s:
+        if not adj[g].isdisjoint(s):
             return False
     return True
 
@@ -596,24 +594,23 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> Validatio
     """Check disjointness and per-bundle independence."""
     if allocation.n != instance.n:
         raise ValueError(f"allocation has {allocation.n} bundles, instance has {instance.n} agents")
-    m = instance.m
-    for b in allocation.bundles:
-        for g in b:
-            if not 0 <= g < m:
-                raise ValueError(f"bundle references good {g} outside [0,{m})")
-    total = sum(len(b) for b in allocation.bundles)
-    disjoint = total == len(allocation.allocated)
-    independent = tuple(is_independent_set(instance.graph, b) for b in allocation.bundles)
+    m, bundles, graph = instance.m, allocation.bundles, instance.graph
+    for b in bundles:
+        if b and not (min(b) >= 0 and max(b) < m):
+            bad = next(g for g in b if not 0 <= g < m)
+            raise ValueError(f"bundle references good {bad} outside [0,{m})")
+    disjoint = sum(map(len, bundles)) == len(allocation.allocated)
+    independent = tuple([is_independent_set(graph, b) for b in bundles])
     return ValidationReport(disjoint, independent, disjoint and all(independent))
 
 
 def is_maximal(instance: Instance, allocation: Allocation) -> bool:
     """True iff every unallocated good is adjacent to some good in every
     bundle, so no agent could feasibly receive it."""
-    adj = instance.graph.adj
+    adj, bundles = instance.graph.adj, allocation.bundles
     for g in allocation.unallocated(instance.m):
-        for bundle in allocation.bundles:
-            if not (adj[g] & bundle):
+        for bundle in bundles:
+            if adj[g].isdisjoint(bundle):
                 return False
     return True
 

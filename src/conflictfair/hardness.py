@@ -9,11 +9,10 @@ achievable exactly when the IS instance has an independent set of size t.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .core import (
     GOODS,
@@ -27,7 +26,7 @@ from .core import (
     is_independent_set,
     value_minus_one,
 )
-from .oracle import EnumerationBudget, _gamma_and_allocation, enumerate_maximal_allocations
+from .oracle import EnumerationBudget, _gamma_and_allocation
 
 
 def _three_agent_table() -> Table:
@@ -206,45 +205,3 @@ def yes_certificate(spec: ReductionSpec, witness: Iterable[int]) -> Allocation:
             raise RuntimeError("certificate needs more filler goods than the witness provides")
         picks.append(ordered_witness[:c_i])
     return _assemble(spec, base_alloc.bundles, picks)
-
-
-def independent_sets(graph: ConflictGraph) -> List[frozenset]:
-    """All independent sets (including the empty one); small graphs only."""
-    if graph.m > 20:
-        raise ValueError("exhaustive independent-set listing is limited to 20 vertices")
-    out = []
-    for mask in range(1 << graph.m):
-        subset = frozenset(g for g in range(graph.m) if mask & (1 << g))
-        if is_independent_set(graph, subset):
-            out.append(subset)
-    return out
-
-
-def max_independent_set_size(graph: ConflictGraph) -> int:
-    return max(len(s) for s in independent_sets(graph))
-
-
-def structured_maximal_allocations(
-    spec: ReductionSpec,
-    per_size_representatives: bool = True,
-    budget: Optional[EnumerationBudget] = None,
-) -> Iterator[Allocation]:
-    """Certificate-shaped maximal allocations of the reduced instance: every
-    base maximal allocation combined with per-agent independent-set picks
-    from the agent's own copy (y-goods forced to the complement).
-
-    The composed valuation sees a pick only through its size, so with
-    ``per_size_representatives`` one independent set per size decides the
-    same EF1-existence question as the full product enumeration.
-    """
-    all_sets = independent_sets(spec.is_instance.graph)
-    if per_size_representatives:
-        by_size = {}
-        for s in sorted(all_sets, key=lambda s: (len(s), sorted(s))):
-            by_size.setdefault(len(s), s)
-        choices = [by_size[size] for size in sorted(by_size)]
-    else:
-        choices = sorted(all_sets, key=lambda s: (len(s), sorted(s)))
-    for base_alloc in enumerate_maximal_allocations(spec.base, budget):
-        for picks in itertools.product(choices, repeat=spec.base.n):
-            yield _assemble(spec, base_alloc.bundles, picks)

@@ -13,7 +13,21 @@ A good joins a bundle only if it has no neighbour there. A branch is cut as
 soon as some good u is unassigned and every good in u's closed neighbourhood
 is decided, yet some bundle holds no neighbour of u: no later placement can
 make u blocked everywhere. Every leaf is therefore maximal, and each one is
-re-checked with the definitional checkers before it is handed out.
+re-checked with the definitional checkers before it is handed out. Each
+bundle's goods are kept as an ascending list beside its bitmask, so a leaf
+is built from the lists.
+
+With identical valuations, relabeling the agents of an allocation changes
+neither its maximality, nor EF1, nor its worst envy gap. The symmetric
+search lets good d take agent a+1 only once some earlier good holds agent
+a. Its leaves are exactly the orbit minima under relabeling: the least
+labeling of an orbit in sweep order gives agents their first goods in the
+order 1, 2, 3, .... The first leaf in sweep order with an orbit-invariant
+property is the least of its orbit, so the symmetric search finds it too,
+with no earlier leaf having the property. ``exists_maximal_ef1`` on an
+identical instance and the gamma sweep search this way and return what the
+full search returns. ``count_maximal_allocations`` keeps the full search,
+because its number counts every maximal allocation, relabelings included.
 
 Budgets: the search refuses up front (``BudgetExceededError``) when (n+1)^m
 exceeds ``max_assignments``, however much of the tree pruning would cut; the
@@ -61,9 +75,13 @@ class ExistenceResult:
 def enumerate_maximal_allocations(
     instance: Instance,
     budget: Optional[EnumerationBudget] = None,
+    *,
+    symmetric: bool = False,
 ) -> Iterator[Allocation]:
     """Yield every maximal allocation once, in mixed-radix order over per-good
     labels (good 0 most significant; label 0 = unassigned, label a = agent a).
+    With ``symmetric``, yield only the orbit minima under agent relabeling:
+    good d may take agent a+1 only once some earlier good holds agent a.
 
     Depth-first with an explicit stack: one label cursor per good, no
     recursion, so m is limited by the budget alone. Raises
@@ -94,16 +112,18 @@ def enumerate_maximal_allocations(
 
     agents = range(1, n + 1)
     bundle_mask = [0] * (n + 1)  # bundle_mask[a] for label a; index 0 unused
+    members = [[] for _ in range(n + 1)]  # bundle a's goods, ascending
     labels = [-1] * m  # the label cursor of each decided good; -1 = none tried yet
+    # cap[d]: the highest label good d may take, set on descent. Symmetric:
+    # one more than the highest agent among goods 0..d-1, at most n.
+    cap = [1 if symmetric else n] * (m + 1)
     depth = visited = 0
     while depth >= 0:
         visited += 1
         if deadline is not None and visited % 1024 == 0 and time.monotonic() > deadline:
             raise BudgetExceededError("enumeration exceeded the wall-clock budget")
         if depth == m:
-            allocation = Allocation(
-                [g for g in range(m) if bundle_mask[a] >> g & 1] for a in agents
-            )
+            allocation = Allocation(members[1:])
             report = validate_allocation(instance, allocation)
             if not report.wellformed or not is_maximal(instance, allocation):
                 raise RuntimeError("prefilter and checkers disagree; enumeration bug")
@@ -111,36 +131,48 @@ def enumerate_maximal_allocations(
             depth -= 1
             continue
         # Advance good `depth` to its next label: leave its current bundle,
-        # then skip every agent whose bundle holds a neighbour.
+        # where it is the last member, then skip every agent whose bundle
+        # holds a neighbour.
         label = labels[depth]
         if label > 0:
             bundle_mask[label] ^= 1 << depth
+            members[label].pop()
         label += 1
         if label:
-            conflicts = adj_mask[depth]
-            while label <= n and conflicts & bundle_mask[label]:
+            conflicts, top = adj_mask[depth], cap[depth]
+            while label <= top and conflicts & bundle_mask[label]:
                 label += 1
-            if label > n:  # labels exhausted: backtrack
+            if label > top:  # labels exhausted: backtrack
                 labels[depth] = -1
                 depth -= 1
                 continue
             bundle_mask[label] |= 1 << depth
+            members[label].append(depth)
         labels[depth] = label
         # Descend unless a good settled by this decision stays unassigned
         # while some bundle holds none of its neighbours.
         for u, neighbours in settled[depth]:
-            if not labels[u] and not all(neighbours & bundle_mask[a] for a in agents):
+            if not labels[u]:
+                for a in agents:
+                    if not neighbours & bundle_mask[a]:
+                        break  # u could still join bundle a: cut
+                else:
+                    continue  # u is blocked in every bundle
                 break
         else:
+            top = cap[depth]
             depth += 1
+            cap[depth] = top + 1 if label == top < n else top
 
 
 def exists_maximal_ef1(
     instance: Instance,
     budget: Optional[EnumerationBudget] = None,
 ) -> ExistenceResult:
-    """Decide by exhaustion whether a maximal EF1 allocation exists."""
-    for allocation in enumerate_maximal_allocations(instance, budget):
+    """Decide by exhaustion whether a maximal EF1 allocation exists, up to
+    agent relabeling when the valuations are identical."""
+    allocations = enumerate_maximal_allocations(instance, budget, symmetric=instance.identical)
+    for allocation in allocations:
         if is_ef1(instance, allocation):
             return ExistenceResult(True, allocation)
     return ExistenceResult(False, None)
@@ -171,7 +203,8 @@ def _gamma_and_allocation(
     if not instance.identical:
         raise ValueError("gamma is defined for identical valuations")
     model = instance.identical_model
-    gaps = ((worst_envy_gap(model, a), a) for a in enumerate_maximal_allocations(instance, budget))
+    allocations = enumerate_maximal_allocations(instance, budget, symmetric=True)
+    gaps = ((worst_envy_gap(model, a), a) for a in allocations)
     return min(gaps, key=lambda pair: pair[0])
 
 

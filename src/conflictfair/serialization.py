@@ -9,6 +9,7 @@ an optional interval list for interval-graph instances.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,6 +39,12 @@ SIZE_LIMIT = 100_000
 # next: the models' ``value`` recurses once per level.
 _MODEL_NESTING_LIMIT = 64
 
+# The longest digit string the table parse converts inline: the least limit
+# Python lets ``sys.set_int_max_str_digits`` put on ``int(str)``. Longer
+# strings take the helpers, which turn the limit's ValueError into a
+# ParseError.
+_INLINE_DIGITS = 640
+
 
 def rational_from_str(text) -> Fraction:
     """``Fraction(str(text))`` of a string or a JSON integer, else a
@@ -62,7 +69,11 @@ def integer_from_json(value, what: str, decimal_string: bool = False) -> int:
     if type(value) is int:
         return value
     if decimal_string and isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's int digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"{what} must be an integer of at most {limit} digits, got {len(value)} digits") from None
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
@@ -111,13 +122,13 @@ def _model_from_json(data, m: int, depth: int) -> ValuationModel:
             entries = {}
             for entry in array_from_json(data["entries"], "table entries"):
                 mask_text, value_text = array_from_json(entry, "table entry", 2)
-                if type(mask_text) is str and mask_text.isascii() and mask_text.isdigit():
+                if type(mask_text) is str and len(mask_text) <= _INLINE_DIGITS and mask_text.isascii() and mask_text.isdigit():
                     mask = int(mask_text)
                 else:
                     mask = integer_from_json(mask_text, "table mask", decimal_string=True)
                 if mask in entries:
                     raise ParseError(f"duplicate table entry for mask {mask}")
-                if type(value_text) is str and value_text.isascii() and value_text.isdigit():
+                if type(value_text) is str and len(value_text) <= _INLINE_DIGITS and value_text.isascii() and value_text.isdigit():
                     entries[mask] = int(value_text)
                 else:
                     entries[mask] = rational_from_str(value_text)

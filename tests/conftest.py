@@ -16,12 +16,15 @@ from conflictfair import (
     Instance,
     IntervalSet,
     Table,
+    ValidationReport,
     build_chain,
+    enumerate_maximal_allocations,
     is_independent_set,
     is_maximal,
     swap_ef1,
     validate_allocation,
 )
+from conflictfair.hardness import _assemble
 
 
 def swap_solver(instance: Instance) -> Allocation:
@@ -185,6 +188,96 @@ def product_maximal_allocations(instance: Instance):
                 Allocation([g for g in range(m) if assignment[g] == a + 1] for a in range(n))
             )
     return results
+
+
+def independent_sets(graph: ConflictGraph):
+    """All independent sets (including the empty one); small graphs only."""
+    assert graph.m <= 20
+    out = []
+    for mask in range(1 << graph.m):
+        subset = frozenset(g for g in range(graph.m) if mask & (1 << g))
+        if is_independent_set(graph, subset):
+            out.append(subset)
+    return out
+
+
+def max_independent_set_size(graph: ConflictGraph) -> int:
+    return max(len(s) for s in independent_sets(graph))
+
+
+def structured_maximal_allocations(spec, per_size_representatives: bool = True):
+    """Certificate-shaped maximal allocations of a reduced instance: every
+    base maximal allocation combined with per-agent independent-set picks
+    from the agent's own copy (y-goods forced to the complement).
+
+    The composed valuation sees a pick only through its size, so with
+    ``per_size_representatives`` one independent set per size decides the
+    same EF1-existence question as the full product enumeration.
+    """
+    all_sets = sorted(independent_sets(spec.is_instance.graph), key=lambda s: (len(s), sorted(s)))
+    if per_size_representatives:
+        by_size = {}
+        for s in all_sets:
+            by_size.setdefault(len(s), s)
+        choices = [by_size[size] for size in sorted(by_size)]
+    else:
+        choices = all_sets
+    for base_alloc in enumerate_maximal_allocations(spec.base):
+        for picks in itertools.product(choices, repeat=spec.base.n):
+            yield _assemble(spec, base_alloc.bundles, picks)
+
+
+def canonical_relabeling(allocation: Allocation) -> Allocation:
+    """The agent relabeling of ``allocation`` least in the oracle's sweep
+    order: non-empty bundles ordered by their least good, then the empty
+    ones."""
+    filled = sorted((b for b in allocation.bundles if b), key=min)
+    return Allocation(filled + [frozenset()] * (allocation.n - len(filled)))
+
+
+# The definitional checkers' bodies before their set-operation rewrite, the
+# references for the differential tests in test_core.
+
+def reference_bundles(bundles) -> tuple:
+    return tuple(frozenset(b) for b in bundles)
+
+
+def reference_allocated(allocation: Allocation) -> frozenset:
+    out = frozenset()
+    for b in allocation.bundles:
+        out |= b
+    return out
+
+
+def reference_is_independent_set(graph: ConflictGraph, subset) -> bool:
+    s = set(subset)
+    for g in s:
+        if graph.adj[g] & s:
+            return False
+    return True
+
+
+def reference_validate_allocation(instance: Instance, allocation: Allocation) -> ValidationReport:
+    if allocation.n != instance.n:
+        raise ValueError(f"allocation has {allocation.n} bundles, instance has {instance.n} agents")
+    m = instance.m
+    for b in allocation.bundles:
+        for g in b:
+            if not 0 <= g < m:
+                raise ValueError(f"bundle references good {g} outside [0,{m})")
+    total = sum(len(b) for b in allocation.bundles)
+    disjoint = total == len(reference_allocated(allocation))
+    independent = tuple(reference_is_independent_set(instance.graph, b) for b in allocation.bundles)
+    return ValidationReport(disjoint, independent, disjoint and all(independent))
+
+
+def reference_is_maximal(instance: Instance, allocation: Allocation) -> bool:
+    adj = instance.graph.adj
+    for g in frozenset(range(instance.m)) - reference_allocated(allocation):
+        for bundle in allocation.bundles:
+            if not (adj[g] & bundle):
+                return False
+    return True
 
 
 class ReferenceTable:

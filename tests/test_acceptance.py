@@ -31,16 +31,13 @@ from conflictfair import (
     evaluate,
     exists_maximal_ef1,
     gen_counterexample,
-    independent_sets,
     interval_ef1,
     interval_scheduling_greedy,
     is_ef1,
     is_maximal,
     is_ordered_adjacent,
     iteration_bound_additive,
-    max_independent_set_size,
     round_robin_small,
-    structured_maximal_allocations,
     swap_ef1,
     validate_allocation,
     yes_certificate,
@@ -50,6 +47,8 @@ from conflictfair import (
 from conftest import (
     all_maximal_independent_sets,
     brute_max_schedule_size,
+    independent_sets,
+    max_independent_set_size,
     random_additive,
     random_graph,
     random_intervals,
@@ -57,6 +56,7 @@ from conftest import (
     random_tree_edges,
     random_wellformed_allocation,
     schedule_feasible,
+    structured_maximal_allocations,
     swap_solver,
 )
 

@@ -34,8 +34,14 @@ from conflictfair.oracle import enumerate_maximal_allocations
 from conftest import (
     random_connected_graph,
     random_graph,
+    random_maximal_allocation,
     random_monotone_table,
     random_wellformed_allocation,
+    reference_allocated,
+    reference_bundles,
+    reference_is_independent_set,
+    reference_is_maximal,
+    reference_validate_allocation,
 )
 
 
@@ -180,6 +186,69 @@ class TestIsMaximal:
                 g, a = feasible[0]
                 bundles[a].add(g)
             assert is_maximal(instance, Allocation(bundles))
+
+
+def outcome(check, *args):
+    try:
+        return ("ok", check(*args))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+# One bundle list in each input form Allocation and the checkers accept.
+SHAPES = {
+    "lists": lambda bundles: [list(b) for b in bundles],
+    "sets": lambda bundles: [set(b) for b in bundles],
+    "frozensets": lambda bundles: tuple(frozenset(b) for b in bundles),
+    "generators": lambda bundles: (iter(b) for b in bundles),
+}
+
+
+class TestCheckersMatchTheirReferences:
+    """The set-operation checkers against their loop bodies in conftest, on
+    random, overlapping, out-of-range and maximal allocations."""
+
+    def random_bundles(self, rng, instance):
+        m, n = instance.m, instance.n
+        roll = rng.random()
+        if roll < 0.3:
+            return random_maximal_allocation(rng, instance).bundles
+        bundles = [[g for g in range(m) if rng.random() < 0.35] for _ in range(n)]
+        if roll < 0.5 and n:
+            bundles[rng.randrange(n)].append(rng.choice([-2, -1, m, m + 3]))
+        return bundles
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_allocation_and_checkers(self, rng, shape):
+        make = SHAPES[shape]
+        errors = maximal = 0
+        for _ in range(400):
+            m, n = rng.randint(0, 8), rng.randint(1, 4)
+            instance = Instance(random_graph(rng, m, rng.uniform(0.1, 0.8)), n, Uniform())
+            bundles = self.random_bundles(rng, instance)
+            allocation = Allocation(make(bundles))
+            assert allocation.bundles == reference_bundles(make(bundles))
+            assert allocation.allocated == reference_allocated(allocation)
+            wrong_n = Allocation(list(allocation.bundles) + [frozenset()])
+            for candidate in (allocation, wrong_n):
+                report = outcome(validate_allocation, instance, candidate)
+                assert report == outcome(reference_validate_allocation, instance, candidate)
+                errors += report[0] == "error"
+            assert is_maximal(instance, allocation) == reference_is_maximal(instance, allocation)
+            maximal += is_maximal(instance, allocation)
+            for b in bundles:
+                if all(0 <= g < m for g in b):
+                    subset = next(iter(make([b])))
+                    assert is_independent_set(instance.graph, subset) == reference_is_independent_set(instance.graph, b)
+        assert errors > 400 and maximal > 50
+
+    def test_out_of_range_messages(self):
+        instance = Instance(ConflictGraph(3, [(0, 1)]), 2, Uniform())
+        for bundles in ([{0}, {2, 5}], [{-1, 1}, {7}], [{3, 4, 9}, set()]):
+            allocation = Allocation(bundles)
+            with pytest.raises(ValueError) as caught:
+                validate_allocation(instance, allocation)
+            assert ("error", str(caught.value)) == outcome(reference_validate_allocation, instance, allocation)
 
 
 class TestIsEf1:

@@ -10,22 +10,26 @@ from conflictfair import (
     Additive,
     Allocation,
     ConflictGraph,
+    EnumerationBudget,
     ISInstance,
     Instance,
     Uniform,
     build_reduction,
     evaluate,
+    exists_maximal_ef1,
     gen_counterexample,
-    independent_sets,
     is_ef1,
     is_maximal,
-    max_independent_set_size,
-    structured_maximal_allocations,
     validate_allocation,
     yes_certificate,
 )
 
-from conftest import random_maximal_allocation
+from conftest import (
+    independent_sets,
+    max_independent_set_size,
+    random_maximal_allocation,
+    structured_maximal_allocations,
+)
 
 
 H5 = ConflictGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)])
@@ -195,6 +199,15 @@ class TestReductionSoundness:
         assert max_independent_set_size(TRIANGLE) < spec.is_instance.t
         ok, seen = no_case_has_no_ef1(instance, spec)
         assert ok and seen > 0
+
+    def test_no_case_full_oracle(self):
+        # Every maximal allocation of the reduced instance, not only the
+        # certificate-shaped ones: H is one edge, so no independent set has
+        # size t = 2, and m = 7 + 3 * 2 * 2 = 19 needs a raised budget.
+        instance, spec = build_reduction(gen_counterexample(3), ISInstance(ConflictGraph(2, [(0, 1)]), 2))
+        assert instance.m == 19 and max_independent_set_size(spec.is_instance.graph) < spec.is_instance.t
+        result = exists_maximal_ef1(instance, EnumerationBudget(max_assignments=4**19))
+        assert not result.exists and result.witness is None
 
     def test_structured_dedupe_matches_full_enumeration(self, reduction3_triangle):
         instance, spec = reduction3_triangle

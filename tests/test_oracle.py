@@ -9,11 +9,14 @@ from conflictfair import (
     Additive,
     Allocation,
     BudgetExceededError,
+    Composite,
     ConflictGraph,
     EnumerationBudget,
     Instance,
+    Negated,
     Uniform,
     compute_gamma,
+    count_maximal_allocations,
     enumerate_maximal_allocations,
     exists_maximal_ef1,
     gen_counterexample,
@@ -23,6 +26,7 @@ from conflictfair.oracle import _gamma_and_allocation, worst_envy_gap
 
 from conftest import (
     backtracking_maximal_allocations,
+    canonical_relabeling,
     product_maximal_allocations,
     random_additive,
     random_graph,
@@ -71,6 +75,7 @@ class TestEnumeration:
         instance = Instance(ConflictGraph(2, [(0, 1)]), 2, Uniform())
         allocations = list(enumerate_maximal_allocations(instance))
         assert allocations == [Allocation([{0}, {1}]), Allocation([{1}, {0}])]
+        assert list(enumerate_maximal_allocations(instance, symmetric=True)) == allocations[:1]
 
     def test_counterexample_has_maximal_but_no_ef1(self):
         instance = gen_counterexample(3)
@@ -174,3 +179,88 @@ class TestGamma:
             assert exists == (compute_gamma(instance) <= 0)
             seen.add(exists)
         assert seen == {True, False}
+
+
+def symmetric_corpus():
+    """Seeded identical instances: additive, table and composite models,
+    n in 2..4, each as goods and as chores through ``Negated``."""
+    rng = random.Random(0x5E77)
+    corpus = []
+    for n in (2, 3, 4):
+        for kind in ("additive", "table", "composite"):
+            for _ in range(6):
+                m = rng.randint(3, 7 if n < 4 else 6)
+                graph = random_graph(rng, m, rng.uniform(0.2, 0.7))
+                if kind == "additive":
+                    model = random_additive(rng, m)
+                elif kind == "table":
+                    model = random_monotone_table(rng, m)
+                else:
+                    base = rng.randint(1, m - 1)
+                    model = Composite(random_monotone_table(rng, base), base, random_additive(rng, m, hi=3))
+                corpus.append(Instance(graph, n, model))
+                corpus.append(Instance(graph, n, Negated(model), "chores"))
+    corpus.extend(gen_counterexample(n) for n in (3, 4))
+    return corpus
+
+
+class TestSymmetricSearch:
+    """With identical valuations the symmetric search yields exactly one
+    leaf per agent-relabeling class of the full search, the class's least
+    member in sweep order, so every answer that takes the first leaf with
+    an orbit-invariant property is the full search's answer."""
+
+    @pytest.fixture(scope="class")
+    def searches(self):
+        return [
+            (
+                instance,
+                list(enumerate_maximal_allocations(instance)),
+                list(enumerate_maximal_allocations(instance, symmetric=True)),
+            )
+            for instance in symmetric_corpus()
+        ]
+
+    def test_one_symmetric_leaf_per_relabeling_class(self, searches):
+        for _instance, full, symmetric in searches:
+            # The orbit minima of the full search, in its order.
+            assert symmetric == [a for a in full if canonical_relabeling(a) == a]
+            for leaf in full:
+                relabelings = set(map(Allocation, itertools.permutations(leaf.bundles)))
+                assert sum(a in relabelings for a in symmetric) == 1
+        assert sum(len(s) for *_, s in searches) < sum(len(f) for _, f, _ in searches)
+
+    def test_answers_equal_the_full_search(self, searches):
+        outcomes = set()
+        for instance, full, _symmetric in searches:
+            witness = next((a for a in full if is_ef1(instance, a)), None)
+            result = exists_maximal_ef1(instance)
+            assert (result.exists, result.witness) == (witness is not None, witness)
+            model = instance.identical_model
+            gaps = [worst_envy_gap(model, a) for a in full]
+            gamma = min(gaps)
+            assert compute_gamma(instance) == gamma
+            assert _gamma_and_allocation(instance) == (gamma, full[gaps.index(gamma)])
+            outcomes.add(result.exists)
+        assert outcomes == {True, False}
+
+    def test_count_keeps_the_full_search(self, searches):
+        for instance, full, _symmetric in searches:
+            assert count_maximal_allocations(instance) == len(full)
+
+
+class TestPaperClaims:
+    """No maximal EF1 allocation for n >= 3 (the counterexamples), for goods
+    and for chores."""
+
+    def test_seven_agent_counterexample(self):
+        instance = gen_counterexample(7)
+        budget = EnumerationBudget(max_assignments=8**9)
+        assert not exists_maximal_ef1(instance, budget).exists
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_chores_counterexamples(self, n):
+        goods = gen_counterexample(n)
+        chores = Instance(goods.graph, n, Negated(goods.identical_model), "chores")
+        result = exists_maximal_ef1(chores)
+        assert not result.exists and result.witness is None

@@ -4,6 +4,7 @@ seeded corpus, and the parse's inlined digit cases against the helpers."""
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -139,8 +140,20 @@ def test_inlined_digit_cases_parse_as_the_helpers_do(field):
 
 @pytest.mark.parametrize("field", ["mask", "value"])
 def test_digit_strings_past_the_int_limit_are_parse_errors(field):
+    # Each field fails in its own wording, not with int()'s digit-limit text.
     huge = "1" * 5000
     entry = [huge, "1"] if field == "mask" else ["1", huge]
     doc = {"agents": 1, "goods": 1, "valuations": {"identical": {"type": "table", "entries": [["0", "0"], entry]}}}
-    with pytest.raises(ParseError):
+    limit = sys.get_int_max_str_digits()
+    message = f"table mask must be an integer of at most {limit} digits, got 5000 digits" if field == "mask" else f"bad rational '{huge}'"
+    with pytest.raises(ParseError) as caught:
         instance_from_json(doc)
+    assert str(caught.value) == message
+
+
+def test_decimal_string_past_the_int_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as caught:
+        integer_from_json("1" * (limit + 1), "table mask", decimal_string=True)
+    assert str(caught.value) == f"table mask must be an integer of at most {limit} digits, got {limit + 1} digits"
+    assert integer_from_json("1" * limit, "table mask", decimal_string=True) == int("1" * limit)

@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from conflictfair import Instance, build_chain, chain_ef1, interval_chains, interval_ef1, swap_ef1
+from conflictfair import (Instance, build_chain, chain_ef1, gen_counterexample, interval_chains, interval_ef1, is_ef1,
+                          swap_ef1)
 from conftest import random_additive, random_graph, random_intervals
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -113,3 +114,40 @@ def test_after_hooks_count_what_the_results_hold(tracing):
         allocation = interval_ef1(instance, intervals)
         tracing.AFTER["graph_classes.interval_ef1"](tracer, allocation)
         assert tracer.counters["graph_classes.steps_scanned"] == combined.index(allocation) + 1
+
+
+def test_enumerator_wrapper_sees_the_symmetric_searches(tracing, monkeypatch):
+    # exists and gamma reach the enumerator through the module attribute
+    # that the tracer rebinds, so its counters cover their searches too; the
+    # labelings counter is the sweep rank of the last yield, which the
+    # symmetric search leaves as the full search has it.
+    oracle = layer("oracle")
+    seen = []
+    original = oracle.enumerate_maximal_allocations
+    monkeypatch.setattr(oracle, "enumerate_maximal_allocations",
+                        lambda *args, **kwargs: seen.append(kwargs) or original(*args, **kwargs))
+    oracle.exists_maximal_ef1(gen_counterexample(3))
+    oracle.compute_gamma(gen_counterexample(4))
+    assert seen == [{"symmetric": True}, {"symmetric": True}]
+    monkeypatch.undo()
+
+    rng = random.Random(8)
+    witnessed = Instance(random_graph(rng, 6, 0.4), 2, random_additive(rng, 6))
+    cases = [(gen_counterexample(4), oracle.exists_maximal_ef1), (gen_counterexample(3), oracle.compute_gamma),
+             (witnessed, oracle.exists_maximal_ef1)]
+    for instance, call in cases:
+        tracer = tracing.Tracer()
+        records = tracing.install(tracer)
+        try:
+            witness = getattr(call(instance), "witness", None)
+        finally:
+            tracing.uninstall(records)
+        # The full search's first EF1 leaf, or its whole sweep.
+        full = list(original(instance))
+        if call is oracle.exists_maximal_ef1:
+            assert witness == next((a for a in full if is_ef1(instance, a)), None)
+        radix, m = instance.n + 1, instance.m
+        symmetric = list(original(instance, symmetric=True))
+        assert tracer.counters["oracle.maximal_yielded"] == (symmetric.index(witness) + 1 if witness else len(symmetric))
+        assert tracer.counters["oracle.labelings"] == (tracing._labeling_rank(witness, radix, m) + 1 if witness else radix**m)
+    assert witness is not None
