@@ -55,38 +55,37 @@ class IntervalSet:
         lj, rj = self.keys[j]
         return li < rj and lj < ri
 
-    def _sweep(self):
-        """One sweep over the ranked endpoints, yielding each good at its
-        left endpoint with the set of goods still open there, which are
-        exactly the goods it overlaps that start before it. The set is the
-        sweep's own and changes once the next pair is asked for."""
+    def induced_graph(self) -> ConflictGraph:
+        """The overlap graph, from one sweep over the ranked endpoints: each
+        interval overlaps every interval still open at its left endpoint."""
         owner = [None] * (2 * len(self.keys))
         for g, (l, r) in enumerate(self.keys):
             owner[l] = owner[r] = g
-        open_goods = set()
+        open_goods, edges = set(), []
         for rank, g in enumerate(owner):
             if rank == self.keys[g][1]:
                 open_goods.remove(g)
             else:
-                yield g, open_goods
+                edges.extend((g, h) for h in open_goods)
                 open_goods.add(g)
-
-    def induced_graph(self) -> ConflictGraph:
-        """The overlap graph: each interval overlaps every interval still
-        open at its left endpoint."""
-        return ConflictGraph(len(self.keys), [(g, h) for g, opened in self._sweep() for h in opened])
+        return ConflictGraph(len(self.keys), edges)
 
     def check(self, graph: ConflictGraph) -> None:
         """Raise ValueError unless these intervals induce ``graph``: one
         interval per good, every edge an overlap, and as many overlapping
         pairs as edges, so that the edges are exactly the overlaps.
-        Allocates no graph."""
-        if len(self) != graph.m:
-            raise ValueError(f"{len(self)} intervals for {graph.m} goods")
+        O(m + |E|); allocates no graph."""
+        keys, m = self.keys, len(self.keys)
+        if m != graph.m:
+            raise ValueError(f"{m} intervals for {graph.m} goods")
         for u, v in graph.edges:
-            if not self.overlaps(u, v):
+            (lu, ru), (lv, rv) = keys[u], keys[v]
+            if not (lu < rv and lv < ru):
                 raise ValueError(f"intervals do not induce the graph: edge ({u},{v}) joins disjoint intervals")
-        if sum(len(opened) for _, opened in self._sweep()) != len(graph.edges):
+        # The i-th left endpoint in rank order, at rank x, has i lefts and
+        # x - i rights before it, so 2i - x intervals open: it overlaps that
+        # many earlier-starting ones. Summed over i: m(m-1) - sum of lefts.
+        if m * (m - 1) - sum(l for l, _ in keys) != len(graph.edges):
             raise ValueError("intervals do not induce the graph: some overlapping pair is not an edge")
 
 
@@ -99,26 +98,38 @@ def interval_scheduling_greedy(
     """Maximum-size subset covering no point more than ``c`` times, in
     ascending order of right endpoint.
 
-    Forward scans by increasing right endpoint; reverse is the mirror scan
-    by decreasing left endpoint. ``cover[p]`` counts the chosen intervals
-    over the gap between endpoint ranks p and p+1.
+    Forward scans by increasing right endpoint; reverse is the same scan on
+    mirrored ranks (x -> 2m-1-x), that is by decreasing left endpoint. Every
+    interval chosen so far ends before the candidate [lo, hi), so ``reach[k]``,
+    one past the last gap covered at least k+1 times, decides it: the
+    candidate fits iff ``reach[c-1] <= lo``. One call costs the sort plus
+    O(c) per candidate.
     """
     if c < 1:
         raise ValueError("capacity must be at least 1")
     keys = intervals.keys
-    goods = range(len(keys)) if subset is None else set(subset)
+    m = len(keys)
+    if subset is None:
+        goods = range(m)
+    else:
+        goods = set(subset)
+        outside = next((g for g in goods if not 0 <= g < m), None)
+        if outside is not None:
+            raise ValueError(f"good {outside} is outside [0,{m})")
     if direction == "forward":
-        order = sorted(goods, key=lambda g: keys[g][1])
+        order = sorted((keys[g][1], keys[g][0], g) for g in goods)
     elif direction == "reverse":
-        order = sorted(goods, key=lambda g: keys[g][0], reverse=True)
+        order = sorted((2 * m - 1 - keys[g][0], 2 * m - 1 - keys[g][1], g) for g in goods)
     else:
         raise ValueError("direction must be 'forward' or 'reverse'")
-    cover = [0] * (2 * len(keys))
+    reach = [0] * c
     chosen = []
-    for g in order:
-        lo, hi = keys[g]
-        if max(cover[lo:hi]) < c:
-            cover[lo:hi] = [k + 1 for k in cover[lo:hi]]
+    for hi, lo, g in order:
+        if reach[-1] <= lo:
+            for k in range(c - 1, 0, -1):
+                if reach[k - 1] > lo:
+                    reach[k] = reach[k - 1]
+            reach[0] = hi
             chosen.append(g)
     chosen.sort(key=lambda g: keys[g][1])
     return tuple(chosen)

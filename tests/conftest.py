@@ -374,6 +374,51 @@ def without_repeats(steps) -> list:
     return [step for i, step in enumerate(steps) if i == 0 or step != steps[i - 1]]
 
 
+def slice_greedy(intervals: IntervalSet, subset=None, c: int = 1, direction: str = "forward") -> tuple:
+    """Reference for ``interval_scheduling_greedy``: the same scans with an
+    explicit coverage list, ``cover[p]`` counting the chosen intervals over
+    the gap between endpoint ranks p and p+1, raised along each accepted
+    interval's whole span."""
+    keys = intervals.keys
+    goods = range(len(keys)) if subset is None else set(subset)
+    if direction == "forward":
+        order = sorted(goods, key=lambda g: keys[g][1])
+    else:
+        order = sorted(goods, key=lambda g: keys[g][0], reverse=True)
+    cover = [0] * (2 * len(keys))
+    chosen = []
+    for g in order:
+        lo, hi = keys[g]
+        if max(cover[lo:hi]) < c:
+            cover[lo:hi] = [k + 1 for k in cover[lo:hi]]
+            chosen.append(g)
+    chosen.sort(key=lambda g: keys[g][1])
+    return tuple(chosen)
+
+
+def sweep_check(intervals: IntervalSet, graph: ConflictGraph) -> None:
+    """Reference for ``IntervalSet.check``: one ``overlaps`` call per edge,
+    then the overlapping pairs counted by a sweep that keeps the set of open
+    goods and adds its size at each left endpoint."""
+    if len(intervals) != graph.m:
+        raise ValueError(f"{len(intervals)} intervals for {graph.m} goods")
+    for u, v in graph.edges:
+        if not intervals.overlaps(u, v):
+            raise ValueError(f"intervals do not induce the graph: edge ({u},{v}) joins disjoint intervals")
+    owner = [None] * (2 * len(intervals))
+    for g, (l, r) in enumerate(intervals.keys):
+        owner[l] = owner[r] = g
+    open_goods, pairs = set(), 0
+    for rank, g in enumerate(owner):
+        if rank == intervals.keys[g][1]:
+            open_goods.remove(g)
+        else:
+            pairs += len(open_goods)
+            open_goods.add(g)
+    if pairs != len(graph.edges):
+        raise ValueError("intervals do not induce the graph: some overlapping pair is not an edge")
+
+
 def brute_max_schedule_size(intervals: IntervalSet, subset, c: int) -> int:
     """Exhaustive maximum feasible pick size. Uses the 1-D Helly property:
     a point is covered more than c times iff some c+1 intervals pairwise

@@ -35,7 +35,38 @@ from conftest import (
     random_intervals,
     random_monotone_table,
     schedule_feasible,
+    slice_greedy,
+    sweep_check,
 )
+
+
+def interval_corpus(rng, count):
+    """Seeded interval sets of 1-12 goods with many coincident endpoints,
+    nested chains, equal lengths, and spread-out random intervals."""
+    for i in range(count):
+        m = rng.randint(1, 12)
+        kind = i % 4
+        if kind == 0:
+            yield random_intervals(rng, m, span=rng.randint(2, 6))
+        elif kind == 1:
+            lefts = sorted(rng.randint(0, 8) for _ in range(m))
+            rights = sorted((rng.randint(9, 17) for _ in range(m)), reverse=True)
+            raw = list(zip(lefts, rights))
+            raw[rng.randrange(m)] = (rng.randint(0, 15), 17)
+            yield IntervalSet(rng.sample(raw, m))
+        elif kind == 2:
+            length = rng.randint(1, 4)
+            yield IntervalSet([(l, l + length) for l in (rng.randint(0, 10) for _ in range(m))])
+        else:
+            yield random_intervals(rng, m, span=40)
+
+
+def check_outcome(check, intervals, graph):
+    try:
+        check(intervals, graph)
+    except ValueError as error:
+        return str(error)
+    return None
 
 
 class TestIntervalSet:
@@ -71,20 +102,16 @@ class TestIntervalSet:
             assert iv.induced_graph().edges == raw_overlaps
 
     def test_check_agrees_with_induced_graph(self, rng):
-        def accepts(iv, graph):
-            try:
-                iv.check(graph)
-            except ValueError:
-                return False
-            return True
-
+        # accepts exactly the induced graph, with the same error text as the
+        # per-edge ``overlaps`` check with an open-set sweep
         kinds = set()
-        for _ in range(300):
-            m = rng.randint(1, 10)
-            iv = random_intervals(rng, m, span=rng.randint(2, 16))
+        for iv in interval_corpus(rng, 400):
+            m = len(iv)
             edges = sorted(iv.induced_graph().edges)
             others = [(u, v) for u in range(m) for v in range(u + 1, m) if (u, v) not in edges]
             cases = [("induced", ConflictGraph(m, edges), True), ("count", ConflictGraph(m + 1, edges), False)]
+            if m > 1 and not any(m - 1 in edge for edge in edges):
+                cases.append(("count", ConflictGraph(m - 1, edges), False))
             if edges:
                 cases.append(("dropped", ConflictGraph(m, edges[1:]), False))
             if others:
@@ -94,7 +121,9 @@ class TestIntervalSet:
                 swapped[rng.randrange(len(edges))] = rng.choice(others)
                 cases.append(("swapped", ConflictGraph(m, swapped), False))
             for kind, graph, expected in cases:
-                assert accepts(iv, graph) == (iv.induced_graph() == graph) == expected, (kind, iv.keys)
+                outcome = check_outcome(IntervalSet.check, iv, graph)
+                assert (outcome is None) == (iv.induced_graph() == graph) == expected, (kind, iv.keys)
+                assert outcome == check_outcome(sweep_check, iv, graph), (kind, iv.keys)
                 kinds.add(kind)
         assert kinds == {"induced", "count", "dropped", "added", "swapped"}
 
@@ -111,6 +140,23 @@ class TestSchedulingGreedy:
     def test_single_interval(self):
         iv = IntervalSet([(5, 9)])
         assert interval_scheduling_greedy(iv, c=1) == (0,)
+
+    def test_matches_slice_reference(self, rng):
+        for iv in interval_corpus(rng, 400):
+            m = len(iv)
+            picked = [g for g in range(m) if rng.random() < 0.7]
+            for subset in (None, picked, set(picked)):
+                for c in (1, 2, 3, 4):
+                    for direction in ("forward", "reverse"):
+                        assert interval_scheduling_greedy(iv, subset, c, direction) == slice_greedy(
+                            iv, subset, c, direction
+                        ), (iv.keys, subset, c, direction)
+
+    @pytest.mark.parametrize("good", [-1, 3, 7])
+    def test_rejects_goods_outside_the_set(self, good):
+        iv = IntervalSet([(0, 2), (1, 3), (2, 4)])
+        with pytest.raises(ValueError, match=rf"good {good} is outside \[0,3\)"):
+            interval_scheduling_greedy(iv, [0, good])
 
     def test_matches_brute_force_optimum(self, rng):
         for _ in range(60):

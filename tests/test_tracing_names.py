@@ -151,3 +151,19 @@ def test_enumerator_wrapper_sees_the_symmetric_searches(tracing, monkeypatch):
         assert tracer.counters["oracle.maximal_yielded"] == (symmetric.index(witness) + 1 if witness else len(symmetric))
         assert tracer.counters["oracle.labelings"] == (tracing._labeling_rank(witness, radix, m) + 1 if witness else radix**m)
     assert witness is not None
+
+
+def test_interval_chains_runs_the_greedy_three_times(monkeypatch):
+    # graph_classes.greedy_calls counts the calls through the module
+    # attribute: one capacity-2 pick and the two one-side scans per solve.
+    graph_classes = layer("graph_classes")
+    calls = []
+    original = graph_classes.interval_scheduling_greedy
+    monkeypatch.setattr(graph_classes, "interval_scheduling_greedy",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    rng = random.Random(13)
+    for solves in range(1, 21):
+        m = rng.randint(1, 14)
+        intervals = random_intervals(rng, m, span=rng.randint(2, 16))
+        interval_chains(Instance(intervals.induced_graph(), 2, random_additive(rng, m)), intervals)
+        assert len(calls) == 3 * solves
