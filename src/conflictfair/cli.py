@@ -17,6 +17,7 @@ import argparse
 import functools
 import os
 import sys
+import time
 
 from .core import is_ef1, is_maximal, validate_allocation
 from .solver import ALGORITHMS, InapplicableError, NoAlgorithmError, solve
@@ -96,14 +97,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    start = time.monotonic()
+
+    def budget() -> EnumerationBudget:
+        """--wall-clock bounds the whole command: each search gets the time left."""
+        left = None if args.wall_clock is None else args.wall_clock - (time.monotonic() - start)
+        return EnumerationBudget(max_assignments=args.max_assignments, wall_clock_seconds=left)
+
     instance, _ = ser.instance_from_json(ser.load_json(args.instance))
-    budget = EnumerationBudget(
-        max_assignments=args.max_assignments,
-        wall_clock_seconds=args.wall_clock,
-    )
     if args.gamma and not instance.identical:
         return _fail(EXIT_INAPPLICABLE, "gamma needs identical valuations")
-    result = exists_maximal_ef1(instance, budget)
+    result = exists_maximal_ef1(instance, budget())
     print(f"exists:{_bool(result.exists)}")
     if args.witness:
         if result.exists:
@@ -113,9 +117,9 @@ def cmd_oracle(args) -> int:
         else:
             print("witness:none")
     if args.count:
-        print(f"count:{count_maximal_allocations(instance, budget)}")
+        print(f"count:{count_maximal_allocations(instance, budget())}")
     if args.gamma:
-        print(f"gamma:{compute_gamma(instance, budget)}")
+        print(f"gamma:{compute_gamma(instance, budget())}")
     return EXIT_OK
 
 
@@ -218,7 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--count", action="store_true", help="also count maximal allocations")
     oracle.add_argument("--gamma", action="store_true", help="also report the reduction parameter gamma")
     oracle.add_argument("--max-assignments", type=int, default=EnumerationBudget().max_assignments)
-    oracle.add_argument("--wall-clock", type=float, default=None)
+    oracle.add_argument(
+        "--wall-clock",
+        type=float,
+        default=None,
+        help="seconds for the whole command; each search gets the time left (exit 5 when spent)",
+    )
 
     gen = sub.add_parser("gen", help="generate counterexample or reduction instances")
     gen.add_argument("kind", choices=["counterexample", "reduction"])

@@ -26,8 +26,11 @@ order 1, 2, 3, .... The first leaf in sweep order with an orbit-invariant
 property is the least of its orbit, so the symmetric search finds it too,
 with no earlier leaf having the property. ``exists_maximal_ef1`` on an
 identical instance and the gamma sweep search this way and return what the
-full search returns. ``count_maximal_allocations`` keeps the full search,
-because its number counts every maximal allocation, relabelings included.
+full search returns. Maximality depends on the graph and n alone, so
+``count_maximal_allocations`` searches this way on every instance and weighs
+each leaf by its orbit's size: the k non-empty bundles of a leaf are
+disjoint, hence distinct, so the only relabelings that fix it permute its
+n - k empty bundles, and its orbit has n!/(n-k)! members.
 
 Budgets: the search refuses up front (``BudgetExceededError``) when (n+1)^m
 exceeds ``max_assignments``, however much of the tree pruning would cut; the
@@ -36,6 +39,7 @@ wall-clock deadline is checked every 1024 visited search nodes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,7 +186,9 @@ def count_maximal_allocations(
     instance: Instance,
     budget: Optional[EnumerationBudget] = None,
 ) -> int:
-    return sum(1 for _ in enumerate_maximal_allocations(instance, budget))
+    """Number of maximal allocations, relabelings included, from the orbit minima."""
+    leaves = enumerate_maximal_allocations(instance, budget, symmetric=True)
+    return sum(math.perm(instance.n, sum(1 for b in leaf.bundles if b)) for leaf in leaves)
 
 
 def worst_envy_gap(model: ValuationModel, allocation: Allocation) -> Fraction:

@@ -4,18 +4,20 @@ A maximal equitable n-coloring partitions part of the vertex set into n
 independent classes whose sizes differ by at most one, such that every
 uncolored vertex has a neighbor in every class. The construction is a
 post-order merge over class lists: a subtree's result is its non-empty
-classes (color -> vertices) and the color of its root. At a vertex, each
-child's classes are relabeled largest-first and rotated by a running offset,
-so the merged coloring stays equitable; the root is then either left
-uncolored or given color n, after a child that landed on n trades n for an
-equally large class. Only colors change, through one permutation per child;
-the largest child's lists are kept and the others are appended to them.
+classes in rank order (largest first, ties by color). At a vertex, each
+child's ranks are rotated onto colors by a running offset, so the merged
+coloring stays equitable; the root is then either left uncolored or given
+color n, after a child that landed on n trades n for an equally large class.
+Every subtree's coloring is equitable, so its rank order follows from the
+merge alone and no merge sorts. Only colors change: the longest child's list
+of classes is moved by slices, and at each class the longer vertex list is
+kept and the shorter appended to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import ConflictGraph
 
@@ -101,46 +103,72 @@ def coloring_violations(graph: ConflictGraph, colors: Sequence[Optional[int]], n
     return problems
 
 
-def _color_subtree(tree: RootedTree, u: int, n: int, colored: dict) -> Tuple[Dict[int, List[int]], Optional[int]]:
-    """Classes (color -> vertices) and root color of the subtree at ``u``,
-    merged from its children's in ``colored``."""
-    children = tree.children[u]
-    if not children:
-        return {1: [u]}, 1
+def _color_subtree(reports: list, u: int, n: int) -> Tuple[List[List[int]], int, Optional[int]]:
+    """Merge the children's ``reports`` at ``u``. Each report, and the
+    result, is (classes, higher, root_rank): the non-empty classes in rank
+    order, the number of largest ones, and the rank of the root's class
+    (None if the root is uncolored)."""
+    singular = [rep for rep in reports if rep[1] == 1 and rep[2] is not None]
+    if singular:  # singular subtrees first, stable
+        reports = singular + [rep for rep in reports if rep[1] != 1 or rep[2] is None]
+    color_root = len(singular) < n
+    # Child rank r takes color (r + offset) % n + 1, and the offsets tile the
+    # children's largest classes over colors 1, 2, ... cyclically: colors
+    # 1..rem, and n if the root takes it, end one larger than the rest. So
+    # the merged rank order is colors 1..rem, n, rem+1..n-1, or 1..n when
+    # the root stays uncolored. Every class is non-empty once some child has
+    # n classes or the tiling wraps; otherwise only the tiled colors are,
+    # and the root's.
+    covered = sum(rep[1] for rep in reports)
+    rem = covered % n
+    lengths = [len(rep[0]) for rep in reports]
+    longest = max(lengths)
+    size = n if covered >= n or longest == n else covered + color_root
 
-    reports = []
-    for child in children:
-        classes, root_color = colored.pop(child)
-        ranked = sorted(classes, key=lambda c: (-len(classes[c]), c))  # largest first, stable
-        top = len(classes[ranked[0]])
-        higher = sum(1 for c in ranked if len(classes[c]) == top)
-        singular = root_color is not None and higher == 1
-        reports.append((singular, classes, root_color, ranked, higher))
-
-    reports.sort(key=lambda rep: not rep[0])  # singular subtrees first, stable
-    color_root = sum(rep[0] for rep in reports) < n
-    moves = []
+    placements = []
     offset = 0
-    for _singular, classes, root_color, ranked, higher in reports:
-        perm = {c: (rank + offset) % n + 1 for rank, c in enumerate(ranked)}
+    for classes, higher, root_rank in reports:
+        trade = None
+        if color_root and root_rank is not None and (root_rank + offset) % n == n - 1:
+            # Not singular: the root's class is the last largest one, so rank
+            # 0 holds the least color among the others; trade n with it.
+            trade = root_rank, 0
+        placements.append((classes, offset, trade))
         offset = (offset + higher) % n
-        if color_root and root_color is not None and perm[root_color] == n:
-            # non-singular child: another equally large class exists to trade with
-            trade = min((c for c in ranked[:higher] if c != root_color), key=perm.__getitem__)
-            perm[root_color], perm[trade] = perm[trade], n
-        moves.append((classes, perm))
 
-    # reuse the largest child's lists, so each vertex moves O(log V) times
-    base, base_perm = max(moves, key=lambda move: sum(map(len, move[0].values())))
-    merged = {base_perm[c]: vertices for c, vertices in base.items()}
-    for classes, perm in moves:
-        if classes is not base:
-            for c, vertices in classes.items():
-                merged.setdefault(perm[c], []).extend(vertices)
+    # merged[c - 1] holds class c, but its last slot holds class n. The
+    # first longest child's list becomes it, moved by slices.
+    merged, offset, trade = placements.pop(lengths.index(longest))
+    merged += [None] * (size - longest)
+    if offset:  # rotate right in place: copies offset items, shifts the rest
+        merged[:0] = merged[size - offset :]
+        del merged[size:]
+    if trade:
+        a, b = ((r + offset) % n for r in trade)
+        merged[a], merged[b] = merged[b], merged[a]
+    for classes, offset, trade in placements:
+        colors = [(r + offset) % n for r in range(len(classes))]
+        if trade:
+            a, b = trade
+            colors[a], colors[b] = colors[b], colors[a]
+        # keep the longer list of each class, so each vertex moves O(log V) times
+        for c, vertices in zip(colors, classes):
+            kept = merged[c]
+            if kept is None:
+                merged[c] = vertices
+            elif len(kept) < len(vertices):
+                vertices.extend(kept)
+                merged[c] = vertices
+            else:
+                kept.extend(vertices)
     if not color_root:
-        return merged, None
-    merged.setdefault(n, []).append(u)
-    return merged, n
+        return merged, rem or n, None
+    merged.insert(rem, merged.pop())  # to rank order: class n to rank rem
+    if merged[rem] is None:
+        merged[rem] = [u]
+    else:
+        merged[rem].append(u)
+    return merged, rem + 1, rem
 
 
 def equitable_tree_coloring(tree: RootedTree, n: int) -> PartialColoring:
@@ -150,14 +178,28 @@ def equitable_tree_coloring(tree: RootedTree, n: int) -> PartialColoring:
         raise ValueError("need at least one color")
     colored = {}
     for u in reversed(tree.order):
-        colored[u] = _color_subtree(tree, u, n, colored)
-    classes = colored[tree.root][0]
-    color_of = {v: c for c, vertices in classes.items() for v in vertices}
-    colors = tuple(color_of.get(v) for v in range(tree.graph.m))
+        children = tree.children[u]
+        if children:
+            colored[u] = _color_subtree([colored.pop(child) for child in children], u, n)
+        else:
+            colored[u] = [[u]], 1, 0
+    classes, _higher, root_rank = colored[tree.root]
+    if not tree.children[tree.root]:
+        palette = [1]
+    elif root_rank is None:
+        palette = range(1, n + 1)
+    else:
+        palette = [*range(1, root_rank + 1), n, *range(root_rank + 1, n)]
+    colors = [None] * tree.graph.m
+    sizes = [0] * n
+    for c, vertices in zip(palette, classes):
+        for v in vertices:
+            colors[v] = c
+        sizes[c - 1] = len(vertices)
+    colors, sizes = tuple(colors), tuple(sizes)
     problems = coloring_violations(tree.graph, colors, n)
     if problems:
         raise RuntimeError("construction violated its own invariants: " + "; ".join(problems))
-    sizes = tuple(len(classes.get(c, ())) for c in range(1, n + 1))
     root_color = colors[tree.root]
     if root_color is not None and sizes[root_color - 1] != max(sizes):
         raise RuntimeError("root is colored but not with a higher color")

@@ -15,6 +15,7 @@ from conflictfair import (
     ConflictGraph,
     Instance,
     IntervalSet,
+    RootedTree,
     Table,
     ValidationReport,
     build_chain,
@@ -468,6 +469,61 @@ def schedule_feasible(intervals: IntervalSet, members, c: int) -> bool:
         if cur > c:
             return False
     return True
+
+
+# The tree coloring's merge as it kept classes in a color -> vertices dict
+# and ranked each child's classes with a sort, the reference for the
+# differential test in test_treecolor.
+
+def dict_color_subtree(tree: RootedTree, u: int, n: int, colored: dict):
+    """Classes (color -> vertices) and root color of the subtree at ``u``,
+    merged from its children's in ``colored``."""
+    children = tree.children[u]
+    if not children:
+        return {1: [u]}, 1
+
+    reports = []
+    for child in children:
+        classes, root_color = colored.pop(child)
+        ranked = sorted(classes, key=lambda c: (-len(classes[c]), c))  # largest first, stable
+        top = len(classes[ranked[0]])
+        higher = sum(1 for c in ranked if len(classes[c]) == top)
+        singular = root_color is not None and higher == 1
+        reports.append((singular, classes, root_color, ranked, higher))
+
+    reports.sort(key=lambda rep: not rep[0])  # singular subtrees first, stable
+    color_root = sum(rep[0] for rep in reports) < n
+    moves = []
+    offset = 0
+    for _singular, classes, root_color, ranked, higher in reports:
+        perm = {c: (rank + offset) % n + 1 for rank, c in enumerate(ranked)}
+        offset = (offset + higher) % n
+        if color_root and root_color is not None and perm[root_color] == n:
+            # non-singular child: another equally large class exists to trade with
+            trade = min((c for c in ranked[:higher] if c != root_color), key=perm.__getitem__)
+            perm[root_color], perm[trade] = perm[trade], n
+        moves.append((classes, perm))
+
+    # reuse the largest child's lists, so each vertex moves O(log V) times
+    base, base_perm = max(moves, key=lambda move: sum(map(len, move[0].values())))
+    merged = {base_perm[c]: vertices for c, vertices in base.items()}
+    for classes, perm in moves:
+        if classes is not base:
+            for c, vertices in classes.items():
+                merged.setdefault(perm[c], []).extend(vertices)
+    if not color_root:
+        return merged, None
+    merged.setdefault(n, []).append(u)
+    return merged, n
+
+
+def dict_tree_colors(tree: RootedTree, n: int) -> tuple:
+    """Per-vertex colors (None = uncolored) from ``dict_color_subtree``."""
+    colored = {}
+    for u in reversed(tree.order):
+        colored[u] = dict_color_subtree(tree, u, n, colored)
+    color_of = {v: c for c, vertices in colored[tree.root][0].items() for v in vertices}
+    return tuple(color_of.get(v) for v in range(tree.graph.m))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -482,6 +483,27 @@ class TestOracleCommand:
         code = main(["oracle", inst, "--count", "--wall-clock", "0.5", "--max-assignments", budget])
         assert code == 5
         assert "wall-clock" in capsys.readouterr().err
+
+    def test_wall_clock_bounds_the_whole_command(self, tmp_path, capsys):
+        # Two agents on a perfect matching: `exists` stops at the first leaf,
+        # `count` walks 2^14 leaves and `gamma` the same leaves at several
+        # times the cost. The limit lets `exists` and `count` finish, so
+        # `gamma` must stop on what is left of it, not on a fresh one.
+        pairs = 15
+        m = 2 * pairs
+        graph = ConflictGraph(m, [(2 * i, 2 * i + 1) for i in range(pairs)])
+        inst = write(tmp_path, "matching.json", instance_to_json(Instance(graph, 2, Uniform())))
+        budget = str(3**m)
+        start = time.monotonic()
+        assert main(["oracle", inst, "--count", "--max-assignments", budget]) == 0
+        limit = 1.25 * (time.monotonic() - start)
+        capsys.readouterr()
+        start = time.monotonic()
+        code = main(["oracle", inst, "--count", "--gamma", "--wall-clock", str(limit), "--max-assignments", budget])
+        elapsed = time.monotonic() - start
+        assert code == 5
+        assert "wall-clock" in capsys.readouterr().err
+        assert elapsed < 1.4 * limit
 
 
 class TestGen:

@@ -1,6 +1,7 @@
 """Brute-force enumeration: completeness, gamma, budget handling."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -244,9 +245,65 @@ class TestSymmetricSearch:
             outcomes.add(result.exists)
         assert outcomes == {True, False}
 
-    def test_count_keeps_the_full_search(self, searches):
+    def test_count_equals_the_full_search(self, searches):
         for instance, full, _symmetric in searches:
             assert count_maximal_allocations(instance) == len(full)
+
+
+def per_agent_corpus():
+    """Seeded instances with one Additive or Table model per agent, n in
+    1..4 and m in 0..7 (n > m included), each as goods and as chores."""
+    rng = random.Random(0xC0C7)
+    corpus = []
+    for n in range(1, 5):
+        for m in range(8):
+            graph = random_graph(rng, m, rng.uniform(0.2, 0.7))
+            if (n + m) % 2:
+                models = [random_additive(rng, m) for _ in range(n)]
+            else:
+                models = [random_monotone_table(rng, m) for _ in range(n)]
+            corpus.append(Instance(graph, n, models))
+            corpus.append(Instance(graph, n, [Negated(model) for model in models], "chores"))
+    return corpus
+
+
+class TestCount:
+    """Maximality ignores the valuations, so counting the symmetric leaves,
+    each weighted by its orbit size perm(n, k) for k non-empty bundles, is
+    exact on every instance."""
+
+    @pytest.fixture(scope="class")
+    def searches(self):
+        return [
+            (
+                instance,
+                list(enumerate_maximal_allocations(instance)),
+                list(enumerate_maximal_allocations(instance, symmetric=True)),
+            )
+            for instance in per_agent_corpus()
+        ]
+
+    def test_count_equals_the_full_search_with_per_agent_valuations(self, searches):
+        for instance, full, _symmetric in searches:
+            assert count_maximal_allocations(instance) == len(full)
+        instances = [instance for instance, *_ in searches]
+        assert sum(not instance.identical for instance in instances) > len(instances) // 2
+        assert any(instance.n > instance.m for instance in instances)
+
+    def test_each_symmetric_leaf_stands_for_its_orbit(self, searches):
+        for instance, full, symmetric in searches:
+            orbit_sizes = {}
+            for leaf in full:
+                key = canonical_relabeling(leaf)
+                orbit_sizes[key] = orbit_sizes.get(key, 0) + 1
+            assert list(orbit_sizes) == symmetric
+            for leaf in symmetric:
+                k = sum(1 for b in leaf.bundles if b)
+                assert orbit_sizes[leaf] == math.perm(instance.n, k)
+
+    @pytest.mark.parametrize("n, count", [(3, 102), (4, 420), (5, 7100), (6, 140070)])
+    def test_counterexample_counts(self, n, count):
+        assert count_maximal_allocations(gen_counterexample(n)) == count
 
 
 class TestPaperClaims:

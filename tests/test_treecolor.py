@@ -20,7 +20,7 @@ from conflictfair import (
     is_maximal,
 )
 
-from conftest import random_tree_edges
+from conftest import dict_tree_colors, random_tree_edges
 
 
 # sha256 of the colorings of ``tree_corpus(random.Random(2718))``, as made by
@@ -203,6 +203,28 @@ class TestConstruction:
             allocation = Allocation(coloring.classes())
             assert is_maximal(instance, allocation)
             assert is_ef1(instance, allocation)
+
+    def test_matches_the_dict_merge(self):
+        # Random recursive trees, paths and stars, some with shuffled ids,
+        # each with n from 1 to above its size.
+        rng = random.Random(0x7C0)
+        for i in range(120):
+            nv = rng.randint(1, 90)
+            shape = i % 3
+            if shape == 0:
+                edges = random_tree_edges(rng, nv)
+            elif shape == 1:
+                edges = [(v - 1, v) for v in range(1, nv)]
+            else:
+                edges = [(0, v) for v in range(1, nv)]
+            if i % 2:
+                ids = list(range(nv))
+                rng.shuffle(ids)
+                edges = [(ids[u], ids[w]) for u, w in edges]
+            tree = RootedTree.from_edges(nv, edges)
+            for n in {1, 2, 3, rng.randint(1, nv + 2), nv, nv + 1, nv + 5}:
+                coloring = equitable_tree_coloring(tree, n)
+                assert coloring.colors == dict_tree_colors(tree, n)
 
     def test_colorings_match_parent(self):
         digest = hashlib.sha256()
