@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Mapping, Optional
 
 from .core import (
@@ -33,9 +34,9 @@ class Walk(Sequence):
     bundles and, for each later step, the goods that leave and join each
     bundle: ``(out1, in1, out2, in2)``.
 
-    Steps are built on demand. Iterating replays the moves once; ``[i]``,
-    slices and ``index`` replay as far as they need and materialize only
-    the allocations they return.
+    Steps are built on demand. Iterating replays the moves once; ``[i]``
+    and ``index`` replay as far as they need and materialize only the
+    allocation they return, while a slice materializes every step.
     """
 
     start: tuple  # (bundle 1, bundle 2) of step 0, as frozensets
@@ -59,14 +60,9 @@ class Walk(Sequence):
         return (Allocation(pair) for pair in self._replay())
 
     def __getitem__(self, key):
-        wanted = range(len(self))[key]
-        indices = wanted if isinstance(key, slice) else (wanted,)
-        picked = {}
-        for i, pair in zip(range(max(indices, default=-1) + 1), self._replay()):
-            if i in indices:
-                picked[i] = Allocation(pair)
-        steps = tuple(picked[i] for i in indices)
-        return steps if isinstance(key, slice) else steps[0]
+        if isinstance(key, slice):
+            return tuple(self)[key]
+        return Allocation(next(islice(self._replay(), range(len(self))[key], None)))
 
     def index(self, allocation) -> int:
         """Position of the first step equal to ``allocation``."""

@@ -88,12 +88,12 @@ def cmd_check(args) -> int:
         report = validate_allocation(instance, allocation)
     except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
-    maximal = is_maximal(instance, allocation)
-    ef1 = is_ef1(instance, allocation)
+    certificate = _certificate(instance, allocation)
     print(f"wellformed:{_bool(report.wellformed)}")
-    print(f"maximal:{_bool(maximal)}")
-    print(f"ef1:{_bool(ef1)}")
-    return EXIT_OK if report.wellformed and maximal and ef1 else EXIT_FAILED_CHECK
+    print(f"maximal:{_bool(certificate['maximal'])}")
+    print(f"ef1:{_bool(certificate['ef1'])}")
+    ok = report.wellformed and certificate["maximal"] and certificate["ef1"]
+    return EXIT_OK if ok else EXIT_FAILED_CHECK
 
 
 def cmd_oracle(args) -> int:

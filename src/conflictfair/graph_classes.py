@@ -147,21 +147,22 @@ class IntervalChains:
     combined: Walk
 
 
-def _two_color_pick(intervals: IntervalSet, chosen) -> Tuple[set, set]:
+def _two_color_pick(intervals: IntervalSet, chosen) -> Tuple[list, list]:
     """Proper 2-coloring of a capacity-2-feasible pick, scanning by left
-    endpoint. At each interval at most one color is blocked (a third
-    overlapping interval would cover its left endpoint three times), so two
-    colors always suffice; with no nested intervals this reproduces the
-    odd/even alternation along the right-endpoint order.
+    endpoint; each color class comes out in left-endpoint order. At each
+    interval at most one color is blocked (a third overlapping interval
+    would cover its left endpoint three times), so two colors always
+    suffice; with no nested intervals this reproduces the odd/even
+    alternation along the right-endpoint order.
     """
     last = [-1, -1]  # per color, the latest right-endpoint rank so far
-    sides = (set(), set())
+    sides = ([], [])
     for g in sorted(chosen, key=lambda g: intervals.keys[g][0]):
         l, r = intervals.keys[g]
         free = [i for i in range(2) if last[i] <= l]
         if not free:
             raise RuntimeError("pick covers a point three times; not a c=2 solution")
-        sides[free[0]].add(g)
+        sides[free[0]].append(g)
         last[free[0]] = max(last[free[0]], r)
     return sides
 
@@ -194,42 +195,31 @@ def interval_chains(instance: Instance, intervals: IntervalSet) -> IntervalChain
     model = _require_two_agent_identical_goods(instance)
     intervals.check(instance.graph)
 
-    by_right = lambda g: intervals.keys[g][1]
-    by_left = lambda g: intervals.keys[g][0]
-
+    # Every set below except ``z`` is independent, and disjoint half-open
+    # intervals have the same left and right order, so each list is already
+    # in the scan order its splice or chain needs.
     z = interval_scheduling_greedy(intervals, c=2)
     z1, z2 = _two_color_pick(intervals, z)
     if evaluate(model, z1) < evaluate(model, z2):
         z1, z2 = z2, z1
-    z1 = _grow_independent(instance.graph, z1, sorted(z2, key=by_right))
-    z2 = frozenset(z2 - z1)
+    z1 = _grow_independent(instance.graph, z1, z2)
+    z2 = [g for g in z2 if g not in z1]
 
     rest = frozenset(range(instance.m)) - z1
-    x1 = frozenset(interval_scheduling_greedy(intervals, rest, c=1, direction="forward"))
-    x2 = frozenset(interval_scheduling_greedy(intervals, rest, c=1, direction="reverse"))
+    x1 = interval_scheduling_greedy(intervals, rest, c=1, direction="forward")
+    x2 = interval_scheduling_greedy(intervals, rest, c=1, direction="reverse")
     if not (len(x1) == len(x2) == len(z2)):
         raise RuntimeError("one-side greedy solutions must match |Z_2|; optimality violated")
 
     # Bundle 1 fixed at Z_1; bundle 2 morphs Z_2 -> X'_2 along the mirrored
     # (decreasing left endpoint) scan order.
-    narrowing = _splice_walk(
-        sorted(x2, key=by_left, reverse=True),
-        sorted(z2, key=by_left, reverse=True),
-        z1,
-        fixed_side=0,
-    )
-    core = build_chain(instance, sorted(z1, key=by_left), x1=x1, x2=x2).steps
+    narrowing = _splice_walk(x2[::-1], z2[::-1], z1, fixed_side=0)
+    core = build_chain(instance, [g for g in z if g in z1], x1=frozenset(x1), x2=frozenset(x2)).steps
     # Bundle 2 fixed at Z_1; bundle 1 morphs X'_1 -> Z_2 against the forward
     # (increasing right endpoint) scan order: the splice of X'_1 into Z_2
     # in that order, walked backwards, which is the splice of Z_2 into X'_1
-    # in the reverse order. Right-endpoint ranks are distinct, so both
-    # sorts are exact reversals.
-    widening = _splice_walk(
-        sorted(z2, key=by_right, reverse=True),
-        sorted(x1, key=by_right, reverse=True),
-        z1,
-        fixed_side=1,
-    )
+    # in the reverse order.
+    widening = _splice_walk(z2[::-1], x1[::-1], z1, fixed_side=1)
     return IntervalChains(narrowing, core, widening, narrowing.then(core).then(widening))
 
 

@@ -191,9 +191,9 @@ class TestSolve:
         assert code == 0 and lines["bundles"] == "[[2], [0]]"
 
     def test_chain_algorithm_may_fail_where_swap_escalates(self, tmp_path, capsys):
-        # the first chain of this instance has no EF1 step; the escalating
+        # the first chain of each instance has no EF1 step; the escalating
         # solver needs a second maximal set
-        data = {
+        identical = {
             "agents": 2,
             "goods": 5,
             "edges": [[0, 1], [0, 4], [1, 2], [2, 3]],
@@ -202,11 +202,28 @@ class TestSolve:
                 "identical": {"type": "additive", "values": ["7", "6", "1", "6", "3"]}
             },
         }
-        path = write(tmp_path, "hard.json", data)
-        code = main(["solve", path, "--algorithm", "chain"])
-        lines = report_lines(capsys)
-        assert code == 1 and lines["found"] == "false"
-        assert main(["solve", path, "--algorithm", "swap"]) == 0
+        # distinct valuations: cut-and-choose has no bundles to choose from
+        distinct = {
+            "agents": 2,
+            "goods": 4,
+            "edges": [[0, 2], [1, 2], [2, 3]],
+            "mode": "goods",
+            "valuations": {
+                "perAgent": [
+                    {"type": "additive", "values": ["5", "6", "7", "7"]},
+                    {"type": "additive", "values": ["7", "1", "3", "0"]},
+                ]
+            },
+        }
+        out = tmp_path / "alloc.json"
+        for data in (identical, distinct):
+            path = write(tmp_path, "hard.json", data)
+            code = main(["solve", path, "--algorithm", "chain", "--out", str(out)])
+            lines = report_lines(capsys)
+            assert code == 1 and lines == {"algorithm": "chain", "found": "false"}
+            assert not out.exists()
+            assert main(["solve", path, "--algorithm", "swap"]) == 0
+            assert report_lines(capsys)["found"] == "true"
 
     def test_json_integers_are_rationals(self, tmp_path, capsys):
         # Every rational field, and the table masks, as JSON integers
@@ -230,10 +247,14 @@ class TestSolve:
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for raw in ("{not json", "[" * 5000 + "]" * 5000):
+        for raw, message in [
+            ("{not json", "cannot read"),
+            ("[" * 5000 + "]" * 5000, "cannot read"),
+            ("[1, 2]", "instance file must be a JSON object"),
+        ]:
             bad.write_text(raw)
             assert main(["solve", str(bad)]) == 3
-            assert capsys.readouterr().err.startswith("error:")
+            assert capsys.readouterr().err.startswith("error:" + message), raw[:10]
         table = [[True if mask == 1 else str(mask), "0"] for mask in range(8)]
         composite = {"type": "composite", "baseGoods": 1.5, "base": {"type": "uniform"}, "tail": ["0"] * 3}
         too_deep = {"type": "uniform"}
@@ -298,6 +319,11 @@ class TestSolve:
                 "bad rational 0.5",
             ),
             ({"intervals": [[0, 2.0], ["1", "3"], ["2", "4"]]}, "bad rational 2.0"),
+            ({"edges": [[0, 0]]}, "self-loop on good 0"),
+            ({"edges": [[0, 5]]}, "edge (0,5) out of range [0,3)"),
+            ({"goods": -1}, "good count must be non-negative"),
+            ({"mode": "both"}, "mode must be 'goods' or 'chores'"),
+            ({"valuations": {"perAgent": [{"type": "uniform"}]}}, "expected 2 models, got 1"),
         ]:
             data = json.loads(open(path_instance(tmp_path)).read())
             data.update(change)
