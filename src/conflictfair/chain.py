@@ -131,9 +131,17 @@ class ChainOutcome:
         return self.allocation is not None
 
 
-def _require_two_agent_identical_goods(instance: Instance) -> ValuationModel:
+class InapplicableError(ValueError):
+    """An algorithm does not apply to the instance; its solver's guard says why."""
+
+
+def _require_two_agents(instance: Instance) -> None:
     if instance.n != 2:
-        raise ValueError("chain construction needs exactly 2 agents")
+        raise InapplicableError(f"algorithm needs exactly 2 agents, got n={instance.n}")
+
+
+def _require_two_agent_identical_goods(instance: Instance) -> ValuationModel:
+    _require_two_agents(instance)
     if not instance.identical:
         raise ValueError("chain construction needs identical valuations")
     if instance.mode != GOODS:
@@ -227,8 +235,7 @@ def cut_and_choose(
     valuation (a chores agent prefers the bundle of higher, i.e. less
     negative, value).
     """
-    if instance.n != 2:
-        raise ValueError("cut-and-choose needs exactly 2 agents")
+    _require_two_agents(instance)
     allocation = solve(to_goods(Instance(instance.graph, 2, instance.models[0], instance.mode)))
     if allocation is None:
         return None

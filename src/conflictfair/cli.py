@@ -2,9 +2,9 @@
 
 Exit codes: 0 success (all reported checks true), 1 failed check or no
 allocation found, 2 inapplicable algorithm, invalid parameters or an
-unwritable output path, 3 parse error, 4 no applicable algorithm for n >= 3,
-5 enumeration budget exceeded, 6 reduction precondition failure, 7 a
-solver's internal invariant failed.
+unwritable output path, 3 parse error, 4 no applicable algorithm (n = 1, or
+n >= 3, with m > n+1), 5 enumeration budget exceeded, 6 reduction
+precondition failure, 7 a solver's internal invariant failed.
 
 ``main`` maps the exceptions a command raises to codes by one table,
 ``EXIT_CODES``; a command handles a plain ``ValueError`` itself only where

@@ -590,10 +590,14 @@ def is_independent_set(graph: ConflictGraph, subset: Iterable[int]) -> bool:
     return True
 
 
-def validate_allocation(instance: Instance, allocation: Allocation) -> ValidationReport:
-    """Check disjointness and per-bundle independence."""
+def _require_one_bundle_per_agent(instance: Instance, allocation: Allocation) -> None:
     if allocation.n != instance.n:
         raise ValueError(f"allocation has {allocation.n} bundles, instance has {instance.n} agents")
+
+
+def validate_allocation(instance: Instance, allocation: Allocation) -> ValidationReport:
+    """Check disjointness and per-bundle independence."""
+    _require_one_bundle_per_agent(instance, allocation)
     m, bundles, graph = instance.m, allocation.bundles, instance.graph
     for b in bundles:
         if b and not (min(b) >= 0 and max(b) < m):
@@ -607,6 +611,7 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> Validatio
 def is_maximal(instance: Instance, allocation: Allocation) -> bool:
     """True iff every unallocated good is adjacent to some good in every
     bundle, so no agent could feasibly receive it."""
+    _require_one_bundle_per_agent(instance, allocation)
     adj, bundles = instance.graph.adj, allocation.bundles
     for g in allocation.unallocated(instance.m):
         for bundle in bundles:
@@ -618,6 +623,7 @@ def is_maximal(instance: Instance, allocation: Allocation) -> bool:
 def is_ef1(instance: Instance, allocation: Allocation) -> bool:
     """Envy-freeness up to one good (goods mode) or one chore (chores mode),
     under each agent's own valuation."""
+    _require_one_bundle_per_agent(instance, allocation)
     bundles = allocation.bundles
     if instance.mode == GOODS:
         for i in range(instance.n):

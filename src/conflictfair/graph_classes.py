@@ -18,7 +18,7 @@ from .core import (
     as_fraction,
     evaluate,
 )
-from .chain import Walk, build_chain, chain_ef1, _require_two_agent_identical_goods
+from .chain import InapplicableError, Walk, build_chain, chain_ef1, _require_two_agent_identical_goods
 
 
 class IntervalSet:
@@ -189,10 +189,13 @@ def _splice_walk(prefix_order, tail_order, fixed: frozenset, fixed_side: int) ->
     return Walk((fixed, moving) if fixed_side == 0 else (moving, fixed), tuple(moves))
 
 
-def interval_chains(instance: Instance, intervals: IntervalSet) -> IntervalChains:
+def interval_chains(instance: Instance, intervals: Optional[IntervalSet]) -> IntervalChains:
     """Build the interval solver's three chain segments and their
-    concatenation as walks; no allocation is materialized."""
+    concatenation as walks; no allocation is materialized. Without
+    intervals, raises ``InapplicableError``."""
     model = _require_two_agent_identical_goods(instance)
+    if intervals is None:
+        raise InapplicableError("instance file has no intervals")
     intervals.check(instance.graph)
 
     # Every set below except ``z`` is independent, and disjoint half-open
@@ -223,7 +226,7 @@ def interval_chains(instance: Instance, intervals: IntervalSet) -> IntervalChain
     return IntervalChains(narrowing, core, widening, narrowing.then(core).then(widening))
 
 
-def interval_ef1(instance: Instance, intervals: IntervalSet) -> Allocation:
+def interval_ef1(instance: Instance, intervals: Optional[IntervalSet]) -> Allocation:
     """Maximal EF1 allocation for an interval graph via the concatenated
     gapless chain; some member is always EF1."""
     chains = interval_chains(instance, intervals)
@@ -235,7 +238,7 @@ def interval_ef1(instance: Instance, intervals: IntervalSet) -> Allocation:
 
 def bipartition(graph: ConflictGraph) -> Tuple[frozenset, frozenset]:
     """2-color the graph by breadth-first search (isolated vertices go to
-    side 0); raises ValueError if an odd cycle exists."""
+    side 0); raises ``InapplicableError`` if an odd cycle exists."""
     color = [None] * graph.m
     for root in range(graph.m):
         if color[root] is not None:
@@ -249,7 +252,7 @@ def bipartition(graph: ConflictGraph) -> Tuple[frozenset, frozenset]:
                     color[w] = 1 - color[u]
                     queue.append(w)
                 elif color[w] == color[u]:
-                    raise ValueError("graph is not bipartite")
+                    raise InapplicableError("graph is not bipartite")
     side0 = frozenset(g for g in range(graph.m) if color[g] == 0)
     return side0, frozenset(range(graph.m)) - side0
 
@@ -258,7 +261,7 @@ def is_bipartite(graph: ConflictGraph) -> bool:
     try:
         bipartition(graph)
         return True
-    except ValueError:
+    except InapplicableError:
         return False
 
 
@@ -285,7 +288,7 @@ def round_robin_small(instance: Instance) -> Allocation:
     a non-neighbour y takes {f, y}; if none has, agent 1's f conflicts with
     every other chore and stays unassigned."""
     if instance.m > instance.n + 1:
-        raise ValueError(f"round robin needs m <= n+1, got m={instance.m}, n={instance.n}")
+        raise InapplicableError(f"round robin needs m <= n+1, got m={instance.m}, n={instance.n}")
     bundles = [set() for _ in range(instance.n)]
     if instance.mode != GOODS:
         rest = list(range(instance.m))

@@ -67,9 +67,6 @@ class EnumerationBudget:
     wall_clock_seconds: Optional[float] = None
 
 
-DEFAULT_BUDGET = EnumerationBudget()
-
-
 @dataclass(frozen=True)
 class ExistenceResult:
     exists: bool
@@ -93,7 +90,7 @@ def enumerate_maximal_allocations(
     ``budget.max_assignments``, and during it when the wall clock passes
     ``budget.wall_clock_seconds`` (checked every 1024 visited nodes).
     """
-    budget = budget or DEFAULT_BUDGET
+    budget = budget or EnumerationBudget()
     n, m = instance.n, instance.m
     total = (n + 1) ** m
     if total > budget.max_assignments:

@@ -97,8 +97,8 @@ def size_from_json(value, what: str) -> int:
 
 def _edges_from_json(data) -> list:
     return [
-        tuple(integer_from_json(g, "edge endpoint") for g in edge)
-        for edge in data.get("edges", [])
+        tuple(integer_from_json(g, "edge endpoint") for g in array_from_json(edge, "edge", 2))
+        for edge in array_from_json(data.get("edges", []), "edges")
     ]
 
 
@@ -179,7 +179,7 @@ def instance_from_json(data) -> Tuple[Instance, Optional[IntervalSet]]:
         if "identical" in valuations:
             models: object = model_from_json(valuations["identical"], m)
         elif "perAgent" in valuations:
-            models = [model_from_json(v, m) for v in valuations["perAgent"]]
+            models = [model_from_json(v, m) for v in array_from_json(valuations["perAgent"], "perAgent")]
         else:
             raise ParseError("valuations must contain 'identical' or 'perAgent'")
         instance = Instance(graph, n, models, mode)
@@ -206,10 +206,16 @@ def allocation_from_json(data) -> Tuple[Allocation, Optional[dict]]:
     if not isinstance(data, dict) or "bundles" not in data:
         raise ParseError("allocation file must be an object with 'bundles'")
     try:
-        allocation = Allocation([[integer_from_json(g, "bundle good") for g in bundle] for bundle in data["bundles"]])
-    except (TypeError, ValueError) as exc:
+        bundles = [
+            [integer_from_json(g, "bundle good") for g in array_from_json(bundle, "bundle")]
+            for bundle in array_from_json(data["bundles"], "bundles")
+        ]
+    except ValueError as exc:
         raise ParseError(f"malformed bundles: {exc}") from exc
-    return allocation, data.get("certificate")
+    for bundle in bundles:
+        if len(set(bundle)) != len(bundle):
+            raise ParseError(f"bundle lists good {next(g for i, g in enumerate(bundle) if g in bundle[:i])} twice")
+    return Allocation(bundles), data.get("certificate")
 
 
 def graph_from_json(data) -> ConflictGraph:

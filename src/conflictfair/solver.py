@@ -7,19 +7,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Allocation, Instance, to_goods
-from .chain import chain_ef1, cut_and_choose, most_valuable_source
+from .chain import InapplicableError, chain_ef1, cut_and_choose, most_valuable_source
 from .swap import swap_ef1
-from .graph_classes import IntervalSet, bipartite_ef1, interval_ef1, is_bipartite, round_robin_small
+from .graph_classes import IntervalSet, bipartite_ef1, interval_ef1, round_robin_small
 
 ALGORITHMS = ("chain", "swap", "bipartite", "interval", "roundrobin")
 
 
-class InapplicableError(ValueError):
-    """The requested algorithm does not apply to the instance."""
-
-
 class NoAlgorithmError(ValueError):
-    """No algorithm applies: three or more agents and more than n+1 goods."""
+    """No algorithm applies: n = 1, or n >= 3, with m > n+1."""
 
 
 @dataclass(frozen=True)
@@ -29,21 +25,6 @@ class Solution:
 
     algorithm: str
     allocation: Optional[Allocation]
-
-
-def _inapplicable(algorithm: str, instance: Instance, intervals: Optional[IntervalSet]) -> Optional[str]:
-    """Why ``algorithm`` does not apply to the instance, or None if it does."""
-    if algorithm not in ALGORITHMS:
-        return f"unknown algorithm {algorithm!r}"
-    if algorithm == "roundrobin":
-        return f"round robin needs m <= n+1, got m={instance.m}" if instance.m > instance.n + 1 else None
-    if instance.n != 2:
-        return f"algorithm {algorithm} needs exactly 2 agents"
-    if algorithm == "bipartite" and not is_bipartite(instance.graph):
-        return "graph is not bipartite"
-    if algorithm == "interval" and intervals is None:
-        return "instance file has no intervals"
-    return None
 
 
 def _solve_identical(algorithm: str, instance: Instance, intervals: Optional[IntervalSet]) -> Optional[Allocation]:
@@ -59,23 +40,24 @@ def _solve_identical(algorithm: str, instance: Instance, intervals: Optional[Int
 
 def solve(instance: Instance, algorithm: str = "auto", intervals: Optional[IntervalSet] = None) -> Solution:
     """Maximal EF1 allocation by ``algorithm``, one of ``ALGORITHMS`` or
-    ``"auto"``, which takes round robin when m <= n+1 and else, for two
-    agents, the interval solver when ``intervals`` is given, the bipartite
-    solver when the graph is 2-colorable, and the swap solver otherwise.
+    ``"auto"``. A named algorithm raises ``InapplicableError`` from its
+    guard when it does not apply; ``auto`` runs the first of round robin,
+    the interval, the bipartite and the swap solver whose guard accepts
+    the instance.
 
     Round robin takes chores as they are; the two-agent solvers take them in
     negated goods form, and two agents with different valuations go through
     cut-and-choose on the original instance.
     """
     if algorithm == "auto":
-        picks = ("roundrobin", "interval", "bipartite", "swap")
-        algorithm = next((a for a in picks if _inapplicable(a, instance, intervals) is None), None)
-        if algorithm is None:
-            raise NoAlgorithmError(f"no algorithm applies to {instance.n} agents on {instance.m} goods")
-    else:
-        reason = _inapplicable(algorithm, instance, intervals)
-        if reason is not None:
-            raise InapplicableError(reason)
+        for algorithm in ("roundrobin", "interval", "bipartite", "swap"):
+            try:
+                return solve(instance, algorithm, intervals)
+            except InapplicableError:
+                pass
+        raise NoAlgorithmError(f"no algorithm applies to {instance.n} agents on {instance.m} goods")
+    if algorithm not in ALGORITHMS:
+        raise InapplicableError(f"unknown algorithm {algorithm!r}")
     if algorithm == "roundrobin":
         allocation = round_robin_small(instance)
     elif instance.identical:

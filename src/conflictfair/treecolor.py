@@ -23,24 +23,22 @@ from .core import ConflictGraph
 
 
 class RootedTree:
-    """A tree conflict graph rooted at ``root``: children are kept in
+    """A tree conflict graph rooted at vertex 0: children are kept in
     ascending vertex order and ``order`` is their preorder, for deterministic
     output."""
 
     __slots__ = ("graph", "root", "children", "order")
 
-    def __init__(self, graph: ConflictGraph, root: int = 0):
+    def __init__(self, graph: ConflictGraph):
         nv = graph.m
         if len(graph.edges) != nv - 1:
             raise ValueError("a tree on v vertices has exactly v-1 edges")
-        if not 0 <= root < nv:
-            raise ValueError("root out of range")
         # Marked when pushed: in a tree, a vertex's unmarked neighbours are its children.
         children = [()] * nv
         seen = [False] * nv
-        seen[root] = True
+        seen[0] = True
         order = []
-        stack = [root]
+        stack = [0]
         while stack:
             u = stack.pop()
             order.append(u)
@@ -52,13 +50,13 @@ class RootedTree:
         if len(order) != nv:
             raise ValueError("graph is not connected")
         self.graph = graph
-        self.root = root
+        self.root = 0
         self.children = tuple(children)
         self.order = tuple(order)
 
     @classmethod
-    def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]], root: int = 0) -> "RootedTree":
-        return cls(ConflictGraph(vertex_count, edges), root)
+    def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]]) -> "RootedTree":
+        return cls(ConflictGraph(vertex_count, edges))
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,11 @@ class TestBuildChainExamples:
         with pytest.raises(ValueError, match="independent"):
             build_chain(instance, [0, 1])
 
+    def test_rejects_duplicate_goods(self):
+        instance = Instance(PATH3, 2, Additive([5, 0, 5]))
+        with pytest.raises(ValueError, match="source contains duplicate goods"):
+            build_chain(instance, [0, 0])
+
     def test_rejects_non_maximal_source(self):
         instance = Instance(PATH3, 2, Additive([5, 0, 5]))
         with pytest.raises(ValueError, match="maximal"):

@@ -150,6 +150,13 @@ class TestSolve:
         path = write(tmp_path, "big3.json", instance_to_json(instance))
         assert main(["solve", path]) == 4
 
+    def test_auto_fails_for_one_agent_on_more_than_two_goods(self, tmp_path, capsys):
+        path = write(tmp_path, "one.json", instance_to_json(Instance(ConflictGraph(4), 1, Uniform())))
+        assert main(["solve", path]) == 4
+        assert capsys.readouterr().err == "error:no algorithm applies to 1 agents on 4 goods\n"
+        assert main(["oracle", path]) == 0
+        assert report_lines(capsys)["exists"] == "true"
+
     def test_chores_identical_swap(self, tmp_path, capsys):
         data = {
             "agents": 2,
@@ -268,6 +275,14 @@ class TestSolve:
             ({"goods": SIZE_LIMIT + 1}, f"goods must be at most {SIZE_LIMIT}"),
             ({"edges": [[True, 2]]}, "edge endpoint must be an integer"),
             ({"edges": [[0, 1.0]]}, "edge endpoint must be an integer"),
+            ({"edges": {"0": 1}}, "edges must be an array, got dict"),
+            ({"edges": [[0, 1, 2]]}, "edge must hold 2 items, got 3"),
+            ({"valuations": {"perAgent": {"a": 1}}}, "perAgent must be an array, got dict"),
+            ({"valuations": {"identical": {"type": "additive", "values": ["5", "0"]}}}, "additive vector has length 2, expected 3"),
+            (
+                {"valuations": {"identical": {"type": "composite", "baseGoods": -1, "base": {"type": "table", "entries": []}, "tail": ["0"] * 3}}},
+                "good count must be non-negative",
+            ),
             ({"valuations": {"identical": {"type": "table", "entries": table}}}, "table mask must be an integer"),
             ({"valuations": {"identical": composite}}, "baseGoods must be an integer"),
             # the overlap graph of these intervals has no edges
@@ -449,6 +464,20 @@ class TestCheck:
             alloc = write(tmp_path, "a.json", {"bundles": [[good], [], []]})
             assert main(["check", cx, alloc]) == 3, good
 
+    @pytest.mark.parametrize(
+        "bundles, message",
+        [
+            ({"0": [4], "1": [5], "2": [3]}, "bundles must be an array, got dict"),
+            ([[4], "5", [3]], "bundle must be an array, got str"),
+            ([[4, 4], [5], [3]], "bundle lists good 4 twice"),
+        ],
+    )
+    def test_malformed_bundles_are_parse_failures(self, tmp_path, capsys, bundles, message):
+        cx = write(tmp_path, "cx.json", instance_to_json(gen_counterexample(3)))
+        assert main(["check", cx, write(tmp_path, "a.json", {"bundles": bundles})]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestOracleCommand:
     def test_counterexample_has_none(self, tmp_path, capsys):
@@ -617,6 +646,14 @@ class TestColorTree:
         text = open(dot).read()
         assert "graph tree {" in text
         assert 'fillcolor="red"' in text and 'fillcolor="gray"' in text
+
+    def test_classes_past_the_named_colors(self, tmp_path, capsys):
+        tree = write(tmp_path, "t.json", {"vertices": 24, "edges": [[v, v + 1] for v in range(23)]})
+        dot = str(tmp_path / "tree.dot")
+        assert main(["color-tree", tree, "--n", "12", "--dot", dot]) == 0
+        fills = [line.split('"')[1] for line in open(dot) if "fillcolor" in line]
+        assert fills[0] == "0.917 0.600 0.900"
+        assert {fill for fill in fills if fill[0].isdigit()} == {"0.833 0.600 0.900", "0.917 0.600 0.900"}
 
     def test_cycle_rejected(self, tmp_path):
         cyc = write(

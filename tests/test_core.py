@@ -284,6 +284,21 @@ class TestIsEf1:
             assert is_ef1(instance, allocation) == expected
 
 
+@pytest.mark.parametrize("checker", [validate_allocation, is_maximal, is_ef1])
+@pytest.mark.parametrize(
+    "instance, bundles",
+    [
+        # One bundle short: on K3 the missing third bundle would take good 2.
+        (Instance(ConflictGraph(3, [(0, 1), (1, 2), (0, 2)]), 3, Uniform()), [{0}, {1}]),
+        (Instance(ConflictGraph(2), 2, Uniform()), [(), (), {0, 1}]),
+    ],
+    ids=["short", "long"],
+)
+def test_checkers_refuse_a_wrong_bundle_count(checker, instance, bundles):
+    with pytest.raises(ValueError, match=f"allocation has {len(bundles)} bundles, instance has {instance.n} agents"):
+        checker(instance, Allocation(bundles))
+
+
 class TestChoresGoodsEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -364,6 +379,15 @@ class TestInstanceValidation:
     def test_table_must_cover_all_subsets(self):
         with pytest.raises(ValueError, match="cover"):
             Table(2, {0: 0, 1: 1})
+
+    def test_table_over_other_goods(self):
+        with pytest.raises(ValueError, match="table is over 2 goods, expected 3"):
+            Instance(ConflictGraph(3), 2, Table(2, {0: 0, 1: 1, 2: 1, 3: 2}))
+
+    def test_per_agent_instance_has_no_identical_model(self):
+        instance = Instance(PATH3, 2, [Additive([5, 0, 5]), Additive([1, 1, 1])])
+        with pytest.raises(ValueError, match="does not have identical valuations"):
+            instance.identical_model
 
     def test_table_bounded_to_twenty_goods(self):
         with pytest.raises(ValueError, match="at most 20"):

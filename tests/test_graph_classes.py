@@ -158,6 +158,13 @@ class TestSchedulingGreedy:
         with pytest.raises(ValueError, match=rf"good {good} is outside \[0,3\)"):
             interval_scheduling_greedy(iv, [0, good])
 
+    @pytest.mark.parametrize(
+        "settings, message", [({"c": 0}, "capacity must be at least 1"), ({"direction": "sideways"}, "direction must be")]
+    )
+    def test_rejects_bad_settings(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            interval_scheduling_greedy(IntervalSet([(0, 2), (1, 3), (2, 4)]), **settings)
+
     def test_matches_brute_force_optimum(self, rng):
         for _ in range(60):
             m = rng.randint(1, 10)

@@ -14,6 +14,7 @@ from conflictfair import (
     ConflictGraph,
     InapplicableError,
     Instance,
+    IntervalSet,
     Negated,
     NoAlgorithmError,
     Uniform,
@@ -29,7 +30,7 @@ from conflictfair import (
     solve,
     swap_ef1,
 )
-from conflictfair import solver
+from conflictfair import graph_classes
 from conflictfair.cli import main
 from conflictfair.core import to_goods
 from conflictfair.solver import ALGORITHMS
@@ -174,8 +175,8 @@ class TestAuto:
 
     def test_bipartite_graph_checked_once(self, monkeypatch):
         calls = []
-        original = solver.is_bipartite
-        monkeypatch.setattr(solver, "is_bipartite", lambda graph: calls.append(graph) or original(graph))
+        original = graph_classes.bipartition
+        monkeypatch.setattr(graph_classes, "bipartition", lambda graph: calls.append(graph) or original(graph))
         instance = Instance(ConflictGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), 2, Uniform())
         assert solve(instance).algorithm == "bipartite"
         assert len(calls) == 1
@@ -184,12 +185,21 @@ class TestAuto:
         with pytest.raises(NoAlgorithmError, match="no algorithm applies to 3 agents on 5 goods"):
             solve(Instance(ConflictGraph(5), 3, Uniform()))
 
+    def test_intervals_that_miss_the_graph_are_not_skipped(self):
+        # The interval check's ValueError is no refusal: auto does not go
+        # on to the bipartite or the swap solver.
+        path = Instance(ConflictGraph(4, [(0, 1), (1, 2), (2, 3)]), 2, Uniform())
+        disjoint = IntervalSet([(0, 1), (2, 3), (4, 5), (6, 7)])
+        with pytest.raises(ValueError, match="joins disjoint intervals") as caught:
+            solve(path, "auto", disjoint)
+        assert not isinstance(caught.value, InapplicableError)
+
 
 class TestInapplicable:
     @pytest.mark.parametrize(
         "algorithm, instance, message",
         [
-            ("swap", Instance(ConflictGraph(2), 3, Uniform()), "algorithm swap needs exactly 2 agents"),
+            ("swap", Instance(ConflictGraph(2), 3, Uniform()), "algorithm needs exactly 2 agents, got n=3"),
             ("bipartite", Instance(ConflictGraph(3, [(0, 1), (1, 2), (0, 2)]), 2, Uniform()), "graph is not bipartite"),
             ("interval", Instance(ConflictGraph(3), 2, Uniform()), "instance file has no intervals"),
             ("roundrobin", Instance(ConflictGraph(4), 2, Uniform()), "round robin needs m <= n\\+1, got m=4"),

@@ -154,10 +154,6 @@ class TestRootedTree:
         assert tree.children == ((1,), (2, 3), (), ())
         assert tree.order == (0, 1, 2, 3)
 
-    def test_rejects_root_out_of_range(self):
-        with pytest.raises(ValueError, match="root out of range"):
-            RootedTree(ConflictGraph(2, [(0, 1)]), root=2)
-
 
 class TestConstruction:
     def test_random_trees_satisfy_all_conditions(self):
