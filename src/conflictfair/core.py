@@ -30,10 +30,22 @@ def as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+# The most bits a common denominator may have. The lcm of m distinct primes
+# has about m times their bits, so without a bound the numerators scaled
+# over it would take memory quadratic in m; within it, each numerator holds
+# at most this many bits more than its value's own.
+DENOMINATOR_BITS = 1024
+
+
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple:
     """The values' integer numerators over their least common denominator,
-    and that denominator."""
-    den = math.lcm(*(v.denominator for v in values))
+    and that denominator. Raises ValueError once the denominator passes
+    ``DENOMINATOR_BITS`` bits."""
+    den = 1
+    for d in {v.denominator for v in values}:
+        den = math.lcm(den, d)
+        if den.bit_length() > DENOMINATOR_BITS:
+            raise ValueError(f"common denominator of the values exceeds {DENOMINATOR_BITS} bits")
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
@@ -46,20 +58,24 @@ class ConflictGraph:
     def __init__(self, m: int, edges: Iterable[Sequence[int]] = ()):
         if m < 0:
             raise ValueError("good count must be non-negative")
-        normalized = set()
+        normalized, adj = set(), [set() for _ in range(m)]
+        add = normalized.add
         for u, v in edges:
-            if u == v:
+            if u < v:
+                if u < 0 or v >= m:
+                    raise ValueError(f"edge ({u},{v}) out of range [0,{m})")
+                add((u, v))
+            elif v < u:
+                if v < 0 or u >= m:
+                    raise ValueError(f"edge ({u},{v}) out of range [0,{m})")
+                add((v, u))
+            else:
                 raise ValueError(f"self-loop on good {u}")
-            if not (0 <= u < m and 0 <= v < m):
-                raise ValueError(f"edge ({u},{v}) out of range [0,{m})")
-            normalized.add((min(u, v), max(u, v)))
-        self.m = m
-        self.edges = frozenset(normalized)
-        adj = [set() for _ in range(m)]
-        for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.m = m
+        self.edges = frozenset(normalized)
+        self.adj = tuple(map(frozenset, adj))
 
     def __eq__(self, other):
         return (
@@ -277,7 +293,8 @@ class Additive(ValuationModel):
     def check(self, m: int, mode: str) -> None:
         if len(self.values) != m:
             raise ValueError(f"additive vector has length {len(self.values)}, expected {m}")
-        if any(v < 0 if mode == GOODS else v > 0 for v in self.values):
+        # den > 0, so each numerator has its value's sign.
+        if self.nums and (min(self.nums) < 0 if mode == GOODS else max(self.nums) > 0):
             raise ValueError(f"additive values must be {'non-negative' if mode == GOODS else 'non-positive'} in {mode} mode")
 
     def to_json(self) -> dict:

@@ -15,6 +15,7 @@ from .core import (
     Rational,
     _grow_independent,
     _most_valuable,
+    _over_common_denominator,
     as_fraction,
     evaluate,
 )
@@ -28,24 +29,31 @@ class IntervalSet:
     the ranks 0..2m-1 of the 2m endpoints, which keep the overlap graph
     exactly (at a tie, right endpoints rank before left ones, matching
     half-open semantics; remaining ties break by good index).
+
+    The ranks come from integers: each endpoint x is scaled to its numerator
+    over the endpoints' common denominator (positive, so the order holds),
+    and the endpoints are sorted stably on 2x+1 for a left and 2x for a
+    right endpoint, listed as good 0's left and right, then good 1's. No
+    ``Fraction`` is compared; ``intervals`` keeps the exact endpoints.
     """
 
     __slots__ = ("intervals", "keys")
 
     def __init__(self, intervals: Iterable[Sequence[Rational]]):
-        parsed = []
+        ends = []
         for l, r in intervals:
             l, r = as_fraction(l), as_fraction(r)
-            if not l < r:
+            if l.numerator * r.denominator >= r.numerator * l.denominator:
                 raise ValueError(f"interval [{l},{r}) is empty")
-            parsed.append((l, r))
-        self.intervals = tuple(parsed)
-        # side 0 = right endpoint, 1 = left endpoint; rights rank first at ties
-        events = sorted((x, side, g) for g, (l, r) in enumerate(parsed) for side, x in ((1, l), (0, r)))
-        keys = [[None, None] for _ in parsed]
-        for rank, (_x, side, g) in enumerate(events):
-            keys[g][1 - side] = rank
-        self.keys = tuple((l, r) for l, r in keys)
+            ends += l, r
+        self.intervals = tuple(zip(ends[0::2], ends[1::2]))
+        nums, _ = _over_common_denominator(ends)
+        doubled = [2 * x for x in nums]
+        doubled[0::2] = [x + 1 for x in doubled[0::2]]
+        ranks = [0] * len(ends)
+        for rank, end in enumerate(sorted(range(len(ends)), key=doubled.__getitem__)):
+            ranks[end] = rank
+        self.keys = tuple(zip(ranks[0::2], ranks[1::2]))
 
     def __len__(self):
         return len(self.intervals)

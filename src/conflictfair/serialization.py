@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
@@ -96,9 +97,17 @@ def size_from_json(value, what: str) -> int:
 
 
 def _edges_from_json(data) -> list:
+    edges = array_from_json(data.get("edges", []), "edges")
+    # The common case, checked in C: every edge an array of two integers.
+    if (
+        {list} >= set(map(type, edges))
+        and {2} >= set(map(len, edges))
+        and {int} >= set(map(type, chain.from_iterable(edges)))
+    ):
+        return edges
     return [
         tuple(integer_from_json(g, "edge endpoint") for g in array_from_json(edge, "edge", 2))
-        for edge in array_from_json(data.get("edges", []), "edges")
+        for edge in edges
     ]
 
 

@@ -47,21 +47,42 @@ def solve(instance: Instance, algorithm: str = "auto", intervals: Optional[Inter
 
     Round robin takes chores as they are; the two-agent solvers take them in
     negated goods form, and two agents with different valuations go through
-    cut-and-choose on the original instance.
+    cut-and-choose on the original instance, once for all the solvers tried.
     """
     if algorithm == "auto":
-        for algorithm in ("roundrobin", "interval", "bipartite", "swap"):
-            try:
-                return solve(instance, algorithm, intervals)
-            except InapplicableError:
-                pass
-        raise NoAlgorithmError(f"no algorithm applies to {instance.n} agents on {instance.m} goods")
-    if algorithm not in ALGORITHMS:
-        raise InapplicableError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "roundrobin":
-        allocation = round_robin_small(instance)
-    elif instance.identical:
-        allocation = _solve_identical(algorithm, to_goods(instance), intervals)
+        names = ("interval", "bipartite", "swap")
+        try:
+            return Solution("roundrobin", round_robin_small(instance))
+        except InapplicableError:
+            pass
+    elif algorithm == "roundrobin":
+        return Solution("roundrobin", round_robin_small(instance))
+    elif algorithm in ALGORITHMS:
+        names = (algorithm,)
     else:
-        allocation = cut_and_choose(instance, solve=lambda inst: _solve_identical(algorithm, inst, intervals))
-    return Solution(algorithm, allocation)
+        raise InapplicableError(f"unknown algorithm {algorithm!r}")
+    picked = []
+
+    def solve_identical(goods_instance: Instance) -> Optional[Allocation]:
+        """The allocation of the first of ``names`` whose guard accepts the
+        instance; the last one's refusal propagates."""
+        for name in names:
+            try:
+                allocation = _solve_identical(name, goods_instance, intervals)
+            except InapplicableError:
+                if name == names[-1]:
+                    raise
+            else:
+                picked.append(name)
+                return allocation
+
+    try:
+        if instance.identical:
+            allocation = solve_identical(to_goods(instance))
+        else:
+            allocation = cut_and_choose(instance, solve=solve_identical)
+    except InapplicableError:
+        if algorithm != "auto":
+            raise
+        raise NoAlgorithmError(f"no algorithm applies to {instance.n} agents on {instance.m} goods") from None
+    return Solution(picked[0], allocation)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conflictfair import (
+    GOODS,
     Additive,
     Allocation,
     ConflictGraph,
@@ -25,6 +26,7 @@ from conflictfair import (
     swap_ef1,
     validate_allocation,
 )
+from conflictfair.core import as_fraction
 from conflictfair.hardness import _assemble
 
 
@@ -279,6 +281,54 @@ def reference_is_maximal(instance: Instance, allocation: Allocation) -> bool:
             if not (adj[g] & bundle):
                 return False
     return True
+
+
+# The constructors' bodies before they moved to integers, the references for
+# the differential tests in test_core and test_graph_classes.
+
+def reference_conflict_graph(m: int, edges) -> tuple:
+    """``ConflictGraph``'s edges and adjacency, normalized edge by edge with
+    ``min`` and ``max``."""
+    if m < 0:
+        raise ValueError("good count must be non-negative")
+    normalized = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop on good {u}")
+        if not (0 <= u < m and 0 <= v < m):
+            raise ValueError(f"edge ({u},{v}) out of range [0,{m})")
+        normalized.add((min(u, v), max(u, v)))
+    adj = [set() for _ in range(m)]
+    for u, v in normalized:
+        adj[u].add(v)
+        adj[v].add(u)
+    return frozenset(normalized), tuple(frozenset(s) for s in adj)
+
+
+def reference_additive_check(values, m: int, mode: str) -> None:
+    """``Additive.check``, comparing each ``Fraction`` value with 0."""
+    values = tuple(as_fraction(v) for v in values)
+    if len(values) != m:
+        raise ValueError(f"additive vector has length {len(values)}, expected {m}")
+    if any(v < 0 if mode == GOODS else v > 0 for v in values):
+        raise ValueError(f"additive values must be {'non-negative' if mode == GOODS else 'non-positive'} in {mode} mode")
+
+
+def reference_interval_set(intervals) -> tuple:
+    """``IntervalSet``'s ``intervals`` and ``keys``, from sorting the
+    ``(x, side, g)`` events on the ``Fraction`` endpoints (side 0 is a right
+    endpoint, so rights rank first at ties)."""
+    parsed = []
+    for l, r in intervals:
+        l, r = as_fraction(l), as_fraction(r)
+        if not l < r:
+            raise ValueError(f"interval [{l},{r}) is empty")
+        parsed.append((l, r))
+    events = sorted((x, side, g) for g, (l, r) in enumerate(parsed) for side, x in ((1, l), (0, r)))
+    keys = [[None, None] for _ in parsed]
+    for rank, (_x, side, g) in enumerate(events):
+        keys[g][1 - side] = rank
+    return tuple(parsed), tuple((l, r) for l, r in keys)
 
 
 class ReferenceTable:

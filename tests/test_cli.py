@@ -19,6 +19,7 @@ from conflictfair import (
 )
 from conflictfair import cli, serialization, treecolor
 from conflictfair.cli import main
+from conflictfair.core import DENOMINATOR_BITS
 from conflictfair.serialization import (
     SIZE_LIMIT,
     ParseError,
@@ -32,6 +33,10 @@ from conflictfair.serialization import (
 from conflictfair.graph_classes import IntervalSet
 
 from conftest import random_graph, random_intervals, random_monotone_table
+
+
+HUGE_DENOMINATOR = f"1/{2 ** DENOMINATOR_BITS}"
+DENOMINATOR_MESSAGE = f"common denominator of the values exceeds {DENOMINATOR_BITS} bits"
 
 
 def write(tmp_path, name, data):
@@ -144,6 +149,24 @@ class TestSolve:
             assert main(["solve", path]) == 0
             assert report_lines(capsys)["algorithm"] == "interval"
             assert len(built) == 1
+
+    def test_interval_endpoints_scale_freely(self, tmp_path, capsys):
+        # Endpoints in thirds and the same endpoints times 3, as integers,
+        # give the same output, through the parse's integer ranks.
+        rng = random.Random(31)
+        for trial in range(12):
+            m = rng.randint(4, 24)
+            lefts = [rng.randint(-30, 30) for _ in range(m)]
+            scaled = [(l, l + rng.randint(1, 12)) for l in lefts]
+            iv = IntervalSet(scaled)
+            valuations = Additive([rng.randint(0, 9) for _ in range(m)])
+            data = instance_to_json(Instance(iv.induced_graph(), 2, valuations, "goods"), iv)
+            outputs = []
+            for ends in (scaled, [(Fraction(l, 3), Fraction(r, 3)) for l, r in scaled]):
+                data["intervals"] = [[str(l), str(r)] for l, r in ends]
+                assert main(["solve", write(tmp_path, "iv.json", data)]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1] and "algorithm:interval" in outputs[0], trial
 
     def test_auto_fails_for_large_three_agent_instance(self, tmp_path, capsys):
         instance = Instance(ConflictGraph(6), 3, Uniform())
@@ -334,6 +357,18 @@ class TestSolve:
                 "bad rational 0.5",
             ),
             ({"intervals": [[0, 2.0], ["1", "3"], ["2", "4"]]}, "bad rational 2.0"),
+            # The first bad edge in input order, past good ones.
+            ({"edges": [[0, 1], [1, 2], [0, "2"], [5]]}, "edge endpoint must be an integer, got '2'"),
+            ({"edges": [[0, 1], [1], [True, 0]]}, "edge must hold 2 items, got 1"),
+            # Common denominators past the bound, in each model that scales
+            # its values and in the intervals.
+            ({"valuations": {"identical": {"type": "additive", "values": ["0", HUGE_DENOMINATOR, "1/3"]}}}, DENOMINATOR_MESSAGE),
+            (one_good_table([["0", "0"], ["1", HUGE_DENOMINATOR]]), DENOMINATOR_MESSAGE),
+            (
+                {"valuations": {"identical": {"type": "composite", "baseGoods": 1, "base": {"type": "uniform"}, "tail": ["0", "0", HUGE_DENOMINATOR]}}},
+                DENOMINATOR_MESSAGE,
+            ),
+            ({"intervals": [["0", "2"], ["1", "3"], ["2", f"{4 * 2 ** DENOMINATOR_BITS + 1}/{2 ** DENOMINATOR_BITS}"]]}, DENOMINATOR_MESSAGE),
             ({"edges": [[0, 0]]}, "self-loop on good 0"),
             ({"edges": [[0, 5]]}, "edge (0,5) out of range [0,3)"),
             ({"goods": -1}, "good count must be non-negative"),

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conflictfair import (
+    CHORES,
+    GOODS,
     Additive,
     Allocation,
     ConflictGraph,
@@ -29,6 +31,7 @@ from conflictfair import (
     validate_allocation,
     value_minus_one,
 )
+from conflictfair.core import DENOMINATOR_BITS
 from conflictfair.oracle import enumerate_maximal_allocations
 
 from conftest import (
@@ -37,8 +40,10 @@ from conftest import (
     random_maximal_allocation,
     random_monotone_table,
     random_wellformed_allocation,
+    reference_additive_check,
     reference_allocated,
     reference_bundles,
+    reference_conflict_graph,
     reference_is_independent_set,
     reference_is_maximal,
     reference_validate_allocation,
@@ -52,6 +57,38 @@ PATH3 = ConflictGraph(3, [(0, 1), (1, 2)])
 @pytest.fixture(scope="module")
 def counterexample3():
     return gen_counterexample(3)
+
+
+def graph_parts(m, edges):
+    graph = ConflictGraph(m, edges)
+    return graph.edges, graph.adj
+
+
+class TestConflictGraph:
+    def test_matches_min_max_reference(self, rng):
+        # Reversed pairs, duplicates, self-loops and endpoints -1 and m; the
+        # first bad edge in input order names the error.
+        outcomes = set()
+        for _ in range(800):
+            m = rng.randint(0, 9)
+            edges = []
+            for _e in range(rng.randint(0, 12)):
+                roll = rng.random()
+                if edges and roll < 0.25:
+                    u, v = rng.choice(edges)
+                    edges.append((v, u) if roll < 0.15 else (u, v))
+                elif roll < 0.28:
+                    g = rng.randint(-1, m)
+                    edges.append((g, g))
+                elif roll < 0.33:
+                    edges.append(rng.sample([rng.choice([-1, m]), rng.randint(-1, m)], 2))
+                elif m >= 2:
+                    edges.append(rng.sample(range(m), 2))
+            got = outcome(graph_parts, m, edges)
+            assert got == outcome(reference_conflict_graph, m, edges), (m, edges)
+            outcomes.add(got[0] if got[0] == "ok" else got[1].split(" ")[0])
+        assert outcomes == {"ok", "self-loop", "edge"}
+        assert outcome(ConflictGraph, -1) == outcome(reference_conflict_graph, -1, ())
 
 
 class TestEvaluate:
@@ -375,6 +412,42 @@ class TestInstanceValidation:
             pytest.skip("degenerate all-zero table")
         with pytest.raises(ValueError, match="non-increasing"):
             Instance(ConflictGraph(3), 2, model, "chores")
+
+    def test_additive_check_matches_fraction_reference(self, rng):
+        # Mixed denominators, sometimes with one value of the wrong sign.
+        failed = set()
+        for _ in range(300):
+            m = rng.randint(0, 8)
+            sign = rng.choice([1, -1])
+            values = [sign * Fraction(rng.randint(0, 9), rng.choice([1, 2, 3, 5, 7])) for _ in range(m)]
+            if m and rng.random() < 0.5:
+                values[rng.randrange(m)] = -sign * Fraction(1, rng.choice([3, 4, 11]))
+            model = Additive(values)
+            for mode in (GOODS, CHORES):
+                for goods in (m, m + 1):
+                    got = outcome(model.check, goods, mode)
+                    assert got == outcome(reference_additive_check, values, goods, mode), (values, goods, mode)
+                    if goods == m and got[0] == "error":
+                        failed.add(mode)
+        assert failed == {GOODS, CHORES}
+
+    def test_common_denominator_is_bounded(self):
+        limit = 1 << DENOMINATOR_BITS
+        message = f"common denominator of the values exceeds {DENOMINATOR_BITS} bits"
+        # 2^(bits-1) is the largest power of two within the bound.
+        Additive([Fraction(1, limit // 2), 3])
+        Table(1, {0: 0, 1: Fraction(1, limit // 2)})
+        for model in (
+            lambda: Additive([Fraction(1, limit), 3]),
+            lambda: Additive([Fraction(1, 3), Fraction(1, limit // 2)]),
+            lambda: Table(1, {0: 0, 1: Fraction(1, 3 * limit)}),
+        ):
+            with pytest.raises(ValueError, match=message):
+                model()
+        # Distinct primes past the bound: the lcm stops as it passes it.
+        primes = [p for p in range(3, 2000, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2))]
+        with pytest.raises(ValueError, match=message):
+            Additive([Fraction(1, p) for p in primes])
 
     def test_table_must_cover_all_subsets(self):
         with pytest.raises(ValueError, match="cover"):

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from conflictfair import (
     CHORES,
+    GOODS,
     Additive,
     ConflictGraph,
     Instance,
@@ -34,6 +36,7 @@ from conftest import (
     random_graph,
     random_intervals,
     random_monotone_table,
+    reference_interval_set,
     schedule_feasible,
     slice_greedy,
     sweep_check,
@@ -100,6 +103,60 @@ class TestIntervalSet:
                     if li < rj and lj < ri:
                         raw_overlaps.add((i, j))
             assert iv.induced_graph().edges == raw_overlaps
+
+    def test_matches_fraction_sort_reference(self, rng):
+        # Integer, half, third and mixed endpoints on a small grid reaching
+        # below 0, so many coincide; a few empty intervals and float
+        # endpoints, where the first bad interval in input order names the
+        # error.
+        outcomes = set()
+        for i in range(600):
+            dens = ([1], [2], [3], [1, 2, 3])[i % 4]
+            raw = []
+            for _ in range(rng.randint(0, 14)):
+                l, r = (Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(2))
+                roll = rng.random()
+                if roll < 0.03:
+                    raw.append((l, l) if roll < 0.015 else (max(l, r) + 1, min(l, r)))
+                elif roll < 0.045:
+                    raw.append((float(min(l, r)), max(l, r) + 1))
+                else:
+                    l, r = min(l, r), max(l, r) + Fraction(1, rng.choice(dens))
+                    raw.append((int(l), int(r)) if dens == [1] else (l, r))
+            try:
+                iv = IntervalSet(raw)
+                got = ("ok", iv.intervals, iv.keys)
+            except (TypeError, ValueError) as exc:
+                got = (type(exc), str(exc))
+            try:
+                expected = ("ok", *reference_interval_set(raw))
+            except (TypeError, ValueError) as exc:
+                expected = (type(exc), str(exc))
+            assert got == expected, raw
+            outcomes.add(got[0])
+        assert outcomes == {"ok", TypeError, ValueError}
+
+    def test_construction_compares_no_fraction(self, monkeypatch):
+        # Integer ranks and signs: building an interval set and checking an
+        # additive model never compare two Fractions.
+        rng = random.Random(17)
+        lefts = [Fraction(rng.randint(-300, 300), 3) for _ in range(200)]
+        raw = [(l, l + Fraction(rng.randint(1, 60), 3)) for l in lefts]
+        values = [Fraction(rng.randint(0, 9), rng.choice([1, 2, 3])) for _ in range(200)]
+        goods, chores = Additive(values), Additive([-v for v in values])
+        compared = []
+        for name in ("__lt__", "_richcmp"):
+            original = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda a, b, *rest, original=original: compared.append(a) or original(a, b, *rest))
+        IntervalSet(raw)
+        goods.check(200, GOODS)
+        chores.check(200, CHORES)
+        assert Fraction(1, 3) < Fraction(1, 2) and compared, "the counting hooks are not in place"
+        compared.clear()
+        IntervalSet(raw)
+        goods.check(200, GOODS)
+        chores.check(200, CHORES)
+        assert compared == []
 
     def test_check_agrees_with_induced_graph(self, rng):
         # accepts exactly the induced graph, with the same error text as the

@@ -30,7 +30,7 @@ from conflictfair import (
     solve,
     swap_ef1,
 )
-from conflictfair import graph_classes
+from conflictfair import graph_classes, solver
 from conflictfair.cli import main
 from conflictfair.core import to_goods
 from conflictfair.solver import ALGORITHMS
@@ -180,6 +180,24 @@ class TestAuto:
         instance = Instance(ConflictGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), 2, Uniform())
         assert solve(instance).algorithm == "bipartite"
         assert len(calls) == 1
+
+    def test_per_agent_sub_instance_built_once(self, monkeypatch):
+        # On an odd cycle with no intervals, auto asks the interval, the
+        # bipartite and the swap solver, all on one agent-1 sub-instance.
+        cycle = ConflictGraph(5, [(g, (g + 1) % 5) for g in range(5)])
+        models = [random_additive(random.Random(seed), 5) for seed in (1, 2)]
+        for mode, built_per_solve in ((GOODS, 1), (CHORES, 2)):
+            agents = models if mode == GOODS else [Negated(v) for v in models]
+            instance = Instance(cycle, 2, agents, mode)
+            calls, built = [], []
+            monkeypatch.setattr(solver, "cut_and_choose", lambda *args, **kw: calls.append(args) or cut_and_choose(*args, **kw))
+            original = Instance.__init__
+            monkeypatch.setattr(Instance, "__init__", lambda self, *args: built.append(args) or original(self, *args))
+            solution = solve(instance)
+            monkeypatch.undo()
+            assert solution.algorithm == "swap"
+            assert solution.allocation == cut_and_choose(instance, swap_solver)
+            assert len(calls) == 1 and len(built) == built_per_solve, mode
 
     def test_no_algorithm_for_three_agents(self):
         with pytest.raises(NoAlgorithmError, match="no algorithm applies to 3 agents on 5 goods"):
