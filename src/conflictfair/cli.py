@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
 
-from .core import is_ef1, is_maximal, validate_allocation
+from .core import GOODS, is_ef1, is_maximal, validate_allocation
 from .solver import ALGORITHMS, InapplicableError, NoAlgorithmError, solve
 from .oracle import BudgetExceededError, EnumerationBudget, compute_gamma, count_maximal_allocations, exists_maximal_ef1
 from .hardness import ISInstance, build_reduction, gen_counterexample
@@ -98,6 +99,8 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     start = time.monotonic()
+    if args.wall_clock is not None and math.isnan(args.wall_clock):
+        return _fail(EXIT_INAPPLICABLE, "--wall-clock must be a number of seconds, not nan")
 
     def budget() -> EnumerationBudget:
         """--wall-clock bounds the whole command: each search gets the time left."""
@@ -105,8 +108,8 @@ def cmd_oracle(args) -> int:
         return EnumerationBudget(max_assignments=args.max_assignments, wall_clock_seconds=left)
 
     instance, _ = ser.instance_from_json(ser.load_json(args.instance))
-    if args.gamma and not instance.identical:
-        return _fail(EXIT_INAPPLICABLE, "gamma needs identical valuations")
+    if args.gamma and not (instance.identical and instance.mode == GOODS):
+        return _fail(EXIT_INAPPLICABLE, "gamma needs identical valuations of goods")
     result = exists_maximal_ef1(instance, budget())
     print(f"exists:{_bool(result.exists)}")
     if args.witness:
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wall-clock",
         type=float,
         default=None,
-        help="seconds for the whole command; each search gets the time left (exit 5 when spent)",
+        help="seconds for the whole command; each search gets the time left (exit 5 when spent; nan is refused)",
     )
 
     gen = sub.add_parser("gen", help="generate counterexample or reduction instances")

@@ -34,7 +34,7 @@ n - k empty bundles, and its orbit has n!/(n-k)! members.
 
 Budgets: the search refuses up front (``BudgetExceededError``) when (n+1)^m
 exceeds ``max_assignments``, however much of the tree pruning would cut; the
-wall-clock deadline is checked every 1024 visited search nodes.
+wall-clock deadline is checked at the first search node and every 1024 after.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from .core import (
+    GOODS,
     Allocation,
     Instance,
     ValuationModel,
@@ -88,7 +89,7 @@ def enumerate_maximal_allocations(
     recursion, so m is limited by the budget alone. Raises
     ``BudgetExceededError`` before the search when (n+1)^m exceeds
     ``budget.max_assignments``, and during it when the wall clock passes
-    ``budget.wall_clock_seconds`` (checked every 1024 visited nodes).
+    ``budget.wall_clock_seconds`` (checked at the first node, then every 1024).
     """
     budget = budget or EnumerationBudget()
     n, m = instance.n, instance.m
@@ -121,7 +122,7 @@ def enumerate_maximal_allocations(
     depth = visited = 0
     while depth >= 0:
         visited += 1
-        if deadline is not None and visited % 1024 == 0 and time.monotonic() > deadline:
+        if deadline is not None and visited % 1024 == 1 and time.monotonic() >= deadline:
             raise BudgetExceededError("enumeration exceeded the wall-clock budget")
         if depth == m:
             allocation = Allocation(members[1:])
@@ -203,8 +204,8 @@ def _gamma_and_allocation(
     """Smallest ``worst_envy_gap`` over all maximal allocations, and the
     first allocation in enumeration order that attains it. There is always
     one: greedy completion yields a maximal allocation."""
-    if not instance.identical:
-        raise ValueError("gamma is defined for identical valuations")
+    if not instance.identical or instance.mode != GOODS:
+        raise ValueError("gamma is defined for identical valuations of goods")
     model = instance.identical_model
     allocations = enumerate_maximal_allocations(instance, budget, symmetric=True)
     gaps = ((worst_envy_gap(model, a), a) for a in allocations)

@@ -11,7 +11,17 @@ from .chain import InapplicableError, chain_ef1, cut_and_choose, most_valuable_s
 from .swap import swap_ef1
 from .graph_classes import IntervalSet, bipartite_ef1, interval_ef1, round_robin_small
 
-ALGORITHMS = ("chain", "swap", "bipartite", "interval", "roundrobin")
+# Each two-agent solver's call on an identical goods-mode instance. The
+# lambdas look the solvers up in this module on each call, so that a wrapper
+# bound to a module attribute (as the traced benchmark binds one) runs.
+TWO_AGENT = {
+    "chain": lambda instance, intervals: chain_ef1(instance, sorted(most_valuable_source(instance))).allocation,
+    "swap": lambda instance, intervals: swap_ef1(instance)[0],
+    "bipartite": lambda instance, intervals: bipartite_ef1(instance),
+    "interval": lambda instance, intervals: interval_ef1(instance, intervals),
+}
+ALGORITHMS = (*TWO_AGENT, "roundrobin")
+AUTO = ("roundrobin", "interval", "bipartite", "swap")
 
 
 class NoAlgorithmError(ValueError):
@@ -27,62 +37,42 @@ class Solution:
     allocation: Optional[Allocation]
 
 
-def _solve_identical(algorithm: str, instance: Instance, intervals: Optional[IntervalSet]) -> Optional[Allocation]:
-    """Run a two-agent algorithm on an identical goods-mode instance."""
-    if algorithm == "chain":
-        return chain_ef1(instance, sorted(most_valuable_source(instance))).allocation
-    if algorithm == "swap":
-        return swap_ef1(instance)[0]
-    if algorithm == "bipartite":
-        return bipartite_ef1(instance)
-    return interval_ef1(instance, intervals)
-
-
 def solve(instance: Instance, algorithm: str = "auto", intervals: Optional[IntervalSet] = None) -> Solution:
     """Maximal EF1 allocation by ``algorithm``, one of ``ALGORITHMS`` or
     ``"auto"``. A named algorithm raises ``InapplicableError`` from its
-    guard when it does not apply; ``auto`` runs the first of round robin,
-    the interval, the bipartite and the swap solver whose guard accepts
-    the instance.
+    guard when it does not apply; ``auto`` runs the first of ``AUTO`` whose
+    guard accepts the instance.
 
     Round robin takes chores as they are; the two-agent solvers take them in
     negated goods form, and two agents with different valuations go through
     cut-and-choose on the original instance, once for all the solvers tried.
     """
-    if algorithm == "auto":
-        names = ("interval", "bipartite", "swap")
-        try:
-            return Solution("roundrobin", round_robin_small(instance))
-        except InapplicableError:
-            pass
-    elif algorithm == "roundrobin":
-        return Solution("roundrobin", round_robin_small(instance))
-    elif algorithm in ALGORITHMS:
-        names = (algorithm,)
-    else:
+    if algorithm != "auto" and algorithm not in ALGORITHMS:
         raise InapplicableError(f"unknown algorithm {algorithm!r}")
-    picked = []
+    # Each name whose guard refuses is dropped, so the first one left is the
+    # one that ran; the last one's refusal propagates.
+    names = list(AUTO if algorithm == "auto" else (algorithm,))
 
-    def solve_identical(goods_instance: Instance) -> Optional[Allocation]:
-        """The allocation of the first of ``names`` whose guard accepts the
-        instance; the last one's refusal propagates."""
-        for name in names:
+    def two_agent(goods_instance: Instance) -> Optional[Allocation]:
+        while True:
             try:
-                allocation = _solve_identical(name, goods_instance, intervals)
+                return TWO_AGENT[names[0]](goods_instance, intervals)
             except InapplicableError:
-                if name == names[-1]:
+                del names[0]
+                if not names:
                     raise
-            else:
-                picked.append(name)
-                return allocation
 
     try:
-        if instance.identical:
-            allocation = solve_identical(to_goods(instance))
-        else:
-            allocation = cut_and_choose(instance, solve=solve_identical)
+        if names[0] == "roundrobin":
+            try:
+                return Solution("roundrobin", round_robin_small(instance))
+            except InapplicableError:
+                del names[0]
+                if not names:
+                    raise
+        allocation = two_agent(to_goods(instance)) if instance.identical else cut_and_choose(instance, two_agent)
     except InapplicableError:
         if algorithm != "auto":
             raise
         raise NoAlgorithmError(f"no algorithm applies to {instance.n} agents on {instance.m} goods") from None
-    return Solution(picked[0], allocation)
+    return Solution(names[0], allocation)

@@ -531,6 +531,46 @@ class TestOracleCommand:
         lines = report_lines(capsys)
         assert code == 0 and lines["gamma"] == "1"
 
+    @pytest.mark.parametrize("flags", [[], ["--count"], ["--gamma"], ["--witness", "w.json", "--count", "--gamma"]])
+    @pytest.mark.parametrize("limit, code", [("0", 5), ("-5", 5), ("nan", 2)])
+    def test_no_time_left_stops_a_short_search(self, tmp_path, capsys, monkeypatch, flags, limit, code):
+        # Three goods: the whole search is a few nodes, far fewer than the
+        # 1024 between two later checks of the clock. A NaN limit is refused
+        # as an invalid parameter before the file is read.
+        monkeypatch.chdir(tmp_path)
+        inst = write(tmp_path, "three.json", instance_to_json(Instance(ConflictGraph(3, [(0, 1)]), 2, Uniform())))
+        assert main(["oracle", inst, "--wall-clock", limit, *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = "wall-clock budget" if code == 5 else "--wall-clock must be a number of seconds, not nan"
+        assert captured.err.startswith("error:") and expected in captured.err
+        assert not (tmp_path / "w.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--count", "--gamma"])
+    def test_search_after_a_slow_exists_gets_no_time(self, tmp_path, capsys, monkeypatch, flag):
+        inst = write(tmp_path, "three.json", instance_to_json(Instance(ConflictGraph(3, [(0, 1)]), 2, Uniform())))
+        original = cli.exists_maximal_ef1
+
+        def slow_exists(*args):
+            result = original(*args)
+            time.sleep(0.2)
+            return result
+
+        monkeypatch.setattr(cli, "exists_maximal_ef1", slow_exists)
+        assert main(["oracle", inst, flag, "--wall-clock", "0.1"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "exists:true\n"
+        assert "wall-clock budget" in captured.err
+
+    def test_gamma_refuses_chores(self, tmp_path, capsys, monkeypatch):
+        searches = []
+        monkeypatch.setattr(cli, "exists_maximal_ef1", lambda *args: searches.append(args))
+        inst = write(tmp_path, "chores.json", instance_to_json(Instance(ConflictGraph(4), 3, Additive([-1, -2, -3, -4]), "chores")))
+        assert main(["oracle", inst, "--gamma"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error:gamma needs identical valuations of goods\n"
+        assert searches == []
+
     def test_witness_and_count(self, tmp_path, capsys):
         inst = write(
             tmp_path,

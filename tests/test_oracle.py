@@ -109,6 +109,16 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError, match="wall-clock"):
             list(enumerate_maximal_allocations(instance, budget))
 
+    @pytest.mark.parametrize("seconds", [0.0, -5.0])
+    def test_wall_clock_checked_at_the_first_node(self, seconds):
+        # A search of a few nodes, far fewer than 1024, still stops when it
+        # starts with no time left.
+        instance = Instance(ConflictGraph(3, [(0, 1)]), 2, Uniform())
+        budget = EnumerationBudget(wall_clock_seconds=seconds)
+        for search in (exists_maximal_ef1, count_maximal_allocations, compute_gamma):
+            with pytest.raises(BudgetExceededError, match="wall-clock"):
+                search(instance, budget)
+
 
 class TestExistence:
     def test_counterexample_three_agents(self):
@@ -164,6 +174,14 @@ class TestGamma:
         instance = Instance(ConflictGraph(1), 2, [Additive([1]), Additive([2])])
         with pytest.raises(ValueError, match="identical"):
             compute_gamma(instance)
+
+    def test_refuses_chores(self):
+        # The gap formula is the goods one: on chores it gives a number
+        # (4 here) that means nothing.
+        instance = Instance(ConflictGraph(4), 3, Additive([-1, -2, -3, -4]), "chores")
+        for gamma in (compute_gamma, _gamma_and_allocation):
+            with pytest.raises(ValueError, match="gamma is defined for identical valuations of goods"):
+                gamma(instance)
 
     def test_positive_gamma_forbids_ef1(self, rng):
         # For identical monotone goods valuations gamma <= 0 exactly when
@@ -233,15 +251,21 @@ class TestSymmetricSearch:
 
     def test_answers_equal_the_full_search(self, searches):
         outcomes = set()
-        for instance, full, _symmetric in searches:
+        for instance, full, symmetric in searches:
             witness = next((a for a in full if is_ef1(instance, a)), None)
             result = exists_maximal_ef1(instance)
             assert (result.exists, result.witness) == (witness is not None, witness)
             model = instance.identical_model
             gaps = [worst_envy_gap(model, a) for a in full]
             gamma = min(gaps)
-            assert compute_gamma(instance) == gamma
-            assert _gamma_and_allocation(instance) == (gamma, full[gaps.index(gamma)])
+            if instance.mode == "goods":
+                assert compute_gamma(instance) == gamma
+                assert _gamma_and_allocation(instance) == (gamma, full[gaps.index(gamma)])
+            else:
+                # Gamma refuses chores; the symmetric search still finds the
+                # least gap and the first leaf attaining it.
+                least = min(((worst_envy_gap(model, a), a) for a in symmetric), key=lambda pair: pair[0])
+                assert least == (gamma, full[gaps.index(gamma)])
             outcomes.add(result.exists)
         assert outcomes == {True, False}
 

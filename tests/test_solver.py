@@ -10,6 +10,7 @@ import pytest
 
 from conflictfair import (
     CHORES,
+    Additive,
     GOODS,
     ConflictGraph,
     InapplicableError,
@@ -23,6 +24,7 @@ from conflictfair import (
     complete_to_maximal_is,
     compute_gamma,
     cut_and_choose,
+    enumerate_maximal_allocations,
     evaluate,
     interval_ef1,
     is_bipartite,
@@ -33,6 +35,7 @@ from conflictfair import (
 from conflictfair import graph_classes, solver
 from conflictfair.cli import main
 from conflictfair.core import to_goods
+from conflictfair.oracle import worst_envy_gap
 from conflictfair.solver import ALGORITHMS
 
 from conftest import (
@@ -213,6 +216,49 @@ class TestAuto:
         assert not isinstance(caught.value, InapplicableError)
 
 
+# The solver each algorithm name runs, as bound in the ``solver`` module.
+SOLVER_ATTRIBUTES = {
+    "chain": "chain_ef1",
+    "swap": "swap_ef1",
+    "bipartite": "bipartite_ef1",
+    "interval": "interval_ef1",
+    "roundrobin": "round_robin_small",
+}
+
+
+class TestModuleAttributes:
+    """``solve`` reaches each solver through the ``solver`` module's
+    attribute, looked up on each call: a wrapper bound there (as the traced
+    benchmark binds its spans) is the one that runs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in SOLVER_ATTRIBUTES.values():
+            original = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *args, name=name, original=original: calls.append(name) or original(*args))
+        return calls
+
+    def test_algorithm_names(self):
+        assert ALGORITHMS == ("chain", "swap", "bipartite", "interval", "roundrobin")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("per_agent", [False, True])
+    def test_each_name_reaches_its_wrapper(self, calls, algorithm, per_agent):
+        m = 3 if algorithm == "roundrobin" else 4
+        intervals = IntervalSet([(g, g + 2) for g in range(m)])
+        models = [random_additive(random.Random(seed), m) for seed in (1, 2)]
+        instance = Instance(intervals.induced_graph(), 2, models if per_agent else models[0])
+        assert solve(instance, algorithm, intervals).algorithm == algorithm
+        assert calls == [SOLVER_ATTRIBUTES[algorithm]]
+
+    def test_auto_asks_each_wrapper_in_turn(self, calls):
+        cycle = ConflictGraph(5, [(g, (g + 1) % 5) for g in range(5)])
+        models = [random_additive(random.Random(seed), 5) for seed in (1, 2)]
+        assert solve(Instance(cycle, 2, models)).algorithm == "swap"
+        assert calls == ["round_robin_small", "interval_ef1", "bipartite_ef1", "swap_ef1"]
+
+
 class TestInapplicable:
     @pytest.mark.parametrize(
         "algorithm, instance, message",
@@ -275,5 +321,83 @@ def test_allocations_match_parent():
         put("bipartite", repr(bipartite_ef1(to_goods(Instance(_bipartite_graph(rng, m), 2, models[0], mode)))))
         if m <= 6:
             n = rng.randint(2, 3)
-            put("gamma", compute_gamma(Instance(random_graph(rng, m), n, models[0], mode)))
+            instance = Instance(random_graph(rng, m), n, models[0], mode)
+            if mode == GOODS:
+                put("gamma", compute_gamma(instance))
+            else:
+                # compute_gamma refuses chores; this is the smallest gap it
+                # returned for them before it did.
+                leaves = enumerate_maximal_allocations(instance, symmetric=True)
+                put("gamma", min(worst_envy_gap(models[0], leaf) for leaf in leaves))
     assert digest.hexdigest() == PINNED_ALLOCATIONS
+
+
+def _odd_cycle(rng, m):
+    """A cycle on an odd number of the m goods (m >= 3), in random order,
+    plus a few chords."""
+    k = m if m % 2 else m - 1
+    order = rng.sample(range(m), k)
+    edges = {tuple(sorted((order[i], order[(i + 1) % k]))) for i in range(k)}
+    edges.update((u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < 0.15)
+    return ConflictGraph(m, edges)
+
+
+def _solve_corpus():
+    """Seeded instances for every branch of ``solve``: one to three agents,
+    identical and per-agent valuations, goods and chores, m <= n+1, bipartite
+    graphs, odd cycles, general graphs and interval graphs with and without
+    their intervals (and with intervals of another graph)."""
+    rng = random.Random(2026)
+    out = []
+    for i in range(150):
+        n = rng.choice((1, 2, 2, 2, 2, 3))
+        kind = i % 5
+        m = rng.randint(0, n + 1) if kind == 0 else rng.randint(3 if kind == 2 else 1, 7)
+        intervals = None
+        if kind == 1:
+            graph = _bipartite_graph(rng, m)
+        elif kind == 2:
+            graph = _odd_cycle(rng, m)
+        elif kind == 3:
+            intervals = random_intervals(rng, m, span=12)
+            graph = intervals.induced_graph()
+            if rng.random() < 0.3:
+                intervals = None
+            elif rng.random() < 0.15:
+                intervals = random_intervals(rng, m, span=12)
+        else:
+            graph = random_connected_graph(rng, m) if m else ConflictGraph(0)
+        mode = CHORES if rng.random() < 0.4 else GOODS
+        models = [_model(rng, m) for _ in range(n)]
+        if mode == CHORES:
+            models = [Negated(v) for v in models]
+        valuations = models[0] if rng.random() < 0.5 else models
+        out.append((Instance(graph, n, valuations, mode), intervals))
+    # The single chain from the most valuable good finds no EF1 step here.
+    no_chain = ConflictGraph(7, [(0, 1), (0, 5), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (4, 5), (5, 6)])
+    values = Additive([9, 10, 4, 7, 7, 0, 10])
+    out.append((Instance(no_chain, 2, values), None))
+    out.append((Instance(no_chain, 2, Negated(values), CHORES), None))
+    return out
+
+
+# sha256 over the corpus of ``test_solve_outputs_pinned``.
+PINNED_SOLVE = "e40a52c2ee31742bdd1f95751d4f5bd9ec63cf2094708d0a11c899218cb29c42"
+
+
+def test_solve_outputs_pinned():
+    """Per instance and per algorithm (``auto`` and every name in
+    ``ALGORITHMS``), the algorithm that ran and its sorted bundles, or the
+    type and message of what ``solve`` raised, are those pinned."""
+    digest = hashlib.sha256()
+    for instance, intervals in _solve_corpus():
+        for algorithm in ("auto", *ALGORITHMS):
+            try:
+                solution = solve(instance, algorithm, intervals)
+            except (ValueError, RuntimeError) as exc:
+                row = (type(exc).__name__, str(exc))
+            else:
+                allocation = solution.allocation
+                row = (solution.algorithm, None if allocation is None else [sorted(b) for b in allocation.bundles])
+            digest.update(repr((algorithm, row)).encode())
+    assert digest.hexdigest() == PINNED_SOLVE
