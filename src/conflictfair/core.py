@@ -51,7 +51,9 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple:
 
 class ConflictGraph:
     """Undirected graph over goods 0..m-1; an edge forbids both endpoints
-    in one bundle."""
+    in one bundle. ``edges`` holds each edge once, as (u, v) with u < v;
+    ``adj[g]`` is a tuple of g's neighbours, each once, in no fixed order,
+    so callers test disjointness from their own set: ``s.isdisjoint(adj[g])``."""
 
     __slots__ = ("m", "edges", "adj")
 
@@ -75,7 +77,7 @@ class ConflictGraph:
             adj[v].add(u)
         self.m = m
         self.edges = frozenset(normalized)
-        self.adj = tuple(map(frozenset, adj))
+        self.adj = tuple(map(tuple, adj))
 
     def __eq__(self, other):
         return (
@@ -602,7 +604,7 @@ def is_independent_set(graph: ConflictGraph, subset: Iterable[int]) -> bool:
     s = subset if isinstance(subset, (set, frozenset)) else set(subset)
     adj = graph.adj
     for g in s:
-        if not adj[g].isdisjoint(s):
+        if not s.isdisjoint(adj[g]):
             return False
     return True
 
@@ -632,7 +634,7 @@ def is_maximal(instance: Instance, allocation: Allocation) -> bool:
     adj, bundles = instance.graph.adj, allocation.bundles
     for g in allocation.unallocated(instance.m):
         for bundle in bundles:
-            if adj[g].isdisjoint(bundle):
+            if bundle.isdisjoint(adj[g]):
                 return False
     return True
 
@@ -647,9 +649,7 @@ def is_ef1(instance: Instance, allocation: Allocation) -> bool:
             model = instance.models[i]
             own = model.value(bundles[i])
             for j in range(instance.n):
-                if i == j or not bundles[j]:
-                    continue
-                if own < value_minus_one(model, bundles[j]):
+                if i != j and bundles[j] and own < value_minus_one(model, bundles[j]):
                     return False
         return True
     for i in range(instance.n):
@@ -659,9 +659,7 @@ def is_ef1(instance: Instance, allocation: Allocation) -> bool:
             continue
         best_after_removal = model.max_drop(mine)
         for j in range(instance.n):
-            if i == j:
-                continue
-            if best_after_removal < model.value(bundles[j]):
+            if i != j and best_after_removal < model.value(bundles[j]):
                 return False
     return True
 
@@ -688,6 +686,6 @@ def _grow_independent(graph: ConflictGraph, chosen: Iterable[int], candidates: I
     adj = graph.adj
     result = set(chosen)
     for g in candidates:
-        if not adj[g] & result:
+        if result.isdisjoint(adj[g]):
             result.add(g)
     return frozenset(result)

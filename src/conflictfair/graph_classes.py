@@ -34,7 +34,7 @@ class IntervalSet:
     over the endpoints' common denominator (positive, so the order holds),
     and the endpoints are sorted stably on 2x+1 for a left and 2x for a
     right endpoint, listed as good 0's left and right, then good 1's. No
-    ``Fraction`` is compared; ``intervals`` keeps the exact endpoints.
+    ``Fraction`` is compared; ``intervals`` keeps exact endpoints, ints as ints.
     """
 
     __slots__ = ("intervals", "keys")
@@ -42,7 +42,8 @@ class IntervalSet:
     def __init__(self, intervals: Iterable[Sequence[Rational]]):
         ends = []
         for l, r in intervals:
-            l, r = as_fraction(l), as_fraction(r)
+            l = l if type(l) is int else as_fraction(l)
+            r = r if type(r) is int else as_fraction(r)
             if l.numerator * r.denominator >= r.numerator * l.denominator:
                 raise ValueError(f"interval [{l},{r}) is empty")
             ends += l, r
@@ -303,10 +304,10 @@ def round_robin_small(instance: Instance) -> Allocation:
         if instance.m == instance.n + 1:
             for agent in range(instance.n):
                 f = _most_valuable(instance.models[agent], rest)
-                free = [y for y in rest if y != f and y not in instance.graph.adj[f]]
-                if free:
-                    bundles[agent] = {f, free[0]}
-                    rest.remove(free[0])
+                y = min(set(rest).difference(instance.graph.adj[f], (f,)), default=None)
+                if y is not None:
+                    bundles[agent] = {f, y}
+                    rest.remove(y)
                     break
             else:
                 f = _most_valuable(instance.models[0], rest)
@@ -322,7 +323,7 @@ def round_robin_small(instance: Instance) -> Allocation:
     if remaining:
         leftover = remaining.pop()
         for agent in range(instance.n):
-            if not (instance.graph.adj[leftover] & bundles[agent]):
+            if bundles[agent].isdisjoint(instance.graph.adj[leftover]):
                 bundles[agent].add(leftover)
                 break
     return Allocation(bundles)

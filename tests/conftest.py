@@ -81,12 +81,24 @@ def random_tree_edges(rng: random.Random, nv: int):
     return [(rng.randrange(v), v) for v in range(1, nv)]
 
 
+def neighbours(graph: ConflictGraph) -> tuple:
+    """Each good's neighbours as a frozenset, built from ``graph.edges``
+    alone, so that the reference checkers do not read the adjacency they
+    check."""
+    adj = [set() for _ in range(graph.m)]
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(map(frozenset, adj))
+
+
 def random_wellformed_allocation(rng: random.Random, instance: Instance) -> Allocation:
     """Random wellformed (not necessarily maximal) allocation."""
     bundles = [set() for _ in range(instance.n)]
+    adj = neighbours(instance.graph)
     for g in rng.sample(range(instance.m), instance.m):
         label = rng.randrange(instance.n + 1)
-        if label and not (instance.graph.adj[g] & bundles[label - 1]):
+        if label and not (adj[g] & bundles[label - 1]):
             bundles[label - 1].add(g)
     return Allocation(bundles)
 
@@ -95,13 +107,14 @@ def random_maximal_allocation(rng: random.Random, instance: Instance) -> Allocat
     """Random wellformed allocation greedily completed until maximal."""
     bundles = [set(b) for b in random_wellformed_allocation(rng, instance).bundles]
     assigned = set().union(*bundles) if bundles else set()
+    adj = neighbours(instance.graph)
     while True:
         feasible = [
             (g, a)
             for g in range(instance.m)
             if g not in assigned
             for a in range(instance.n)
-            if not (instance.graph.adj[g] & bundles[a])
+            if not (adj[g] & bundles[a])
         ]
         if not feasible:
             break
@@ -117,13 +130,14 @@ def random_maximal_allocation(rng: random.Random, instance: Instance) -> Allocat
 def all_maximal_independent_sets(graph: ConflictGraph):
     """Exhaustive maximal-independent-set listing for small graphs."""
     assert graph.m <= 16
+    adj = neighbours(graph)
     out = []
     for mask in range(1 << graph.m):
         subset = frozenset(g for g in range(graph.m) if mask & (1 << g))
         if not is_independent_set(graph, subset):
             continue
         if any(
-            g not in subset and not (graph.adj[g] & subset) for g in range(graph.m)
+            g not in subset and not (adj[g] & subset) for g in range(graph.m)
         ):
             continue
         out.append(subset)
@@ -134,6 +148,7 @@ def backtracking_maximal_allocations(instance: Instance):
     """Independent recursive enumerator used to cross-check the oracle."""
     results = []
     bundles = [set() for _ in range(instance.n)]
+    adj = neighbours(instance.graph)
 
     def place(g: int):
         if g == instance.m:
@@ -147,7 +162,7 @@ def backtracking_maximal_allocations(instance: Instance):
                 place(g + 1)
             else:
                 bundle = bundles[label - 1]
-                if not (instance.graph.adj[g] & bundle):
+                if not (adj[g] & bundle):
                     bundle.add(g)
                     place(g + 1)
                     bundle.remove(g)
@@ -253,9 +268,9 @@ def reference_allocated(allocation: Allocation) -> frozenset:
 
 
 def reference_is_independent_set(graph: ConflictGraph, subset) -> bool:
-    s = set(subset)
+    s, adj = set(subset), neighbours(graph)
     for g in s:
-        if graph.adj[g] & s:
+        if adj[g] & s:
             return False
     return True
 
@@ -275,7 +290,7 @@ def reference_validate_allocation(instance: Instance, allocation: Allocation) ->
 
 
 def reference_is_maximal(instance: Instance, allocation: Allocation) -> bool:
-    adj = instance.graph.adj
+    adj = neighbours(instance.graph)
     for g in frozenset(range(instance.m)) - reference_allocated(allocation):
         for bundle in allocation.bundles:
             if not (adj[g] & bundle):

@@ -19,15 +19,22 @@ from conflictfair import (
     ConflictGraph,
     Instance,
     Negated,
+    RootedTree,
     Table,
     Uniform,
+    bipartite_ef1,
+    coloring_violations,
     complete_to_maximal_is,
+    equitable_tree_coloring,
     evaluate,
     gen_counterexample,
     is_ef1,
     is_independent_set,
     is_maximal,
+    interval_ef1,
     is_ordered_adjacent,
+    round_robin_small,
+    swap_ef1,
     validate_allocation,
     value_minus_one,
 )
@@ -35,10 +42,14 @@ from conflictfair.core import DENOMINATOR_BITS
 from conflictfair.oracle import enumerate_maximal_allocations
 
 from conftest import (
+    neighbours,
+    random_additive,
     random_connected_graph,
     random_graph,
+    random_intervals,
     random_maximal_allocation,
     random_monotone_table,
+    random_tree_edges,
     random_wellformed_allocation,
     reference_additive_check,
     reference_allocated,
@@ -61,7 +72,11 @@ def counterexample3():
 
 def graph_parts(m, edges):
     graph = ConflictGraph(m, edges)
-    return graph.edges, graph.adj
+    # Each neighbour list is a tuple naming each neighbour once, whatever
+    # duplicated or reversed edges the input held.
+    for listed in graph.adj:
+        assert type(listed) is tuple and len(set(listed)) == len(listed), listed
+    return graph.edges, tuple(map(frozenset, graph.adj))
 
 
 class TestConflictGraph:
@@ -89,6 +104,90 @@ class TestConflictGraph:
             outcomes.add(got[0] if got[0] == "ok" else got[1].split(" ")[0])
         assert outcomes == {"ok", "self-loop", "edge"}
         assert outcome(ConflictGraph, -1) == outcome(reference_conflict_graph, -1, ())
+
+
+def reordered(graph, order):
+    """A twin of ``graph`` whose every neighbour tuple is passed through
+    ``order``."""
+    twin = ConflictGraph(graph.m, graph.edges)
+    twin.adj = tuple(map(order, graph.adj))
+    return twin
+
+
+class TestNeighbourOrder:
+    """No result depends on the order in which ``adj[g]`` lists g's
+    neighbours: every solver and checker gives the same answer on the graph
+    as built, with each tuple reversed, and with each one shuffled."""
+
+    @staticmethod
+    def twins(rng, graph):
+        yield reordered(graph, lambda t: t[::-1])
+        yield reordered(graph, lambda t: tuple(rng.sample(t, len(t))))
+
+    def test_swap(self, rng):
+        for i in range(60):
+            m = rng.randint(1, 10)
+            graph = random_connected_graph(rng, m)
+            model = random_additive(rng, m) if i % 2 else random_monotone_table(rng, m)
+            expected = swap_ef1(Instance(graph, 2, model))
+            for twin in self.twins(rng, graph):
+                assert swap_ef1(Instance(twin, 2, model)) == expected
+
+    def test_interval_and_bipartite(self, rng):
+        for _ in range(60):
+            m = rng.randint(1, 12)
+            iv = random_intervals(rng, m, span=rng.randint(2, 12))
+            graph, model = iv.induced_graph(), random_additive(rng, m)
+            expected = interval_ef1(Instance(graph, 2, model), iv)
+            for twin in self.twins(rng, graph):
+                assert interval_ef1(Instance(twin, 2, model), iv) == expected
+            left = rng.randint(1, 6)
+            m = left + rng.randint(0, 6)
+            edges = [(u, v) for u in range(left) for v in range(left, m) if rng.random() < 0.5]
+            graph, model = ConflictGraph(m, edges), random_additive(rng, m)
+            expected = bipartite_ef1(Instance(graph, 2, model))
+            for twin in self.twins(rng, graph):
+                assert bipartite_ef1(Instance(twin, 2, model)) == expected
+
+    def test_round_robin(self, rng):
+        for _ in range(120):
+            m = rng.randint(1, 9)
+            n = rng.randint(max(1, m - 1), m)
+            graph = random_graph(rng, m, rng.random())
+            models = [random_additive(rng, m) for _ in range(n)]
+            for mode, valuations in ((GOODS, models), (CHORES, [Negated(v) for v in models])):
+                expected = round_robin_small(Instance(graph, n, valuations, mode))
+                for twin in self.twins(rng, graph):
+                    assert round_robin_small(Instance(twin, n, valuations, mode)) == expected
+
+    def test_tree_coloring(self, rng):
+        for _ in range(60):
+            nv = rng.randint(1, 60)
+            ids = rng.sample(range(nv), nv)
+            graph = ConflictGraph(nv, [(ids[u], ids[w]) for u, w in random_tree_edges(rng, nv)])
+            n = rng.randint(1, 6)
+            expected = equitable_tree_coloring(RootedTree(graph), n)
+            for twin in self.twins(rng, graph):
+                coloring = equitable_tree_coloring(RootedTree(twin), n)
+                assert coloring == expected
+                assert coloring_violations(twin, coloring.colors, n) == []
+
+    def test_checkers(self, rng):
+        # Maximal, merely wellformed, and arbitrary allocations, whose
+        # bundles may overlap or hold an edge.
+        for _ in range(150):
+            m = rng.randint(1, 9)
+            instance = Instance(random_graph(rng, m, rng.random()), rng.randint(1, 3), Uniform())
+            allocations = [
+                random_maximal_allocation(rng, instance),
+                random_wellformed_allocation(rng, instance),
+                Allocation([rng.sample(range(m), rng.randint(0, m)) for _ in range(instance.n)]),
+            ]
+            for twin in self.twins(rng, instance.graph):
+                twin_instance = Instance(twin, instance.n, Uniform())
+                for allocation in allocations:
+                    assert validate_allocation(twin_instance, allocation) == validate_allocation(instance, allocation)
+                    assert is_maximal(twin_instance, allocation) == is_maximal(instance, allocation)
 
 
 class TestEvaluate:
@@ -200,12 +299,13 @@ class TestIsMaximal:
         for _ in range(25):
             m = rng.randint(1, 8)
             instance = Instance(random_graph(rng, m), rng.randint(1, 3), Uniform())
+            adj = neighbours(instance.graph)
             for allocation in enumerate_maximal_allocations(instance):
                 feasible = [
                     (g, a)
                     for g in allocation.unallocated(m)
                     for a in range(instance.n)
-                    if not (instance.graph.adj[g] & allocation[a])
+                    if not (adj[g] & allocation[a])
                 ]
                 assert feasible == []
             start = random_wellformed_allocation(rng, instance)
@@ -216,7 +316,7 @@ class TestIsMaximal:
                     for g in range(m)
                     if all(g not in b for b in bundles)
                     for a in range(instance.n)
-                    if not (instance.graph.adj[g] & bundles[a])
+                    if not (adj[g] & bundles[a])
                 ]
                 if not feasible:
                     break
@@ -386,15 +486,15 @@ class TestCompleteToMaximalIs:
             m = rng.randint(1, 9)
             graph = random_connected_graph(rng, m)
             seed_pool = [g for g in range(m) if rng.random() < 0.3]
-            seed = set()
+            seed, adj = set(), neighbours(graph)
             for g in seed_pool:
-                if not (graph.adj[g] & seed):
+                if not (adj[g] & seed):
                     seed.add(g)
             result = complete_to_maximal_is(graph, seed)
             assert seed <= result
             assert is_independent_set(graph, result)
             for g in range(m):
-                assert g in result or graph.adj[g] & result
+                assert g in result or adj[g] & result
 
 
 class TestInstanceValidation:

@@ -158,6 +158,22 @@ class TestIntervalSet:
         chores.check(200, CHORES)
         assert compared == []
 
+    def test_integer_endpoints_stay_ints(self, monkeypatch):
+        # Int endpoints are kept as given, with no Fraction built, and
+        # ``intervals`` and ``keys`` equal the Fraction reference's.
+        rng = random.Random(29)
+        raw = [(l, l + rng.randint(1, 9)) for l in (rng.randint(-20, 20) for _ in range(150))]
+        expected = reference_interval_set(raw)
+        made = []
+        original = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or original(cls, *args, **kw))
+        assert Fraction(1, 3) and made, "the counting hook is not in place"
+        made.clear()
+        iv = IntervalSet(raw)
+        assert made == []
+        assert (iv.intervals, iv.keys) == expected
+        assert all(type(x) is int for pair in iv.intervals for x in pair)
+
     def test_check_agrees_with_induced_graph(self, rng):
         # accepts exactly the induced graph, with the same error text as the
         # per-edge ``overlaps`` check with an open-set sweep
