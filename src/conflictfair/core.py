@@ -51,40 +51,38 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple:
 
 class ConflictGraph:
     """Undirected graph over goods 0..m-1; an edge forbids both endpoints
-    in one bundle. ``edges`` holds each edge once, as (u, v) with u < v;
-    ``adj[g]`` is a tuple of g's neighbours, each once, in no fixed order,
-    so callers test disjointness from their own set: ``s.isdisjoint(adj[g])``."""
+    in one bundle. ``adj`` is the graph: ``adj[g]`` is a tuple of g's
+    neighbours, each once, in no fixed order, so callers test disjointness
+    from their own set: ``s.isdisjoint(adj[g])``. ``edges``, each edge once
+    as (u, v) with u < v, is built from ``adj`` on each access in O(m + |E|),
+    so loops should read ``adj``."""
 
-    __slots__ = ("m", "edges", "adj")
+    __slots__ = ("m", "adj")
 
     def __init__(self, m: int, edges: Iterable[Sequence[int]] = ()):
         if m < 0:
             raise ValueError("good count must be non-negative")
-        normalized, adj = set(), [set() for _ in range(m)]
-        add = normalized.add
+        adj = [set() for _ in range(m)]
         for u, v in edges:
             if u < v:
                 if u < 0 or v >= m:
                     raise ValueError(f"edge ({u},{v}) out of range [0,{m})")
-                add((u, v))
             elif v < u:
                 if v < 0 or u >= m:
                     raise ValueError(f"edge ({u},{v}) out of range [0,{m})")
-                add((v, u))
             else:
                 raise ValueError(f"self-loop on good {u}")
             adj[u].add(v)
             adj[v].add(u)
         self.m = m
-        self.edges = frozenset(normalized)
         self.adj = tuple(map(tuple, adj))
 
+    @property
+    def edges(self) -> frozenset:
+        return frozenset((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, ConflictGraph)
-            and self.m == other.m
-            and self.edges == other.edges
-        )
+        return isinstance(other, ConflictGraph) and self.m == other.m and self.edges == other.edges
 
     def __hash__(self):
         return hash((self.m, self.edges))

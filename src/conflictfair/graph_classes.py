@@ -87,14 +87,17 @@ class IntervalSet:
         keys, m = self.keys, len(self.keys)
         if m != graph.m:
             raise ValueError(f"{m} intervals for {graph.m} goods")
-        for u, v in graph.edges:
-            (lu, ru), (lv, rv) = keys[u], keys[v]
-            if not (lu < rv and lv < ru):
-                raise ValueError(f"intervals do not induce the graph: edge ({u},{v}) joins disjoint intervals")
+        # u's list proves l_v < r_u for each neighbour v, and v's list l_u < r_v.
+        lefts = [l for l, _ in keys]
+        for (_, r), nbrs in zip(keys, graph.adj):
+            for v in nbrs:
+                if lefts[v] > r:
+                    u, v = next((u, v) for u, v in graph.edges if not self.overlaps(u, v))
+                    raise ValueError(f"intervals do not induce the graph: edge ({u},{v}) joins disjoint intervals")
         # The i-th left endpoint in rank order, at rank x, has i lefts and
         # x - i rights before it, so 2i - x intervals open: it overlaps that
         # many earlier-starting ones. Summed over i: m(m-1) - sum of lefts.
-        if m * (m - 1) - sum(l for l, _ in keys) != len(graph.edges):
+        if m * (m - 1) - sum(lefts) != sum(map(len, graph.adj)) // 2:
             raise ValueError("intervals do not induce the graph: some overlapping pair is not an edge")
 
 

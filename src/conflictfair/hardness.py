@@ -142,9 +142,9 @@ def build_reduction(
         offset += 2 * h
     good_map = GoodMap(range(m_base), tuple(x_ranges), tuple(y_ranges))
 
-    edges = list(base.graph.edges)
+    edges, is_edges = list(base.graph.edges), is_instance.graph.edges
     for i in range(n):
-        for u, w in is_instance.graph.edges:
+        for u, w in is_edges:
             edges.append((good_map.x_good(i, u), good_map.x_good(i, w)))
         for w in range(h):
             edges.append((good_map.x_good(i, w), good_map.y_good(i, w)))

@@ -98,10 +98,7 @@ def enumerate_maximal_allocations(
         raise BudgetExceededError(
             f"(n+1)^m = {total} assignments exceed the budget of {budget.max_assignments}"
         )
-    adj_mask = [0] * m
-    for u, w in instance.graph.edges:
-        adj_mask[u] |= 1 << w
-        adj_mask[w] |= 1 << u
+    adj_mask = [sum(1 << w for w in nbrs) for nbrs in instance.graph.adj]
     # settled[d]: (u, adj_mask[u]) for each good u whose last neighbour, or u
     # itself, is good d; once d is decided, an unassigned u is final.
     settled = [[] for _ in range(m)]

@@ -31,7 +31,7 @@ class RootedTree:
 
     def __init__(self, graph: ConflictGraph):
         nv = graph.m
-        if len(graph.edges) != nv - 1:
+        if sum(map(len, graph.adj)) != 2 * (nv - 1):
             raise ValueError("a tree on v vertices has exactly v-1 edges")
         # Marked when pushed: in a tree, a vertex's unmarked neighbours are its children.
         children = [()] * nv

@@ -346,6 +346,22 @@ def reference_interval_set(intervals) -> tuple:
     return tuple(parsed), tuple((l, r) for l, r in keys)
 
 
+def reference_interval_check(intervals: IntervalSet, graph: ConflictGraph) -> None:
+    """``IntervalSet.check`` as it was when ``edges`` was stored: the two
+    rank tests of each edge of ``graph.edges``, in that set's order, then
+    the overlapping pairs counted from the left ranks against
+    ``len(graph.edges)``."""
+    keys, m = intervals.keys, len(intervals.keys)
+    if m != graph.m:
+        raise ValueError(f"{m} intervals for {graph.m} goods")
+    for u, v in graph.edges:
+        (lu, ru), (lv, rv) = keys[u], keys[v]
+        if not (lu < rv and lv < ru):
+            raise ValueError(f"intervals do not induce the graph: edge ({u},{v}) joins disjoint intervals")
+    if m * (m - 1) - sum(l for l, _ in keys) != len(graph.edges):
+        raise ValueError("intervals do not induce the graph: some overlapping pair is not an edge")
+
+
 class ReferenceTable:
     """Reference for ``Table``: the construction it replaced, a dict of one
     ``Fraction`` per mask, with both monotonicity flags from every subset

@@ -105,6 +105,27 @@ class TestConflictGraph:
         assert outcomes == {"ok", "self-loop", "edge"}
         assert outcome(ConflictGraph, -1) == outcome(reference_conflict_graph, -1, ())
 
+    def test_equal_and_hash_alike_whatever_the_edge_input(self, rng):
+        # ``edges`` is built from ``adj``, so equality and hashing see the
+        # edge set only, not the order or form the edges came in.
+        for _ in range(200):
+            m = rng.randint(0, 9)
+            graph = random_graph(rng, m, rng.random())
+            listed = sorted(graph.edges)
+            messy = listed + rng.sample(listed, len(listed) // 2)
+            messy = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in messy]
+            rng.shuffle(messy)
+            for edges in (listed[::-1], messy, iter(messy)):
+                twin = ConflictGraph(m, edges)
+                assert twin == graph and hash(twin) == hash(graph), (m, messy)
+                assert twin.edges == frozenset(listed) and repr(twin) == repr(graph)
+            for twin in TestNeighbourOrder.twins(rng, graph):
+                assert twin == graph and hash(twin) == hash(graph)
+            if m:
+                assert ConflictGraph(m + 1, listed) != graph
+            if listed:
+                assert ConflictGraph(m, listed[1:]) != graph
+
 
 def reordered(graph, order):
     """A twin of ``graph`` whose every neighbour tuple is passed through

@@ -36,6 +36,7 @@ from conftest import (
     random_graph,
     random_intervals,
     random_monotone_table,
+    reference_interval_check,
     reference_interval_set,
     schedule_feasible,
     slice_greedy,
@@ -176,29 +177,39 @@ class TestIntervalSet:
 
     def test_check_agrees_with_induced_graph(self, rng):
         # accepts exactly the induced graph, with the same error text as the
-        # per-edge ``overlaps`` check with an open-set sweep
+        # per-edge check that read ``graph.edges`` and as the per-edge
+        # ``overlaps`` check with an open-set sweep; each graph is built from
+        # its edges in order, and again shuffled, duplicated and reversed
         kinds = set()
         for iv in interval_corpus(rng, 400):
             m = len(iv)
             edges = sorted(iv.induced_graph().edges)
             others = [(u, v) for u in range(m) for v in range(u + 1, m) if (u, v) not in edges]
-            cases = [("induced", ConflictGraph(m, edges), True), ("count", ConflictGraph(m + 1, edges), False)]
+            another = random_intervals(rng, m, span=rng.randint(2, 12))
+            cases = [("induced", m, edges), ("count", m + 1, edges), ("another", m, sorted(another.induced_graph().edges))]
             if m > 1 and not any(m - 1 in edge for edge in edges):
-                cases.append(("count", ConflictGraph(m - 1, edges), False))
+                cases.append(("count", m - 1, edges))
             if edges:
-                cases.append(("dropped", ConflictGraph(m, edges[1:]), False))
+                cases.append(("dropped", m, edges[1:]))
             if others:
-                cases.append(("added", ConflictGraph(m, edges + [rng.choice(others)]), False))
+                cases.append(("added", m, edges + [rng.choice(others)]))
             if edges and others:
                 swapped = edges[:]
                 swapped[rng.randrange(len(edges))] = rng.choice(others)
-                cases.append(("swapped", ConflictGraph(m, swapped), False))
-            for kind, graph, expected in cases:
-                outcome = check_outcome(IntervalSet.check, iv, graph)
-                assert (outcome is None) == (iv.induced_graph() == graph) == expected, (kind, iv.keys)
-                assert outcome == check_outcome(sweep_check, iv, graph), (kind, iv.keys)
-                kinds.add(kind)
-        assert kinds == {"induced", "count", "dropped", "added", "swapped"}
+                cases.append(("swapped", m, swapped))
+            for kind, goods, listed in cases:
+                messy = listed + rng.sample(listed, len(listed) // 2)
+                messy = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in messy]
+                rng.shuffle(messy)
+                for graph in (ConflictGraph(goods, listed), ConflictGraph(goods, messy)):
+                    outcome = check_outcome(IntervalSet.check, iv, graph)
+                    assert (outcome is None) == (iv.induced_graph() == graph), (kind, iv.keys)
+                    assert kind == "another" or (outcome is None) == (kind == "induced"), (kind, iv.keys)
+                    assert outcome == check_outcome(reference_interval_check, iv, graph), (kind, iv.keys)
+                    assert outcome == check_outcome(sweep_check, iv, graph), (kind, iv.keys)
+                    kinds.add((kind, outcome is None))
+        assert kinds >= {("another", False), ("another", True)}
+        assert {kind for kind, _ in kinds} == {"induced", "count", "another", "dropped", "added", "swapped"}
 
 
 class TestSchedulingGreedy:
