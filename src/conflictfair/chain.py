@@ -10,15 +10,15 @@ side sets, the end-to-end value gap flips sign and some step must be EF1.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .core import (
     GOODS,
     Allocation,
     Instance,
     ValuationModel,
+    _ByFields,
     _grow_independent,
     _most_valuable,
     complete_to_maximal_is,
@@ -28,8 +28,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Walk(Sequence):
+class Walk(Sequence, _ByFields):
     """A sequence of two-agent allocations kept as the first step's two
     bundles and, for each later step, the goods that leave and join each
     bundle: ``(out1, in1, out2, in2)``.
@@ -39,8 +38,12 @@ class Walk(Sequence):
     allocation they return, while a slice materializes every step.
     """
 
-    start: tuple  # (bundle 1, bundle 2) of step 0, as frozensets
-    moves: tuple
+    _fields = ("start", "moves")
+    __slots__ = _fields
+
+    def __init__(self, start: tuple, moves: tuple):
+        self.start = start  # (bundle 1, bundle 2) of step 0, as frozensets
+        self.moves = moves
 
     def __len__(self):
         return len(self.moves) + 1
@@ -103,8 +106,7 @@ class Walk(Sequence):
         return None
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """The chain A^(0)..A^(k) built from an ordered maximal independent set,
     as a :class:`Walk` whose steps are materialized on demand, with the side
     sets and per-good (p, q) indices that define each step."""
@@ -117,8 +119,7 @@ class Chain:
     q: Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class ChainOutcome:
+class ChainOutcome(NamedTuple):
     """Result of scanning a chain for an EF1 step; the full chain is kept
     for invariant testing."""
 

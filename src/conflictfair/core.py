@@ -8,11 +8,10 @@ sign comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import gt, lt
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -91,10 +90,30 @@ class ConflictGraph:
         return f"ConflictGraph(m={self.m}, edges={sorted(self.edges)})"
 
 
-class ValuationModel:
+class _ByFields:
+    """Equality within one class, hash and ``Name(field=value, ...)`` repr,
+    all read from the attributes named in ``_fields``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class ValuationModel(_ByFields):
     """Base for the valuation family; subclasses implement ``value``,
     ``check`` and ``to_json``, and may replace ``min_drop`` and ``max_drop``
-    with exact closed forms."""
+    with exact closed forms. ``_fields`` names the defining attributes."""
 
     def value(self, subset: frozenset) -> Fraction:
         raise NotImplementedError
@@ -242,7 +261,6 @@ class _NegatedBundle:
         return -self.inner.gain(g)
 
 
-@dataclass(frozen=True)
 class Additive(ValuationModel):
     """v(S) = sum of fixed per-good values.
 
@@ -251,16 +269,11 @@ class Additive(ValuationModel):
     ``den``, so a sum is exact integer arithmetic and one division.
     """
 
-    values: tuple
-    nums: tuple = field(compare=False, repr=False)
-    den: int = field(compare=False, repr=False)
+    _fields = ("values",)
 
     def __init__(self, values: Iterable[Rational]):
-        values = tuple(as_fraction(v) for v in values)
-        nums, den = _over_common_denominator(values)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        self.values = tuple(as_fraction(v) for v in values)
+        self.nums, self.den = _over_common_denominator(self.values)
 
     def _numerators(self, subset: frozenset) -> list:
         nums = self.nums
@@ -301,7 +314,6 @@ class Additive(ValuationModel):
         return {"type": "additive", "values": [str(v) for v in self.values]}
 
 
-@dataclass(frozen=True)
 class Uniform(ValuationModel):
     """v(S) = |S|."""
 
@@ -334,9 +346,12 @@ class Table(ValuationModel):
         if m < 0:
             raise ValueError("good count must be non-negative")
         size = 1 << m
-        if len(entries) != size or not all(map(entries.__contains__, range(size))):
-            raise ValueError(f"table must cover all {size} subsets of {m} goods")
-        values = list(map(entries.__getitem__, range(size)))
+        try:  # with size entries, a missing mask means some key is out of range
+            if len(entries) != size:
+                raise KeyError
+            values = list(map(entries.__getitem__, range(size)))
+        except KeyError:
+            raise ValueError(f"table must cover all {size} subsets of {m} goods") from None
         if set(map(type, values)) == {int}:
             nums, den = tuple(values), 1
         else:
@@ -408,11 +423,13 @@ class Table(ValuationModel):
         return f"Table(m={self.m})"
 
 
-@dataclass(frozen=True)
 class Negated(ValuationModel):
     """v(S) = -inner(S); maps goods models to chores models and back."""
 
-    inner: ValuationModel
+    _fields = ("inner",)
+
+    def __init__(self, inner: ValuationModel):
+        self.inner = inner
 
     def value(self, subset: frozenset) -> Fraction:
         return -self.inner.value(subset)
@@ -433,7 +450,6 @@ class Negated(ValuationModel):
         return {"type": "negated", "inner": self.inner.to_json()}
 
 
-@dataclass(frozen=True)
 class Composite(ValuationModel):
     """v(S) = base(S intersected with goods 0..base_goods-1) + tail(S), the
     tail being additive over all goods.
@@ -443,9 +459,10 @@ class Composite(ValuationModel):
     valuation ignores filler goods except for their additive tail.
     """
 
-    base: ValuationModel
-    base_goods: int
-    tail: Additive
+    _fields = ("base", "base_goods", "tail")
+
+    def __init__(self, base: ValuationModel, base_goods: int, tail: Additive):
+        self.base, self.base_goods, self.tail = base, base_goods, tail
 
     def value(self, subset: frozenset) -> Fraction:
         return self.base.value(frozenset(g for g in subset if g < self.base_goods)) + self.tail.value(subset)
@@ -573,8 +590,7 @@ class Allocation:
         return "Allocation(%s)" % ", ".join("{%s}" % ",".join(map(str, sorted(b))) for b in self.bundles)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     disjoint: bool
     independent: tuple
     wellformed: bool
@@ -587,9 +603,8 @@ def evaluate(model: ValuationModel, subset: Iterable[int]) -> Fraction:
 
 def _most_valuable(model: ValuationModel, goods: Iterable[int]) -> int:
     """The good of ``goods`` worth most on its own, lowest index among
-    equals."""
-    gain = model._bundle().gain
-    return max(goods, key=lambda g: (gain(g), -g))
+    equals: ``max`` keeps the first of equal maxima."""
+    return max(sorted(goods), key=model._bundle().gain)
 
 
 def value_minus_one(model: ValuationModel, subset: Iterable[int]) -> Fraction:

@@ -4,8 +4,7 @@ graphs, and the m <= n+1 round-robin procedure."""
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     GOODS,
@@ -147,8 +146,7 @@ def interval_scheduling_greedy(
     return tuple(chosen)
 
 
-@dataclass(frozen=True)
-class IntervalChains:
+class IntervalChains(NamedTuple):
     """The three chain segments of the interval solver and their gapless
     concatenation, all as walks whose steps are built on demand. No walk
     holds a step equal to the one before it."""

@@ -10,9 +10,8 @@ achievable exactly when the IS instance has an independent set of size t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .core import (
     GOODS,
@@ -83,8 +82,7 @@ class ISInstance:
         return f"ISInstance(|V|={self.graph.m}, |E|={len(self.graph.edges)}, t={self.t})"
 
 
-@dataclass(frozen=True)
-class GoodMap:
+class GoodMap(NamedTuple):
     """Index ranges of the reduced instance: base goods first, then per
     copy i a block of x-goods followed by its y-goods."""
 
@@ -99,8 +97,7 @@ class GoodMap:
         return self.y[copy].start + vertex
 
 
-@dataclass(frozen=True)
-class ReductionSpec:
+class ReductionSpec(NamedTuple):
     """The reduction's parameters; ``gamma_allocation`` is the first base
     maximal allocation, in enumeration order, whose worst gap is gamma."""
 

@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .core import (
     GOODS,
@@ -62,14 +61,12 @@ class BudgetExceededError(Exception):
     """Enumeration would exceed the configured budget; never a wrong answer."""
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(NamedTuple):
     max_assignments: int = 10**8
     wall_clock_seconds: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
+class ExistenceResult(NamedTuple):
     exists: bool
     witness: Optional[Allocation]
 

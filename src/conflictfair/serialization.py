@@ -111,6 +111,41 @@ def _edges_from_json(data) -> list:
     ]
 
 
+def _table_entries(items: list) -> dict:
+    """Mask -> value. Pairs of ASCII digit strings with no mask twice are
+    read in C, as edges are; the rest, and strings ``int`` refuses (empty or
+    past the digit limit), go entry by entry, to name the first bad one."""
+    if {list} >= set(map(type, items)) and {2} >= set(map(len, items)):
+        texts = list(chain.from_iterable(items))
+        try:
+            joined = "".join(texts)
+            if joined.isascii() and joined.isdigit():
+                entries = dict(zip(map(int, texts[0::2]), map(int, texts[1::2])))
+                if len(entries) == len(items):
+                    return entries
+        except (TypeError, ValueError):
+            pass
+    return _table_entries_one_by_one(items)
+
+
+def _table_entries_one_by_one(items: list) -> dict:
+    """``_table_entries`` with the helpers' ASCII-digit cases inlined."""
+    entries = {}
+    for entry in items:
+        mask_text, value_text = array_from_json(entry, "table entry", 2)
+        if type(mask_text) is str and len(mask_text) <= _INLINE_DIGITS and mask_text.isascii() and mask_text.isdigit():
+            mask = int(mask_text)
+        else:
+            mask = integer_from_json(mask_text, "table mask", decimal_string=True)
+        if mask in entries:
+            raise ParseError(f"duplicate table entry for mask {mask}")
+        if type(value_text) is str and len(value_text) <= _INLINE_DIGITS and value_text.isascii() and value_text.isdigit():
+            entries[mask] = int(value_text)
+        else:
+            entries[mask] = rational_from_str(value_text)
+    return entries
+
+
 def model_from_json(data, m: int) -> ValuationModel:
     return _model_from_json(data, m, 0)
 
@@ -126,21 +161,7 @@ def _model_from_json(data, m: int, depth: int) -> ValuationModel:
         if kind == "uniform":
             return Uniform()
         if kind == "table":
-            # The helpers' ASCII-digit cases inlined: no call and no Fraction
-            # per entry of a 2^m table.
-            entries = {}
-            for entry in array_from_json(data["entries"], "table entries"):
-                mask_text, value_text = array_from_json(entry, "table entry", 2)
-                if type(mask_text) is str and len(mask_text) <= _INLINE_DIGITS and mask_text.isascii() and mask_text.isdigit():
-                    mask = int(mask_text)
-                else:
-                    mask = integer_from_json(mask_text, "table mask", decimal_string=True)
-                if mask in entries:
-                    raise ParseError(f"duplicate table entry for mask {mask}")
-                if type(value_text) is str and len(value_text) <= _INLINE_DIGITS and value_text.isascii() and value_text.isdigit():
-                    entries[mask] = int(value_text)
-                else:
-                    entries[mask] = rational_from_str(value_text)
+            entries = _table_entries(array_from_json(data["entries"], "table entries"))
             try:
                 return Table(m, entries)
             except ValueError as exc:

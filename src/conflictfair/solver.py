@@ -3,8 +3,7 @@ allocation, over the algorithms in ``chain``, ``swap`` and ``graph_classes``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Allocation, Instance, to_goods
 from .chain import InapplicableError, chain_ef1, cut_and_choose, most_valuable_source
@@ -28,8 +27,7 @@ class NoAlgorithmError(ValueError):
     """No algorithm applies: n = 1, or n >= 3, with m > n+1."""
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """The algorithm that ran and its allocation; the allocation is None
     only when the single chain (``chain``) has no EF1 step."""
 

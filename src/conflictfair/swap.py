@@ -9,16 +9,14 @@ additive valuations the increase is by a factor of at least m/(m-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .core import Allocation, Instance, complete_to_maximal_is, evaluate
 from .chain import chain_ef1, most_valuable_source, _require_two_agent_identical_goods
 
 
-@dataclass(frozen=True)
-class SwapIteration:
+class SwapIteration(NamedTuple):
     """One loop round: the set tried, its value, and which side set seeded
     the next round (``None`` on the terminal round)."""
 

@@ -16,8 +16,7 @@ kept and the shorter appended to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import ConflictGraph
 
@@ -59,8 +58,7 @@ class RootedTree:
         return cls(ConflictGraph(vertex_count, edges))
 
 
-@dataclass(frozen=True)
-class PartialColoring:
+class PartialColoring(NamedTuple):
     """Per-vertex color in 1..n or ``None``, with class sizes."""
 
     n: int
@@ -86,9 +84,10 @@ def coloring_violations(graph: ConflictGraph, colors: Sequence[Optional[int]], n
             problems.append(f"vertex {v} has color {c} outside 1..{n}")
             continue
         sizes[c] += 1
-    for u, w in graph.edges:
-        if colors[u] is not None and colors[u] == colors[w]:
-            problems.append(f"adjacent vertices {u},{w} share color {colors[u]}")
+    for u, nbrs in enumerate(graph.adj):
+        for w in nbrs:  # each edge once, as u < w
+            if u < w and colors[u] is not None and colors[u] == colors[w]:
+                problems.append(f"adjacent vertices {u},{w} share color {colors[u]}")
     for v, c in enumerate(colors):
         if c is not None:
             continue

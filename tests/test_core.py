@@ -38,7 +38,7 @@ from conflictfair import (
     validate_allocation,
     value_minus_one,
 )
-from conflictfair.core import DENOMINATOR_BITS
+from conflictfair.core import DENOMINATOR_BITS, _most_valuable
 from conflictfair.oracle import enumerate_maximal_allocations
 
 from conftest import (
@@ -233,6 +233,22 @@ class TestEvaluate:
         for mask in range(1 << m):
             subset = [g for g in range(m) if mask & (1 << g)]
             assert evaluate(model, subset) == sum((values[g] for g in subset), Fraction(0))
+
+
+def test_most_valuable_takes_the_lowest_index_among_equals(rng):
+    # Few distinct values, so most picks break a tie. A small set of goods
+    # up to 39 iterates in slot order, often not in index order.
+    for _ in range(200):
+        m = rng.randint(1, 40)
+        values = [rng.randint(0, 2) for _ in range(m)]
+        models = [Additive(values), Negated(Additive(values)), Additive([-v for v in values]), Uniform()]
+        if m <= 8:
+            table = random_monotone_table(rng, m, step=1)
+            models += [table, Negated(table)]
+        for goods in (range(m), set(rng.sample(range(m), min(m, rng.randint(2, 5))))):
+            for model in models:
+                expected = min(goods, key=lambda g: (-evaluate(model, {g}), g))
+                assert _most_valuable(model, goods) == expected, (model, sorted(goods))
 
 
 class TestValueMinusOne:

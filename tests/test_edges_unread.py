@@ -18,8 +18,10 @@ from conflictfair import (
     Negated,
     RootedTree,
     bipartite_ef1,
+    coloring_violations,
     compute_gamma,
     count_maximal_allocations,
+    equitable_tree_coloring,
     exists_maximal_ef1,
     gen_counterexample,
     interval_ef1,
@@ -133,6 +135,18 @@ def test_rooted_tree(rng, monkeypatch):
         return tree.children, tree.order
 
     same_answers_without_edges(monkeypatch, [partial(shape, graph) for graph in graphs])
+
+
+def test_tree_coloring(rng, monkeypatch):
+    calls = []
+    for _ in range(40):
+        nv = rng.randint(1, 60)
+        n = rng.randint(1, 5)
+        tree = RootedTree(ConflictGraph(nv, random_tree_edges(rng, nv)))
+        calls.append(partial(lambda tree, n: equitable_tree_coloring(tree, n).colors, tree, n))
+        colors = [rng.choice([None, *range(n + 2)]) for _ in range(nv)]
+        calls.append(partial(coloring_violations, tree.graph, colors, n))
+    same_answers_without_edges(monkeypatch, calls)
 
 
 def test_cli_solve_and_check(rng, tmp_path, monkeypatch, capsys):

@@ -1,0 +1,116 @@
+"""Records and models without dataclasses: importing the CLI loads neither
+``dataclasses`` nor ``inspect``; the result records are immutable named
+tuples; the models compare, hash and print as the frozen dataclasses they
+replaced did (equality within one class, the hash of the defining fields
+as one tuple, ``Name(field=value, ...)``)."""
+
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import conflictfair
+from conflictfair import (
+    Additive,
+    Chain,
+    ChainOutcome,
+    Composite,
+    EnumerationBudget,
+    ExistenceResult,
+    GoodMap,
+    IntervalChains,
+    Negated,
+    PartialColoring,
+    ReductionSpec,
+    Solution,
+    SwapIteration,
+    Table,
+    Uniform,
+    ValidationReport,
+)
+from conflictfair.chain import Walk
+
+SRC = pathlib.Path(conflictfair.__file__).resolve().parent.parent
+
+RECORDS = {
+    ValidationReport: ("disjoint", "independent", "wellformed"),
+    Chain: ("steps", "source", "x1", "x2", "p", "q"),
+    ChainOutcome: ("allocation", "step_index", "chain"),
+    IntervalChains: ("narrowing", "core", "widening", "combined"),
+    SwapIteration: ("source", "value", "chosen"),
+    Solution: ("algorithm", "allocation"),
+    EnumerationBudget: ("max_assignments", "wall_clock_seconds"),
+    ExistenceResult: ("exists", "witness"),
+    GoodMap: ("base", "x", "y"),
+    ReductionSpec: ("base", "is_instance", "gamma", "lam", "good_map", "gamma_allocation"),
+    PartialColoring: ("n", "colors", "class_sizes"),
+}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import conflictfair.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_records_keep_their_fields_and_stay_immutable(cls):
+    assert cls._fields == RECORDS[cls]
+    record = cls(*range(len(cls._fields)))
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert hash(record) == hash(tuple(range(len(cls._fields))))
+
+
+def test_record_defaults_methods_and_repr():
+    assert EnumerationBudget() == EnumerationBudget(10**8, None)
+    assert repr(EnumerationBudget()) == "EnumerationBudget(max_assignments=100000000, wall_clock_seconds=None)"
+    assert repr(SwapIteration((0, 2), Fraction(3), 1)) == "SwapIteration(source=(0, 2), value=Fraction(3, 1), chosen=1)"
+    assert not ChainOutcome(None, None, None).found
+    good_map = GoodMap(range(2), (range(2, 4),), (range(4, 6),))
+    assert (good_map.x_good(0, 1), good_map.y_good(0, 1)) == (3, 5)
+    assert PartialColoring(2, (1, None, 2), (1, 1)).classes() == [frozenset({0}), frozenset({2})]
+
+
+def test_models_compare_hash_and_print_as_frozen_dataclasses():
+    one = Fraction(1)
+    negated = Negated(Additive([1]))
+    assert repr(negated) == "Negated(inner=Additive(values=(Fraction(1, 1),)))"
+    assert negated == Negated(Additive([Fraction(2, 2)])) and negated != Negated(Additive([2]))
+    assert hash(negated) == hash((((one,),),))
+
+    composite = Composite(Uniform(), 2, Additive([0, Fraction(1, 2)]))
+    assert repr(composite) == (
+        "Composite(base=Uniform(), base_goods=2, tail=Additive(values=(Fraction(0, 1), Fraction(1, 2))))"
+    )
+    assert composite == Composite(Uniform(), 2, Additive([0, Fraction(1, 2)]))
+    assert composite != Composite(Uniform(), 1, Additive([0, Fraction(1, 2)]))
+    assert hash(composite) == hash(((), 2, ((Fraction(0), Fraction(1, 2)),)))
+
+    assert Uniform() == Uniform() and hash(Uniform()) == hash(()) and repr(Uniform()) == "Uniform()"
+    # Equality holds within one class only, as a dataclass's does.
+    assert Uniform() != Negated(Uniform()) and Additive([]) != Uniform() and Uniform() != ()
+    assert Additive([1]) != ((one,),)
+
+    table = Table(1, {0: 0, 1: 1})
+    assert table == Table(1, {0: 0, 1: 1}) and repr(table) == "Table(m=1)"
+    for unhashable in (table, Negated(table), Composite(table, 1, Additive([0]))):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
+def test_walks_compare_hash_and_print_by_start_and_moves():
+    start, moves = (frozenset({0}), frozenset()), (((0,), (), (), (0,)),)
+    walk = Walk(start, moves)
+    assert walk == Walk(start, moves) and hash(walk) == hash((start, moves))
+    assert walk != Walk(start, ()) and walk != (start, moves)
+    assert repr(walk) == "Walk(start=(frozenset({0}), frozenset()), moves=(((0,), (), (), (0,)),))"

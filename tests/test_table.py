@@ -1,6 +1,7 @@
 """The integer ``Table`` and its parse against the ``Fraction``-dict
 reference in conftest: flags, values, drops, file form and equality on a
-seeded corpus, and the parse's inlined digit cases against the helpers."""
+seeded corpus, the parse's inlined digit cases against the helpers, and its
+C-level path against its per-entry loop."""
 
 import json
 import random
@@ -157,3 +158,97 @@ def test_decimal_string_past_the_int_limit_is_a_parse_error():
         integer_from_json("1" * (limit + 1), "table mask", decimal_string=True)
     assert str(caught.value) == f"table mask must be an integer of at most {limit} digits, got {limit + 1} digits"
     assert integer_from_json("1" * limit, "table mask", decimal_string=True) == int("1" * limit)
+
+
+def digits(rng, count):
+    return "".join(rng.choice("0123456789") for _ in range(count))
+
+
+def padded(rng, number):
+    """``number`` as a decimal string, with leading zeros now and then."""
+    return "0" * rng.choice([0, 0, 0, 1, 3]) + str(number)
+
+
+def valid_table_files(rng):
+    """Entry lists of every size m from 0 to 10: shuffled, some padded with
+    leading zeros, some with values past the 640 digits of the least
+    ``int`` digit limit."""
+    for m in range(11):
+        for _ in range(3):
+            items = [[padded(rng, mask), padded(rng, rng.randint(0, 99))] for mask in range(1 << m)]
+            items[0][1] = "0" * rng.randint(1, 3)
+            if m and rng.random() < 0.5:
+                items[rng.randrange(1, 1 << m)][1] = digits(rng, rng.choice([641, 700, 1000]))
+            rng.shuffle(items)
+            yield m, items
+
+
+BAD_ENTRIES = [{"0": "1"}, "01", 1, None, ["1"], ["1", "1", "1"], []]
+BAD_FIELDS = [3, 0, True, False, 1.0, 1.5, "", "١", "¹", " 1", "-1", "1/2", "-1/3", "2/4", "1" * 700]
+
+
+def malformed_table_files(rng):
+    """Two-good tables with one entry, mask or value replaced by something
+    the common file does not hold, or with masks "1" and "01" both."""
+    def base():
+        items = [[str(mask), str(bin(mask).count("1"))] for mask in range(4)]
+        rng.shuffle(items)
+        return items
+
+    for bad in BAD_ENTRIES:
+        items = base()
+        items[rng.randrange(4)] = bad
+        yield 2, items
+    for bad in BAD_FIELDS:
+        for side in (0, 1):
+            items = base()
+            items[rng.randrange(4)][side] = bad
+            yield 2, items
+    items = base()
+    items.append(["01", "1"])
+    yield 2, items
+    items = [["0", "0"], ["1", "1"], ["01", "1"]]
+    yield 1, items
+
+
+def table_outcome(entries_of, m, items):
+    try:
+        return ("table", Table(m, entries_of(items)))
+    except ValueError as exc:  # ParseError included
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("int_digits", [None, 640])
+def test_c_level_table_parse_matches_the_per_entry_loop(monkeypatch, int_digits):
+    from conflictfair import serialization
+
+    rng = random.Random(21)
+    files = list(valid_table_files(rng)) + list(malformed_table_files(rng))
+    loop = serialization._table_entries_one_by_one
+    looped = []
+    monkeypatch.setattr(serialization, "_table_entries_one_by_one", lambda items: looped.append(items) or loop(items))
+    previous = sys.get_int_max_str_digits()
+    if int_digits is not None:
+        sys.set_int_max_str_digits(int_digits)
+    try:
+        for m, items in files:
+            expected = table_outcome(loop, m, items)
+            assert table_outcome(serialization._table_entries, m, items) == expected, (m, items[:4])
+            try:
+                got = ("table", model_from_json({"type": "table", "entries": items}, m))
+            except ParseError as exc:
+                got = ("error", str(exc))
+            assert got == expected
+    finally:
+        sys.set_int_max_str_digits(previous)
+    # The C-level path takes every file of pairs of digit strings that int()
+    # accepts with no mask twice, and only those.
+    fell_back = {id(items) for items in looped}
+    limit = int_digits or previous
+    for m, items in files:
+        common = all(type(e) is list and len(e) == 2 for e in items) and all(
+            type(s) is str and 0 < len(s) <= limit and s.isascii() and s.isdigit() for e in items for s in e
+        )
+        common = common and len({int(mask) for mask, _ in items}) == len(items)
+        assert (id(items) not in fell_back) == common, (m, items[:4])
+    assert len(files) - len(fell_back) >= 10

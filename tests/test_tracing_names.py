@@ -3,7 +3,6 @@ functions and methods by name and reads fields of their results; a rename
 here breaks it without failing any other test of the package. Its hooks
 also count chain steps through ``len`` and ``index`` on the lazy walks."""
 
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -76,7 +75,7 @@ def test_enumerator_is_a_generator_function():
 
 
 def test_fields_read_after_traced_calls():
-    fields = lambda cls: {f.name for f in dataclasses.fields(cls)}
+    fields = lambda cls: set(cls._fields)
     assert {"steps"} <= fields(layer("chain").Chain)
     assert {"step_index", "chain"} <= fields(layer("chain").ChainOutcome)
     assert {"combined"} <= fields(layer("graph_classes").IntervalChains)

@@ -72,9 +72,10 @@ def reference_violations(graph: ConflictGraph, colors, n: int):
             problems.append(f"vertex {v} has color {c} outside 1..{n}")
             continue
         sizes[c] += 1
-    for u, w in graph.edges:
-        if colors[u] is not None and colors[u] == colors[w]:
-            problems.append(f"adjacent vertices {u},{w} share color {colors[u]}")
+    for u, nbrs in enumerate(graph.adj):
+        for w in nbrs:
+            if u < w and colors[u] is not None and colors[u] == colors[w]:
+                problems.append(f"adjacent vertices {u},{w} share color {colors[u]}")
     for v, c in enumerate(colors):
         if c is not None:
             continue
