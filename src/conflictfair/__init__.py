@@ -14,7 +14,6 @@ from .core import (
     Instance,
     Negated,
     Table,
-    Uniform,
     ValidationReport,
     ValuationModel,
     complete_to_maximal_is,

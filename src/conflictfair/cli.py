@@ -20,9 +20,10 @@ import os
 import sys
 import time
 
-from .core import GOODS, is_ef1, is_maximal, validate_allocation
+from .core import is_ef1, is_maximal, validate_allocation
 from .solver import ALGORITHMS, InapplicableError, NoAlgorithmError, solve
 from .oracle import BudgetExceededError, EnumerationBudget, compute_gamma, count_maximal_allocations, exists_maximal_ef1
+from .oracle import require_gamma_applies
 from .hardness import ISInstance, build_reduction, gen_counterexample
 from .treecolor import RootedTree, equitable_tree_coloring
 from . import serialization as ser
@@ -108,8 +109,8 @@ def cmd_oracle(args) -> int:
         return EnumerationBudget(max_assignments=args.max_assignments, wall_clock_seconds=left)
 
     instance, _ = ser.instance_from_json(ser.load_json(args.instance))
-    if args.gamma and not (instance.identical and instance.mode == GOODS):
-        return _fail(EXIT_INAPPLICABLE, "gamma needs identical valuations of goods")
+    if args.gamma:
+        require_gamma_applies(instance)  # exit 2 before any search
     result = exists_maximal_ef1(instance, budget())
     print(f"exists:{_bool(result.exists)}")
     if args.witness:

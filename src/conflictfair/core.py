@@ -111,28 +111,28 @@ class _ByFields:
 
 
 class ValuationModel(_ByFields):
-    """Base for the valuation family; subclasses implement ``value``,
-    ``check`` and ``to_json``, and may replace ``min_drop`` and ``max_drop``
-    with exact closed forms. ``_fields`` names the defining attributes."""
+    """Base for the valuation family. A subclass gives its denominator
+    ``den``, ``check``, ``to_json`` and its one evaluator, ``_bundle``;
+    ``value``, ``min_drop`` and ``max_drop`` on a frozenset read a bundle
+    built from it. ``_fields`` names the defining attributes."""
+
+    def _bundle(self, goods: Iterable[int] = ()):
+        """A running bundle holding ``goods``, which goods join and leave one
+        at a time (``add``, ``remove``). Its ``len``, ``value``, ``min_drop``,
+        ``max_drop`` and ``gain(g)`` are integers over ``den``. A good outside
+        the model is a ValueError."""
+        raise NotImplementedError
 
     def value(self, subset: frozenset) -> Fraction:
-        raise NotImplementedError
+        return Fraction(self._bundle(subset).value, self.den)
 
     def min_drop(self, subset: frozenset) -> Fraction:
         """min over g in subset of v(subset - {g}); 0 for the empty set."""
-        if not subset:
-            return Fraction(0)
-        return min(self.value(subset - {g}) for g in subset)
+        return Fraction(self._bundle(subset).min_drop, self.den)
 
     def max_drop(self, subset: frozenset) -> Fraction:
         """max over g in subset of v(subset - {g}); 0 for the empty set."""
-        if not subset:
-            return Fraction(0)
-        return max(self.value(subset - {g}) for g in subset)
-
-    def _bundle(self, goods: Iterable[int] = ()) -> "_Bundle":
-        """A running bundle over this model, holding ``goods``."""
-        return _Bundle(self, goods)
+        return Fraction(self._bundle(subset).max_drop, self.den)
 
     def check(self, m: int, mode: str) -> None:
         """Raise ValueError unless this is a valuation over ``m`` goods,
@@ -145,44 +145,6 @@ class ValuationModel(_ByFields):
         raise NotImplementedError
 
 
-class _Bundle:
-    """A bundle that goods join and leave one at a time, with its value, its
-    drops and the gain of one more good under one model. Values are exact
-    and compare only with bundles of the same model. This default
-    recomputes each from the goods through the model's definitional
-    methods."""
-
-    __slots__ = ("model", "goods")
-
-    def __init__(self, model: ValuationModel, goods: Iterable[int]):
-        self.model = model
-        self.goods = set(goods)
-
-    def add(self, g: int) -> None:
-        self.goods.add(g)
-
-    def remove(self, g: int) -> None:
-        self.goods.remove(g)
-
-    def __len__(self):
-        return len(self.goods)
-
-    @property
-    def value(self):
-        return self.model.value(frozenset(self.goods))
-
-    @property
-    def min_drop(self):
-        return self.model.min_drop(frozenset(self.goods))
-
-    @property
-    def max_drop(self):
-        return self.model.max_drop(frozenset(self.goods))
-
-    def gain(self, g: int):
-        return self.model.value(frozenset(self.goods | {g})) - self.value
-
-
 class _AdditiveBundle:
     """Running integer sum of the members' numerators (over the model's
     ``den``). The largest and smallest member come from heaps built on
@@ -192,8 +154,15 @@ class _AdditiveBundle:
 
     def __init__(self, nums: tuple, goods: Iterable[int]):
         self.nums = nums
-        self.goods = set(goods)
-        self.value = sum(nums[g] for g in self.goods)
+        self.goods = goods = set(goods)
+        # A good past the end raises IndexError; a negative one would wrap.
+        try:
+            self.value = sum(map(nums.__getitem__, goods))
+            if goods and min(goods) < 0:
+                raise IndexError
+        except IndexError:
+            bad = next(g for g in goods if not 0 <= g < len(nums))
+            raise ValueError(f"good {bad} outside additive vector of length {len(nums)}") from None
         self.heaps = {}  # sign -> heap of (sign * numerator, good)
 
     def add(self, g: int) -> None:
@@ -233,6 +202,50 @@ class _AdditiveBundle:
         return 0 if g in self.goods else self.nums[g]
 
 
+class _TableBundle:
+    """The members and their mask: the value is one lookup, and each drop
+    one sub-mask lookup per member (the table is total, so every sub-mask
+    of a present mask is present)."""
+
+    __slots__ = ("nums", "goods", "mask")
+
+    def __init__(self, table: "Table", goods: Iterable[int]):
+        self.nums, self.goods, mask = table.nums, set(goods), 0
+        for g in self.goods:
+            mask |= 1 << g
+        if mask >> table.m:
+            raise ValueError(f"table model is missing subset mask {mask}")
+        self.mask = mask
+
+    def add(self, g: int) -> None:
+        self.goods.add(g)
+        self.mask |= 1 << g
+
+    def remove(self, g: int) -> None:
+        self.goods.remove(g)
+        self.mask &= ~(1 << g)
+
+    def __len__(self):
+        return len(self.goods)
+
+    @property
+    def value(self):
+        return self.nums[self.mask]
+
+    @property
+    def min_drop(self):
+        mask, nums = self.mask, self.nums
+        return min([nums[mask & ~(1 << g)] for g in self.goods], default=0)
+
+    @property
+    def max_drop(self):
+        mask, nums = self.mask, self.nums
+        return max([nums[mask & ~(1 << g)] for g in self.goods], default=0)
+
+    def gain(self, g: int):
+        return self.nums[self.mask | 1 << g] - self.nums[self.mask]
+
+
 class _NegatedBundle:
     """The inner model's running bundle with its values negated, so its
     two drops trade places; goods join and leave the inner bundle itself."""
@@ -261,6 +274,59 @@ class _NegatedBundle:
         return -self.inner.gain(g)
 
 
+class _CompositeBundle:
+    """The base model's running bundle over the members below ``base_goods``
+    and the tail's over all of them, each scaled to the composite's ``den``.
+    Each drop takes every member out and back in, O(|S|) bundle updates."""
+
+    __slots__ = ("base", "tail", "base_goods", "base_scale", "tail_scale")
+
+    def __init__(self, model: "Composite", goods: Iterable[int]):
+        goods = set(goods)
+        self.base_goods = model.base_goods
+        self.base = model.base._bundle(g for g in goods if g < model.base_goods)
+        self.tail = model.tail._bundle(goods)
+        self.base_scale, self.tail_scale = model.den // model.base.den, model.den // model.tail.den
+
+    def add(self, g: int) -> None:
+        if g < self.base_goods:
+            self.base.add(g)
+        self.tail.add(g)
+
+    def remove(self, g: int) -> None:
+        if g < self.base_goods:
+            self.base.remove(g)
+        self.tail.remove(g)
+
+    def __len__(self):
+        return len(self.tail)
+
+    @property
+    def value(self):
+        return self.base.value * self.base_scale + self.tail.value * self.tail_scale
+
+    def _drops(self) -> list:
+        """v(S - {g}) for each member g."""
+        drops = []
+        for g in list(self.tail.goods):
+            self.remove(g)
+            drops.append(self.value)
+            self.add(g)
+        return drops
+
+    @property
+    def min_drop(self):
+        return min(self._drops(), default=0)
+
+    @property
+    def max_drop(self):
+        return max(self._drops(), default=0)
+
+    def gain(self, g: int):
+        base = self.base.gain(g) * self.base_scale if g < self.base_goods else 0
+        return base + self.tail.gain(g) * self.tail_scale
+
+
 class Additive(ValuationModel):
     """v(S) = sum of fixed per-good values.
 
@@ -275,31 +341,6 @@ class Additive(ValuationModel):
         self.values = tuple(as_fraction(v) for v in values)
         self.nums, self.den = _over_common_denominator(self.values)
 
-    def _numerators(self, subset: frozenset) -> list:
-        nums = self.nums
-        # Checked up front: a negative index would silently wrap.
-        if subset and not (min(subset) >= 0 and max(subset) < len(nums)):
-            bad = next(g for g in subset if not 0 <= g < len(nums))
-            raise ValueError(f"good {bad} outside additive vector of length {len(nums)}")
-        return [nums[g] for g in subset]
-
-    def value(self, subset: frozenset) -> Fraction:
-        return Fraction(sum(self._numerators(subset)), self.den)
-
-    def min_drop(self, subset: frozenset) -> Fraction:
-        """v(S) minus the largest value in S."""
-        if not subset:
-            return Fraction(0)
-        picked = self._numerators(subset)
-        return Fraction(sum(picked) - max(picked), self.den)
-
-    def max_drop(self, subset: frozenset) -> Fraction:
-        """v(S) minus the smallest value in S."""
-        if not subset:
-            return Fraction(0)
-        picked = self._numerators(subset)
-        return Fraction(sum(picked) - min(picked), self.den)
-
     def _bundle(self, goods: Iterable[int] = ()) -> _AdditiveBundle:
         return _AdditiveBundle(self.nums, goods)
 
@@ -312,20 +353,6 @@ class Additive(ValuationModel):
 
     def to_json(self) -> dict:
         return {"type": "additive", "values": [str(v) for v in self.values]}
-
-
-class Uniform(ValuationModel):
-    """v(S) = |S|."""
-
-    def value(self, subset: frozenset) -> Fraction:
-        return Fraction(len(subset))
-
-    def check(self, m: int, mode: str) -> None:
-        if mode == CHORES:
-            raise ValueError("uniform valuation is monotone non-decreasing; negate it for chores")
-
-    def to_json(self) -> dict:
-        return {"type": "uniform"}
 
 
 class Table(ValuationModel):
@@ -381,29 +408,8 @@ class Table(ValuationModel):
         den = self.den
         return {mask: Fraction(num, den) for mask, num in enumerate(self.nums)}
 
-    def _mask(self, subset: frozenset) -> int:
-        mask = 0
-        for g in subset:
-            mask |= 1 << g
-        if mask >> self.m:
-            raise ValueError(f"table model is missing subset mask {mask}")
-        return mask
-
-    def value(self, subset: frozenset) -> Fraction:
-        return Fraction(self.nums[self._mask(subset)], self.den)
-
-    # The table is total, so every sub-mask of a present mask is present.
-    def min_drop(self, subset: frozenset) -> Fraction:
-        if not subset:
-            return Fraction(0)
-        mask, nums = self._mask(subset), self.nums
-        return Fraction(min(nums[mask & ~(1 << g)] for g in subset), self.den)
-
-    def max_drop(self, subset: frozenset) -> Fraction:
-        if not subset:
-            return Fraction(0)
-        mask, nums = self._mask(subset), self.nums
-        return Fraction(max(nums[mask & ~(1 << g)] for g in subset), self.den)
+    def _bundle(self, goods: Iterable[int] = ()) -> _TableBundle:
+        return _TableBundle(self, goods)
 
     def check(self, m: int, mode: str) -> None:
         if self.m != m:
@@ -431,14 +437,9 @@ class Negated(ValuationModel):
     def __init__(self, inner: ValuationModel):
         self.inner = inner
 
-    def value(self, subset: frozenset) -> Fraction:
-        return -self.inner.value(subset)
-
-    def min_drop(self, subset: frozenset) -> Fraction:
-        return -self.inner.max_drop(subset)
-
-    def max_drop(self, subset: frozenset) -> Fraction:
-        return -self.inner.min_drop(subset)
+    @property
+    def den(self) -> int:
+        return self.inner.den
 
     def _bundle(self, goods: Iterable[int] = ()) -> _NegatedBundle:
         return _NegatedBundle(self.inner._bundle(goods))
@@ -452,7 +453,7 @@ class Negated(ValuationModel):
 
 class Composite(ValuationModel):
     """v(S) = base(S intersected with goods 0..base_goods-1) + tail(S), the
-    tail being additive over all goods.
+    tail being additive over all goods; ``den`` is the lcm of the parts'.
 
     Embeds a model over a good prefix into a larger good universe; the
     hardness reduction builds it for non-additive bases, whose composed
@@ -463,9 +464,10 @@ class Composite(ValuationModel):
 
     def __init__(self, base: ValuationModel, base_goods: int, tail: Additive):
         self.base, self.base_goods, self.tail = base, base_goods, tail
+        self.den = math.lcm(base.den, tail.den)
 
-    def value(self, subset: frozenset) -> Fraction:
-        return self.base.value(frozenset(g for g in subset if g < self.base_goods)) + self.tail.value(subset)
+    def _bundle(self, goods: Iterable[int] = ()) -> _CompositeBundle:
+        return _CompositeBundle(self, goods)
 
     def check(self, m: int, mode: str) -> None:
         if not 0 <= self.base_goods <= m:
@@ -654,26 +656,21 @@ def is_maximal(instance: Instance, allocation: Allocation) -> bool:
 
 def is_ef1(instance: Instance, allocation: Allocation) -> bool:
     """Envy-freeness up to one good (goods mode) or one chore (chores mode),
-    under each agent's own valuation."""
+    under each agent's own valuation. Each model builds one running bundle
+    per allocation bundle, and the comparisons run in its integer units."""
     _require_one_bundle_per_agent(instance, allocation)
-    bundles = allocation.bundles
-    if instance.mode == GOODS:
-        for i in range(instance.n):
-            model = instance.models[i]
-            own = model.value(bundles[i])
-            for j in range(instance.n):
-                if i != j and bundles[j] and own < value_minus_one(model, bundles[j]):
-                    return False
-        return True
-    for i in range(instance.n):
-        model = instance.models[i]
-        mine = bundles[i]
-        if not mine:
-            continue
-        best_after_removal = model.max_drop(mine)
-        for j in range(instance.n):
-            if i != j and best_after_removal < model.value(bundles[j]):
+    bundles, goods, n = allocation.bundles, instance.mode == GOODS, instance.n
+    seen = {}  # id(model) -> (values, drops) of the bundles under it
+    for i, model in enumerate(instance.models):
+        if id(model) not in seen:
+            runs = [model._bundle(b) for b in bundles]
+            seen[id(model)] = [r.value for r in runs], [r.min_drop if goods else r.max_drop for r in runs]
+        values, drops = seen[id(model)]
+        if goods:
+            if any(values[i] < drops[j] for j in range(n) if j != i and bundles[j]):
                 return False
+        elif bundles[i] and any(drops[i] < values[j] for j in range(n) if j != i):
+            return False
     return True
 
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .core import (
-    GOODS,
     Additive,
     Allocation,
     Composite,
@@ -114,11 +113,8 @@ def build_reduction(
     is_instance: ISInstance,
     budget: Optional[EnumerationBudget] = None,
 ) -> Tuple[Instance, ReductionSpec]:
-    """Compose the base no-EF1 instance with n copies of the IS graph."""
-    if not base.identical:
-        raise ValueError("base instance must have identical valuations")
-    if base.mode != GOODS:
-        raise ValueError("negate a chores base into goods mode before reducing")
+    """Compose the base no-EF1 instance with n copies of the IS graph. The
+    base must have identical goods valuations: gamma refuses any other."""
     # With identical monotone goods valuations, gamma <= 0 exactly when some
     # maximal allocation is EF1: a bundle's own term and an empty bundle's
     # term of the gap are never positive.
@@ -127,17 +123,12 @@ def build_reduction(
         raise ValueError("base instance admits a maximal EF1 allocation")
     lam = gamma / is_instance.t
 
-    n = base.n
-    h = is_instance.graph.m
-    m_base = base.m
-    x_ranges = []
-    y_ranges = []
-    offset = m_base
-    for _ in range(n):
-        x_ranges.append(range(offset, offset + h))
-        y_ranges.append(range(offset + h, offset + 2 * h))
-        offset += 2 * h
-    good_map = GoodMap(range(m_base), tuple(x_ranges), tuple(y_ranges))
+    n, h, m_base = base.n, is_instance.graph.m, base.m
+    # Copy i's x-goods, then its y-goods, in one block of 2h after the base.
+    blocks = [range(m_base + 2 * h * i, m_base + 2 * h * (i + 1)) for i in range(n)]
+    x_ranges, y_ranges = tuple(b[:h] for b in blocks), tuple(b[h:] for b in blocks)
+    offset = m_base + 2 * h * n
+    good_map = GoodMap(range(m_base), x_ranges, y_ranges)
 
     edges, is_edges = list(base.graph.edges), is_instance.graph.edges
     for i in range(n):
@@ -147,9 +138,7 @@ def build_reduction(
             edges.append((good_map.x_good(i, w), good_map.y_good(i, w)))
     for i in range(n):
         for j in range(i + 1, n):
-            block_i = list(x_ranges[i]) + list(y_ranges[i])
-            block_j = list(x_ranges[j]) + list(y_ranges[j])
-            edges.extend((a, b) for a in block_i for b in block_j)
+            edges.extend((a, b) for a in blocks[i] for b in blocks[j])
     graph = ConflictGraph(offset, edges)
 
     tail = [Fraction(0)] * offset
@@ -158,8 +147,7 @@ def build_reduction(
             tail[g] = lam
     base_model = base.identical_model
     if isinstance(base_model, Additive):
-        values = list(base_model.values) + tail[m_base:]
-        model = Additive(values)
+        model = Additive(list(base_model.values) + tail[m_base:])
     else:
         model = Composite(base_model, m_base, Additive(tail))
     instance = Instance(graph, n, model)

@@ -49,12 +49,11 @@ from .core import (
     Allocation,
     Instance,
     ValuationModel,
-    evaluate,
     is_ef1,
     is_maximal,
     validate_allocation,
-    value_minus_one,
 )
+from .chain import InapplicableError
 
 
 class BudgetExceededError(Exception):
@@ -185,10 +184,16 @@ def count_maximal_allocations(
 
 def worst_envy_gap(model: ValuationModel, allocation: Allocation) -> Fraction:
     """max over bundles of v_minus_one minus min over bundles of v: the
-    worst gap v_minus_one(A_i) - v(A_i') over agent pairs, i = i' included."""
-    return max(value_minus_one(model, b) for b in allocation.bundles) - min(
-        evaluate(model, b) for b in allocation.bundles
-    )
+    worst gap v_minus_one(A_i) - v(A_i') over agent pairs, i = i' included,
+    taken on one running bundle per bundle."""
+    runs = [model._bundle(b) for b in allocation.bundles]
+    return Fraction(max(r.min_drop for r in runs) - min(r.value for r in runs), model.den)
+
+
+def require_gamma_applies(instance: Instance) -> None:
+    """Raise InapplicableError, a ValueError, unless the valuations are identical goods ones."""
+    if not instance.identical or instance.mode != GOODS:
+        raise InapplicableError("gamma is defined for identical valuations of goods")
 
 
 def _gamma_and_allocation(
@@ -197,9 +202,9 @@ def _gamma_and_allocation(
 ) -> Tuple[Fraction, Allocation]:
     """Smallest ``worst_envy_gap`` over all maximal allocations, and the
     first allocation in enumeration order that attains it. There is always
-    one: greedy completion yields a maximal allocation."""
-    if not instance.identical or instance.mode != GOODS:
-        raise ValueError("gamma is defined for identical valuations of goods")
+    one: greedy completion yields a maximal allocation. Refuses, before any
+    search, an instance gamma does not apply to."""
+    require_gamma_applies(instance)
     model = instance.identical_model
     allocations = enumerate_maximal_allocations(instance, budget, symmetric=True)
     gaps = ((worst_envy_gap(model, a), a) for a in allocations)

@@ -22,7 +22,6 @@ from .core import (
     Instance,
     Negated,
     Table,
-    Uniform,
     ValuationModel,
 )
 from .graph_classes import IntervalSet
@@ -146,11 +145,12 @@ def _table_entries_one_by_one(items: list) -> dict:
     return entries
 
 
-def model_from_json(data, m: int) -> ValuationModel:
-    return _model_from_json(data, m, 0)
+def model_from_json(data, m: int, uniforms: Optional[dict] = None) -> ValuationModel:
+    """``uniforms``, good count -> uniform model, is shared by a file's models."""
+    return _model_from_json(data, m, 0, {} if uniforms is None else uniforms)
 
 
-def _model_from_json(data, m: int, depth: int) -> ValuationModel:
+def _model_from_json(data, m: int, depth: int, uniforms: dict) -> ValuationModel:
     """The model ``data`` nested inside ``depth`` negated or composite models."""
     if not isinstance(data, dict) or "type" not in data:
         raise ParseError("model must be an object with a 'type' field")
@@ -159,7 +159,10 @@ def _model_from_json(data, m: int, depth: int) -> ValuationModel:
         if kind == "additive":
             return Additive(rational_from_str(v) for v in array_from_json(data["values"], "additive values"))
         if kind == "uniform":
-            return Uniform()
+            # Value 1 per good, as one Fraction that Additive keeps as it is.
+            if m not in uniforms:
+                uniforms[m] = Additive([Fraction(1)] * m)
+            return uniforms[m]
         if kind == "table":
             entries = _table_entries(array_from_json(data["entries"], "table entries"))
             try:
@@ -169,11 +172,14 @@ def _model_from_json(data, m: int, depth: int) -> ValuationModel:
         if kind in ("negated", "composite") and depth == _MODEL_NESTING_LIMIT:
             raise ParseError(f"models nest more than {_MODEL_NESTING_LIMIT} levels deep")
         if kind == "negated":
-            return Negated(_model_from_json(data["inner"], m, depth + 1))
+            return Negated(_model_from_json(data["inner"], m, depth + 1, uniforms))
         if kind == "composite":
             base_goods = integer_from_json(data["baseGoods"], "baseGoods")
-            base = _model_from_json(data["base"], base_goods, depth + 1)
-            tail = array_from_json(data["tail"], "composite tail")
+            # Checked before the base is read: a uniform base has no more goods than the tail lists values.
+            tail = array_from_json(data["tail"], "composite tail", m)
+            if base_goods > m:
+                raise ValueError("composite base goods out of range")
+            base = _model_from_json(data["base"], base_goods, depth + 1, uniforms)
             return Composite(base, base_goods, Additive(rational_from_str(v) for v in tail))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed {kind} model: {exc}") from exc
@@ -206,10 +212,11 @@ def instance_from_json(data) -> Tuple[Instance, Optional[IntervalSet]]:
         mode = data.get("mode", "goods")
         graph = ConflictGraph(m, _edges_from_json(data))
         valuations = data["valuations"]
+        uniforms: dict = {}
         if "identical" in valuations:
-            models: object = model_from_json(valuations["identical"], m)
+            models: object = model_from_json(valuations["identical"], m, uniforms)
         elif "perAgent" in valuations:
-            models = [model_from_json(v, m) for v in array_from_json(valuations["perAgent"], "perAgent")]
+            models = [model_from_json(v, m, uniforms) for v in array_from_json(valuations["perAgent"], "perAgent")]
         else:
             raise ParseError("valuations must contain 'identical' or 'perAgent'")
         instance = Instance(graph, n, models, mode)

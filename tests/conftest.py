@@ -10,12 +10,15 @@ from fractions import Fraction
 import pytest
 
 from conflictfair import (
+    CHORES,
     GOODS,
     Additive,
     Allocation,
+    Composite,
     ConflictGraph,
     Instance,
     IntervalSet,
+    Negated,
     RootedTree,
     Table,
     ValidationReport,
@@ -64,6 +67,105 @@ def random_monotone_table(rng: random.Random, m: int, step: int = 3) -> Table:
         best = max(entries[mask & ~(1 << g)] for g in range(m) if mask & (1 << g))
         entries[mask] = best + rng.randint(0, step)
     return Table(m, entries)
+
+
+# Mixed denominators and zeros, so a common denominator is not 1.
+MODEL_VALUES = (Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2), Fraction(7, 3), Fraction(5, 6), Fraction(3, 4))
+MODEL_KINDS = ("additive", "uniform", "table", "negated", "double-negated", "composite")
+
+
+def random_model(rng: random.Random, m: int, mode: str = GOODS, kind=None, depth: int = 2):
+    """A valid model over m goods in ``mode``: of ``kind``, or of a random
+    kind when it is None. Negated, double-negated and composite models wrap
+    random models ``depth`` levels deep; "uniform" is 1 (or -1) per good,
+    and a chores table is a negated table's entries."""
+    kind = kind or rng.choice(MODEL_KINDS if depth else MODEL_KINDS[:3])
+    sign = 1 if mode == GOODS else -1
+    if kind == "additive":
+        model = Additive([sign * rng.choice(MODEL_VALUES) for _ in range(m)])
+    elif kind == "uniform":
+        model = Additive([sign] * m)
+    elif kind == "table":
+        model = random_monotone_table(rng, m)
+        if mode == CHORES:
+            model = Table(m, {mask: -v for mask, v in model.entries.items()})
+    elif kind == "negated":
+        model = Negated(random_model(rng, m, CHORES if mode == GOODS else GOODS, depth=depth - 1))
+    elif kind == "double-negated":
+        model = Negated(Negated(random_model(rng, m, mode, depth=depth - 1)))
+    else:
+        base_goods = rng.randint(0, m)
+        tail = Additive([sign * rng.choice(MODEL_VALUES) for _ in range(m)])
+        model = Composite(random_model(rng, base_goods, mode, depth=depth - 1), base_goods, tail)
+    model.check(m, mode)
+    return model
+
+
+def reference_value(model, subset) -> Fraction:
+    """v(subset) from the definition of each model type, read from its
+    defining data and never through ``value`` or a running bundle. A good
+    outside the model is a ValueError."""
+    subset = frozenset(subset)
+    if isinstance(model, Additive):
+        bad = [g for g in subset if not 0 <= g < len(model.values)]
+        if bad:
+            raise ValueError(f"good {bad[0]} outside the additive vector")
+        return sum((model.values[g] for g in subset), Fraction(0))
+    if isinstance(model, Table):
+        if not all(0 <= g < model.m for g in subset):
+            raise ValueError("good outside the table")
+        return Fraction(model.nums[sum(1 << g for g in subset)], model.den)
+    if isinstance(model, Negated):
+        return -reference_value(model.inner, subset)
+    if isinstance(model, Composite):
+        base = reference_value(model.base, {g for g in subset if g < model.base_goods})
+        return base + reference_value(model.tail, subset)
+    raise TypeError(f"no reference for {type(model).__name__}")
+
+
+def reference_min_drop(model, subset) -> Fraction:
+    """min over g in subset of v(subset - {g}); 0 for the empty set."""
+    subset = frozenset(subset)
+    return min((reference_value(model, subset - {g}) for g in subset), default=Fraction(0))
+
+
+def reference_max_drop(model, subset) -> Fraction:
+    """max over g in subset of v(subset - {g}); 0 for the empty set."""
+    subset = frozenset(subset)
+    return max((reference_value(model, subset - {g}) for g in subset), default=Fraction(0))
+
+
+class ReferenceBundle:
+    """Reference for a model's running bundle: it keeps the goods and
+    recomputes each read from them through the references above, as a
+    ``Fraction`` where the running bundle gives an integer over ``den``."""
+
+    def __init__(self, model, goods=()):
+        self.model, self.goods = model, set(goods)
+
+    def add(self, g: int) -> None:
+        self.goods.add(g)
+
+    def remove(self, g: int) -> None:
+        self.goods.remove(g)
+
+    def __len__(self):
+        return len(self.goods)
+
+    @property
+    def value(self) -> Fraction:
+        return reference_value(self.model, self.goods)
+
+    @property
+    def min_drop(self) -> Fraction:
+        return reference_min_drop(self.model, self.goods)
+
+    @property
+    def max_drop(self) -> Fraction:
+        return reference_max_drop(self.model, self.goods)
+
+    def gain(self, g: int) -> Fraction:
+        return reference_value(self.model, self.goods | {g}) - self.value
 
 
 def random_intervals(rng: random.Random, m: int, span: int = 20) -> IntervalSet:

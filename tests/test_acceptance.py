@@ -19,7 +19,6 @@ from conflictfair import (
     ISInstance,
     Instance,
     Negated,
-    Uniform,
     bipartition,
     build_chain,
     build_reduction,
@@ -354,7 +353,7 @@ def test_criterion_11_chores_goods_metamorphic(solver_corpus):
         elif roll < 0.8:
             model = random_monotone_table(rng, m)
         else:
-            model = Uniform()
+            model = Additive([1] * m)
         n = rng.randint(1, 3)
         goods = Instance(graph, n, model, "goods")
         chores = Instance(graph, n, Negated(model), "chores")

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from conflictfair import (
     Additive,
+    Allocation,
     ConflictGraph,
     Instance,
     Negated,
-    Uniform,
+    RootedTree,
     coloring_violations,
+    equitable_tree_coloring,
     gen_counterexample,
+    is_ef1,
+    is_maximal,
+    swap_ef1,
 )
 from conflictfair import cli, serialization, treecolor
 from conflictfair.cli import main
@@ -32,7 +38,7 @@ from conflictfair.serialization import (
 )
 from conflictfair.graph_classes import IntervalSet
 
-from conftest import random_graph, random_intervals, random_monotone_table
+from conftest import random_graph, random_intervals, random_monotone_table, random_tree_edges
 
 
 HUGE_DENOMINATOR = f"1/{2 ** DENOMINATOR_BITS}"
@@ -124,7 +130,7 @@ class TestSolve:
 
     def test_auto_uses_interval_when_present(self, tmp_path, capsys):
         iv = IntervalSet([(0, 2), (1, 3), (2, 4), (3, 5)])
-        instance = Instance(iv.induced_graph(), 2, Uniform())
+        instance = Instance(iv.induced_graph(), 2, Additive([1] * 4))
         path = write(tmp_path, "iv.json", instance_to_json(instance, iv))
         code = main(["solve", path])
         lines = report_lines(capsys)
@@ -169,12 +175,12 @@ class TestSolve:
             assert outputs[0] == outputs[1] and "algorithm:interval" in outputs[0], trial
 
     def test_auto_fails_for_large_three_agent_instance(self, tmp_path, capsys):
-        instance = Instance(ConflictGraph(6), 3, Uniform())
+        instance = Instance(ConflictGraph(6), 3, Additive([1] * 6))
         path = write(tmp_path, "big3.json", instance_to_json(instance))
         assert main(["solve", path]) == 4
 
     def test_auto_fails_for_one_agent_on_more_than_two_goods(self, tmp_path, capsys):
-        path = write(tmp_path, "one.json", instance_to_json(Instance(ConflictGraph(4), 1, Uniform())))
+        path = write(tmp_path, "one.json", instance_to_json(Instance(ConflictGraph(4), 1, Additive([1] * 4))))
         assert main(["solve", path]) == 4
         assert capsys.readouterr().err == "error:no algorithm applies to 1 agents on 4 goods\n"
         assert main(["oracle", path]) == 0
@@ -326,7 +332,12 @@ class TestSolve:
                 {"valuations": {"identical": {"type": "composite", "baseGoods": 4, "base": {"type": "uniform"}, "tail": ["0"] * 3}}},
                 "composite base goods out of range",
             ),
-            ({"mode": "chores", "valuations": {"identical": {"type": "uniform"}}}, "negate it for chores"),
+            # A base past SIZE_LIMIT goods builds no vector of that length.
+            (
+                {"valuations": {"identical": {"type": "composite", "baseGoods": 10**12, "base": {"type": "uniform"}, "tail": ["0"] * 3}}},
+                "composite base goods out of range",
+            ),
+            ({"mode": "chores", "valuations": {"identical": {"type": "uniform"}}}, "additive values must be non-positive in chores mode"),
             ({"agents": 0}, "need at least one agent"),
             ({"valuations": {}}, "valuations must contain 'identical' or 'perAgent'"),
             ({"valuations": {"identical": too_deep}}, "models nest more than"),
@@ -538,7 +549,7 @@ class TestOracleCommand:
         # 1024 between two later checks of the clock. A NaN limit is refused
         # as an invalid parameter before the file is read.
         monkeypatch.chdir(tmp_path)
-        inst = write(tmp_path, "three.json", instance_to_json(Instance(ConflictGraph(3, [(0, 1)]), 2, Uniform())))
+        inst = write(tmp_path, "three.json", instance_to_json(Instance(ConflictGraph(3, [(0, 1)]), 2, Additive([1] * 3))))
         assert main(["oracle", inst, "--wall-clock", limit, *flags]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -548,7 +559,7 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("flag", ["--count", "--gamma"])
     def test_search_after_a_slow_exists_gets_no_time(self, tmp_path, capsys, monkeypatch, flag):
-        inst = write(tmp_path, "three.json", instance_to_json(Instance(ConflictGraph(3, [(0, 1)]), 2, Uniform())))
+        inst = write(tmp_path, "three.json", instance_to_json(Instance(ConflictGraph(3, [(0, 1)]), 2, Additive([1] * 3))))
         original = cli.exists_maximal_ef1
 
         def slow_exists(*args):
@@ -568,7 +579,7 @@ class TestOracleCommand:
         inst = write(tmp_path, "chores.json", instance_to_json(Instance(ConflictGraph(4), 3, Additive([-1, -2, -3, -4]), "chores")))
         assert main(["oracle", inst, "--gamma"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error:gamma needs identical valuations of goods\n"
+        assert captured.out == "" and captured.err == "error:gamma is defined for identical valuations of goods\n"
         assert searches == []
 
     def test_witness_and_count(self, tmp_path, capsys):
@@ -596,7 +607,7 @@ class TestOracleCommand:
         inst = write(
             tmp_path,
             "big.json",
-            instance_to_json(Instance(ConflictGraph(8), 3, Uniform())),
+            instance_to_json(Instance(ConflictGraph(8), 3, Additive([1] * 8))),
         )
         assert main(["oracle", inst, "--max-assignments", "100"]) == 5
 
@@ -607,7 +618,7 @@ class TestOracleCommand:
         inst = write(
             tmp_path,
             "path.json",
-            instance_to_json(Instance(ConflictGraph(m, [(g, g + 1) for g in range(m - 1)]), 1, Uniform())),
+            instance_to_json(Instance(ConflictGraph(m, [(g, g + 1) for g in range(m - 1)]), 1, Additive([1] * m))),
         )
         budget = "9" * 501
         code = main(["oracle", inst, "--count", "--wall-clock", "0.5", "--max-assignments", budget])
@@ -622,7 +633,7 @@ class TestOracleCommand:
         pairs = 15
         m = 2 * pairs
         graph = ConflictGraph(m, [(2 * i, 2 * i + 1) for i in range(pairs)])
-        inst = write(tmp_path, "matching.json", instance_to_json(Instance(graph, 2, Uniform())))
+        inst = write(tmp_path, "matching.json", instance_to_json(Instance(graph, 2, Additive([1] * m))))
         budget = str(3**m)
         start = time.monotonic()
         assert main(["oracle", inst, "--count", "--max-assignments", budget]) == 0
@@ -690,8 +701,13 @@ class TestGen:
         h = write(tmp_path, "h.json", {"vertices": 2, "edges": []})
         out = str(tmp_path / "red.json")
         for inst, mode, message in [
-            (Instance(ConflictGraph(2, [(0, 1)]), 2, Uniform()), "goods", "admits a maximal EF1 allocation"),
-            (gen_counterexample(4), "chores", "negate a chores base into goods mode"),
+            (Instance(ConflictGraph(2, [(0, 1)]), 2, Additive([1] * 2)), "goods", "admits a maximal EF1 allocation"),
+            (gen_counterexample(4), "chores", "gamma is defined for identical valuations of goods"),
+            (
+                Instance(ConflictGraph(2, [(0, 1)]), 2, [Additive([1, 1]), Additive([1, 2])]),
+                "goods",
+                "gamma is defined for identical valuations of goods",
+            ),
         ]:
             if mode == "chores":
                 inst = Instance(inst.graph, inst.n, Negated(inst.identical_model), "chores")
@@ -805,7 +821,7 @@ def _random_instance_with_intervals(rng):
         values = [rng.randint(0, 9) for _ in range(m)]
         model = Additive([-v for v in values]) if mode == "chores" else Additive(values)
     elif kind == "uniform":
-        model = Negated(Uniform()) if mode == "chores" else Uniform()
+        model = Negated(Additive([1] * m)) if mode == "chores" else Additive([1] * m)
     else:
         table = random_monotone_table(rng, m)
         model = Negated(table) if mode == "chores" else table
@@ -823,6 +839,92 @@ def _random_instance_with_intervals(rng):
     else:
         graph = random_graph(rng, m)
     return Instance(graph, n, instance_models, mode), intervals
+
+
+def _best_time(fn, repeat=2) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_uniform_files_are_additive(tmp_path, capsys):
+    # "uniform" reads as 1 per good, in a composite base too; so a chores
+    # file must negate it, and it runs on the additive closed form.
+    def document(m, mode, model):
+        return {"agents": 2, "goods": m, "edges": [], "mode": mode, "valuations": {"identical": model}}
+
+    instance, _ = instance_from_json(serialization.load_json(write(tmp_path, "u.json", document(5, "goods", {"type": "uniform"}))))
+    assert instance.identical_model == Additive([1] * 5)
+    composite = {"type": "composite", "baseGoods": 2, "base": {"type": "uniform"}, "tail": ["0"] * 5}
+    instance, _ = instance_from_json(document(5, "goods", composite))
+    assert instance.identical_model.base == Additive([1, 1])
+
+    path = write(tmp_path, "chores.json", document(5, "chores", {"type": "uniform"}))
+    assert main(["solve", path]) == 3
+    assert capsys.readouterr().err == "error:malformed instance file: additive values must be non-positive in chores mode\n"
+
+    # Additive speed on the probe sizes: the definitional fallback took
+    # 250 times longer on the swap and 500 times on the tree check.
+    m = 1000
+    swap_instance = Instance(random_graph(random.Random(1), m, 4 / m), 2, Additive([1] * m))
+    parsed, _ = instance_from_json(instance_to_json(swap_instance) | {"valuations": {"identical": {"type": "uniform"}}})
+    reference = _best_time(lambda: swap_ef1(swap_instance))
+    assert _best_time(lambda: swap_ef1(parsed)) <= 10 * reference + 0.05
+
+    nv, n = 20_000, 7
+    tree = RootedTree(ConflictGraph(nv, random_tree_edges(random.Random(1), nv)))
+    allocation = Allocation(equitable_tree_coloring(tree, n).classes())
+    tree_instance = Instance(tree.graph, n, Additive([1] * nv))
+    parsed, _ = instance_from_json(
+        {"agents": n, "goods": nv, "edges": [list(e) for e in sorted(tree.graph.edges)], "valuations": {"identical": {"type": "uniform"}}}
+    )
+    assert parsed.identical_model == tree_instance.identical_model
+    assert is_ef1(parsed, allocation) and is_maximal(parsed, allocation)
+    reference = _best_time(lambda: is_ef1(tree_instance, allocation))
+    assert _best_time(lambda: is_ef1(parsed, allocation)) <= 10 * reference + 0.05
+
+
+def test_uniform_entries_cost_no_more_than_the_file():
+    # A uniform entry is a few bytes for m goods, so the entries of one file
+    # share one model per good count, and a composite's good count and tail
+    # are checked before its base is read; 200 separate uniform vectors of
+    # 10 000 goods would take about 50 MB.
+    m, agents = 10_000, 200
+
+    def document(models, mode="goods"):
+        return {"agents": agents, "goods": m, "edges": [], "mode": mode, "valuations": models}
+
+    def traced(data):
+        """The parse's outcome, its peak traced bytes and its seconds."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            try:
+                outcome = instance_from_json(data)[0]
+            except ParseError as exc:
+                outcome = str(exc)
+            return outcome, tracemalloc.get_traced_memory()[1], time.perf_counter() - start
+        finally:
+            tracemalloc.stop()
+
+    def composites(base_goods, tail):
+        return [{"type": "composite", "baseGoods": base_goods(i), "base": {"type": "uniform"}, "tail": tail} for i in range(agents)]
+
+    one, budget, _ = traced(document({"identical": {"type": "uniform"}}))
+    assert one.identical_model == Additive([1] * m)
+    negated = Instance(ConflictGraph(m), agents, Negated(Additive([1] * m)), "chores")
+    for data, expected in [
+        (document({"perAgent": [{"type": "uniform"}] * agents}), one),
+        (document({"perAgent": [{"type": "negated", "inner": {"type": "uniform"}}] * agents}, "chores"), negated),
+        (document({"perAgent": composites(lambda i: m + 1 + i, ["0"] * m)}), "malformed instance file: composite base goods out of range"),
+        (document({"perAgent": composites(lambda i: m - i, [])}), f"composite tail must hold {m} items, got 0"),
+    ]:
+        outcome, peak, seconds = traced(data)
+        assert outcome == expected
+        assert peak <= 2 * budget and seconds <= 1, (data["valuations"]["perAgent"][0], peak, budget, seconds)
 
 
 class TestRoundTrip:

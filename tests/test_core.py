@@ -21,7 +21,6 @@ from conflictfair import (
     Negated,
     RootedTree,
     Table,
-    Uniform,
     bipartite_ef1,
     coloring_violations,
     complete_to_maximal_is,
@@ -198,14 +197,14 @@ class TestNeighbourOrder:
         # bundles may overlap or hold an edge.
         for _ in range(150):
             m = rng.randint(1, 9)
-            instance = Instance(random_graph(rng, m, rng.random()), rng.randint(1, 3), Uniform())
+            instance = Instance(random_graph(rng, m, rng.random()), rng.randint(1, 3), Additive([1] * m))
             allocations = [
                 random_maximal_allocation(rng, instance),
                 random_wellformed_allocation(rng, instance),
                 Allocation([rng.sample(range(m), rng.randint(0, m)) for _ in range(instance.n)]),
             ]
             for twin in self.twins(rng, instance.graph):
-                twin_instance = Instance(twin, instance.n, Uniform())
+                twin_instance = Instance(twin, instance.n, Additive([1] * m))
                 for allocation in allocations:
                     assert validate_allocation(twin_instance, allocation) == validate_allocation(instance, allocation)
                     assert is_maximal(twin_instance, allocation) == is_maximal(instance, allocation)
@@ -213,7 +212,7 @@ class TestNeighbourOrder:
 
 class TestEvaluate:
     def test_uniform_cardinality(self):
-        assert evaluate(Uniform(), {0, 2, 5}) == 3
+        assert evaluate(Additive([1] * 6), {0, 2, 5}) == 3
 
     def test_counterexample_table_pair(self, counterexample3):
         # a right-part good together with the pendant good
@@ -241,7 +240,7 @@ def test_most_valuable_takes_the_lowest_index_among_equals(rng):
     for _ in range(200):
         m = rng.randint(1, 40)
         values = [rng.randint(0, 2) for _ in range(m)]
-        models = [Additive(values), Negated(Additive(values)), Additive([-v for v in values]), Uniform()]
+        models = [Additive(values), Negated(Additive(values)), Additive([-v for v in values]), Additive([1] * m)]
         if m <= 8:
             table = random_monotone_table(rng, m, step=1)
             models += [table, Negated(table)]
@@ -254,7 +253,7 @@ def test_most_valuable_takes_the_lowest_index_among_equals(rng):
 class TestValueMinusOne:
     def test_empty_is_zero(self, counterexample3):
         assert value_minus_one(counterexample3.identical_model, ()) == 0
-        assert value_minus_one(Uniform(), ()) == 0
+        assert value_minus_one(Additive([1] * 3), ()) == 0
 
     def test_counterexample_pair(self, counterexample3):
         model = counterexample3.identical_model
@@ -267,7 +266,7 @@ class TestValueMinusOne:
     def test_never_exceeds_value_exhaustively(self, rng):
         models = [
             (10, Additive([rng.randint(0, 6) for _ in range(10)])),
-            (10, Uniform()),
+            (10, Additive([1] * 10)),
             (6, random_monotone_table(rng, 6)),
         ]
         for m, model in models:
@@ -297,13 +296,13 @@ class TestValidateAllocation:
         assert validate_allocation(counterexample3, Allocation([(), (), ()])).wellformed
 
     def test_adjacent_pair_in_bundle(self):
-        instance = Instance(FOUR_CYCLE, 2, Uniform())
+        instance = Instance(FOUR_CYCLE, 2, Additive([1] * 4))
         report = validate_allocation(instance, Allocation([{0, 1}, ()]))
         assert not report.wellformed
         assert report.independent == (False, True)
 
     def test_overlapping_bundles_not_disjoint(self):
-        instance = Instance(FOUR_CYCLE, 2, Uniform())
+        instance = Instance(FOUR_CYCLE, 2, Additive([1] * 4))
         report = validate_allocation(instance, Allocation([{0}, {0, 2}]))
         assert not report.disjoint and not report.wellformed
 
@@ -322,11 +321,11 @@ class TestIsMaximal:
         assert not is_maximal(counterexample3, Allocation([{1}, {0}, {3}]))
 
     def test_complete_allocation_is_maximal(self):
-        instance = Instance(PATH3, 2, Uniform())
+        instance = Instance(PATH3, 2, Additive([1] * 3))
         assert is_maximal(instance, Allocation([{0, 2}, {1}]))
 
     def test_empty_bundle_blocks_nothing(self):
-        instance = Instance(PATH3, 2, Uniform())
+        instance = Instance(PATH3, 2, Additive([1] * 3))
         assert not is_maximal(instance, Allocation([{0, 2}, ()]))
 
     def test_maximal_allocations_admit_no_feasible_addition(self, rng):
@@ -335,7 +334,7 @@ class TestIsMaximal:
         # terminates in a maximal one
         for _ in range(25):
             m = rng.randint(1, 8)
-            instance = Instance(random_graph(rng, m), rng.randint(1, 3), Uniform())
+            instance = Instance(random_graph(rng, m), rng.randint(1, 3), Additive([1] * m))
             adj = neighbours(instance.graph)
             for allocation in enumerate_maximal_allocations(instance):
                 feasible = [
@@ -398,7 +397,7 @@ class TestCheckersMatchTheirReferences:
         errors = maximal = 0
         for _ in range(400):
             m, n = rng.randint(0, 8), rng.randint(1, 4)
-            instance = Instance(random_graph(rng, m, rng.uniform(0.1, 0.8)), n, Uniform())
+            instance = Instance(random_graph(rng, m, rng.uniform(0.1, 0.8)), n, Additive([1] * m))
             bundles = self.random_bundles(rng, instance)
             allocation = Allocation(make(bundles))
             assert allocation.bundles == reference_bundles(make(bundles))
@@ -417,7 +416,7 @@ class TestCheckersMatchTheirReferences:
         assert errors > 400 and maximal > 50
 
     def test_out_of_range_messages(self):
-        instance = Instance(ConflictGraph(3, [(0, 1)]), 2, Uniform())
+        instance = Instance(ConflictGraph(3, [(0, 1)]), 2, Additive([1] * 3))
         for bundles in ([{0}, {2, 5}], [{-1, 1}, {7}], [{3, 4, 9}, set()]):
             allocation = Allocation(bundles)
             with pytest.raises(ValueError) as caught:
@@ -463,8 +462,8 @@ class TestIsEf1:
     "instance, bundles",
     [
         # One bundle short: on K3 the missing third bundle would take good 2.
-        (Instance(ConflictGraph(3, [(0, 1), (1, 2), (0, 2)]), 3, Uniform()), [{0}, {1}]),
-        (Instance(ConflictGraph(2), 2, Uniform()), [(), (), {0, 1}]),
+        (Instance(ConflictGraph(3, [(0, 1), (1, 2), (0, 2)]), 3, Additive([1] * 3)), [{0}, {1}]),
+        (Instance(ConflictGraph(2), 2, Additive([1] * 2)), [(), (), {0, 1}]),
     ],
     ids=["short", "long"],
 )

@@ -14,7 +14,6 @@ from conflictfair import (
     Instance,
     IntervalSet,
     Negated,
-    Uniform,
     bipartite_ef1,
     bipartition,
     chain_ef1,
@@ -318,20 +317,20 @@ class TestSchedulingGreedy:
 class TestIntervalEf1:
     def test_single_interval(self):
         iv = IntervalSet([(0, 1)])
-        instance = Instance(iv.induced_graph(), 2, Uniform())
+        instance = Instance(iv.induced_graph(), 2, Additive([1] * 1))
         allocation = interval_ef1(instance, iv)
         assert set(allocation[0]) == {0} and not allocation[1]
 
     def test_two_disjoint_intervals_split(self):
         iv = IntervalSet([(0, 1), (2, 3)])
-        instance = Instance(iv.induced_graph(), 2, Uniform())
+        instance = Instance(iv.induced_graph(), 2, Additive([1] * 2))
         allocation = interval_ef1(instance, iv)
         assert is_maximal(instance, allocation) and is_ef1(instance, allocation)
         assert len(allocation[0]) == len(allocation[1]) == 1
 
     def test_graph_mismatch_rejected(self):
         iv = IntervalSet([(0, 2), (1, 3)])
-        instance = Instance(ConflictGraph(2), 2, Uniform())
+        instance = Instance(ConflictGraph(2), 2, Additive([1] * 2))
         with pytest.raises(ValueError, match="induce"):
             interval_ef1(instance, iv)
 
@@ -384,14 +383,14 @@ class TestBipartite:
         assert tuple(set(b) for b in allocation) == ({0}, {1})
 
     def test_edgeless_uniform(self):
-        instance = Instance(ConflictGraph(3), 2, Uniform())
+        instance = Instance(ConflictGraph(3), 2, Additive([1] * 3))
         allocation = bipartite_ef1(instance)
         assert is_maximal(instance, allocation) and is_ef1(instance, allocation)
 
     def test_rejects_odd_cycle(self):
         triangle = ConflictGraph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError, match="bipartite"):
-            bipartite_ef1(Instance(triangle, 2, Uniform()))
+            bipartite_ef1(Instance(triangle, 2, Additive([1] * 3)))
 
     def test_random_bipartite_graphs(self, rng):
         for _ in range(60):
@@ -419,21 +418,21 @@ class TestRoundRobin:
         assert tuple(set(b) for b in allocation) == ({0, 3}, {1}, {2})
 
     def test_fewer_goods_than_agents(self):
-        instance = Instance(ConflictGraph(2), 3, Uniform())
+        instance = Instance(ConflictGraph(2), 3, Additive([1] * 2))
         allocation = round_robin_small(instance)
         sizes = sorted(len(b) for b in allocation)
         assert sizes == [0, 1, 1]
 
     def test_triangle_blocks_leftover(self):
         triangle = ConflictGraph(3, [(0, 1), (1, 2), (0, 2)])
-        instance = Instance(triangle, 2, Uniform())
+        instance = Instance(triangle, 2, Additive([1] * 3))
         allocation = round_robin_small(instance)
         assert len(allocation.allocated) == 2
         assert is_maximal(instance, allocation)
         assert is_ef1(instance, allocation)
 
     def test_rejects_too_many_goods(self):
-        instance = Instance(ConflictGraph(4), 2, Uniform())
+        instance = Instance(ConflictGraph(4), 2, Additive([1] * 4))
         with pytest.raises(ValueError, match="n\\+1"):
             round_robin_small(instance)
 

@@ -13,7 +13,6 @@ from conflictfair import (
     EnumerationBudget,
     ISInstance,
     Instance,
-    Uniform,
     build_reduction,
     evaluate,
     exists_maximal_ef1,
@@ -130,7 +129,7 @@ class TestBuildReduction:
         assert isinstance(instance.identical_model, Additive)
 
     def test_rejects_base_with_ef1(self):
-        base = Instance(ConflictGraph(2, [(0, 1)]), 2, Uniform())
+        base = Instance(ConflictGraph(2, [(0, 1)]), 2, Additive([1] * 2))
         with pytest.raises(ValueError, match="admits"):
             build_reduction(base, ISInstance(TRIANGLE, 2))
 

@@ -15,7 +15,6 @@ from conflictfair import (
     EnumerationBudget,
     Instance,
     Negated,
-    Uniform,
     compute_gamma,
     count_maximal_allocations,
     enumerate_maximal_allocations,
@@ -37,7 +36,7 @@ from conftest import (
 
 def order_corpus():
     """Every m in 0..7 and n in 1..4 on an edgeless, a complete and a random
-    graph, with Uniform, Additive (per agent at odd m) or Table valuations,
+    graph, with uniform (1 per good), Additive (per agent at odd m) or Table valuations,
     plus the 3-, 4- and 5-agent counterexamples."""
     rng = random.Random(0x0DE7)
     corpus = []
@@ -51,7 +50,7 @@ def order_corpus():
             for k, graph in enumerate(graphs):
                 kind = (m + n + k) % 3
                 if kind == 0:
-                    models = Uniform()
+                    models = Additive([1] * m)
                 elif kind == 1:
                     models = [random_additive(rng, m) for _ in range(n)] if m % 2 else random_additive(rng, m)
                 else:
@@ -73,7 +72,7 @@ class TestEnumeration:
         assert allocations == [Allocation([{0}])]
 
     def test_k2_two_agents(self):
-        instance = Instance(ConflictGraph(2, [(0, 1)]), 2, Uniform())
+        instance = Instance(ConflictGraph(2, [(0, 1)]), 2, Additive([1] * 2))
         allocations = list(enumerate_maximal_allocations(instance))
         assert allocations == [Allocation([{0}, {1}]), Allocation([{1}, {0}])]
         assert list(enumerate_maximal_allocations(instance, symmetric=True)) == allocations[:1]
@@ -88,7 +87,7 @@ class TestEnumeration:
         for _ in range(40):
             m = rng.randint(1, 4)
             n = rng.randint(1, 3)
-            instance = Instance(random_graph(rng, m), n, Uniform())
+            instance = Instance(random_graph(rng, m), n, Additive([1] * m))
             mine = list(enumerate_maximal_allocations(instance))
             theirs = backtracking_maximal_allocations(instance)
             assert sorted(mine, key=repr) == sorted(theirs, key=repr)
@@ -99,12 +98,12 @@ class TestEnumeration:
             assert list(enumerate_maximal_allocations(instance)) == reference
 
     def test_assignment_budget(self):
-        instance = Instance(ConflictGraph(4), 2, Uniform())
+        instance = Instance(ConflictGraph(4), 2, Additive([1] * 4))
         with pytest.raises(BudgetExceededError, match="exceed"):
             list(enumerate_maximal_allocations(instance, EnumerationBudget(max_assignments=10)))
 
     def test_wall_clock_budget(self):
-        instance = Instance(ConflictGraph(10), 3, Uniform())
+        instance = Instance(ConflictGraph(10), 3, Additive([1] * 10))
         budget = EnumerationBudget(wall_clock_seconds=0.0)
         with pytest.raises(BudgetExceededError, match="wall-clock"):
             list(enumerate_maximal_allocations(instance, budget))
@@ -113,7 +112,7 @@ class TestEnumeration:
     def test_wall_clock_checked_at_the_first_node(self, seconds):
         # A search of a few nodes, far fewer than 1024, still stops when it
         # starts with no time left.
-        instance = Instance(ConflictGraph(3, [(0, 1)]), 2, Uniform())
+        instance = Instance(ConflictGraph(3, [(0, 1)]), 2, Additive([1] * 3))
         budget = EnumerationBudget(wall_clock_seconds=seconds)
         for search in (exists_maximal_ef1, count_maximal_allocations, compute_gamma):
             with pytest.raises(BudgetExceededError, match="wall-clock"):

@@ -27,7 +27,6 @@ from conflictfair import (
     Solution,
     SwapIteration,
     Table,
-    Uniform,
     ValidationReport,
 )
 from conflictfair.chain import Walk
@@ -88,17 +87,17 @@ def test_models_compare_hash_and_print_as_frozen_dataclasses():
     assert negated == Negated(Additive([Fraction(2, 2)])) and negated != Negated(Additive([2]))
     assert hash(negated) == hash((((one,),),))
 
-    composite = Composite(Uniform(), 2, Additive([0, Fraction(1, 2)]))
+    composite = Composite(Additive([1, 1]), 2, Additive([0, Fraction(1, 2)]))
     assert repr(composite) == (
-        "Composite(base=Uniform(), base_goods=2, tail=Additive(values=(Fraction(0, 1), Fraction(1, 2))))"
+        "Composite(base=Additive(values=(Fraction(1, 1), Fraction(1, 1))), base_goods=2, "
+        "tail=Additive(values=(Fraction(0, 1), Fraction(1, 2))))"
     )
-    assert composite == Composite(Uniform(), 2, Additive([0, Fraction(1, 2)]))
-    assert composite != Composite(Uniform(), 1, Additive([0, Fraction(1, 2)]))
-    assert hash(composite) == hash(((), 2, ((Fraction(0), Fraction(1, 2)),)))
+    assert composite == Composite(Additive([1, 1]), 2, Additive([0, Fraction(1, 2)]))
+    assert composite != Composite(Additive([1, 1]), 1, Additive([0, Fraction(1, 2)]))
+    assert hash(composite) == hash((((one, one),), 2, ((Fraction(0), Fraction(1, 2)),)))
 
-    assert Uniform() == Uniform() and hash(Uniform()) == hash(()) and repr(Uniform()) == "Uniform()"
     # Equality holds within one class only, as a dataclass's does.
-    assert Uniform() != Negated(Uniform()) and Additive([]) != Uniform() and Uniform() != ()
+    assert Additive([]) != Negated(Additive([])) and Additive([]) != ()
     assert Additive([1]) != ((one,),)
 
     table = Table(1, {0: 0, 1: 1})

@@ -1,67 +1,54 @@
-"""Running bundles (``ValuationModel._bundle``) against the definitional
-valuation on frozensets.
+"""Running bundles (``ValuationModel._bundle``) against ``conftest``'s
+recomputing ``ReferenceBundle``.
 
-A running bundle's values are in the model's own units (``Additive`` keeps
-integer numerators), so only the comparisons the chain scan makes are
-checked: their signs must agree with the same comparisons made through
-``value``, ``min_drop`` and ``max_drop`` on the bundles' goods.
+A running bundle's values are integers over the model's ``den``; scaled
+back, each read must equal the reference's exactly, through a random run
+of goods joining and leaving, for every model kind in goods and chores
+mode: composites draw their bases from every kind, nested ones included.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from conflictfair import Additive, Composite, Negated, Uniform
+from conflictfair import CHORES, GOODS, Additive, Negated
 
-from conftest import random_additive, random_monotone_table
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+from conftest import ReferenceBundle, random_model
 
 
-def _models(rng, m):
-    additive = Additive([rng.randint(0, 9) * rng.choice([1, 3]) for _ in range(m)])
-    table = random_monotone_table(rng, m)
-    composite = Composite(random_monotone_table(rng, m // 2), m // 2, random_additive(rng, m, hi=4))
-    return {
-        "additive": additive,
-        "negated additive": Negated(additive),
-        "table": table,
-        "negated table": Negated(table),
-        "composite": composite,
-        "uniform": Uniform(),
-    }
+def _model(rng, m, mode, kind):
+    """A model of ``conftest.MODEL_KINDS`` kind, or the negation of one
+    for a kind "negated <kind>"."""
+    if kind.startswith("negated "):
+        return Negated(random_model(rng, m, CHORES if mode == GOODS else GOODS, kind=kind.removeprefix("negated ")))
+    return random_model(rng, m, mode, kind=kind)
 
 
-@pytest.mark.parametrize("kind", ["additive", "negated additive", "table", "negated table", "composite", "uniform"])
+@pytest.mark.parametrize("kind", ["additive", "negated additive", "table", "negated table", "composite", "uniform",
+                                  "negated", "double-negated", "negated composite"])
 def test_scan_comparisons_agree_with_definitions(kind):
     rng = random.Random(kind)
-    for _ in range(12):
+    for mode in [GOODS, CHORES] * 8:
         m = rng.randint(1, 7)
-        model = _models(rng, m)[kind]
-        members = [set(rng.sample(range(m), rng.randint(0, m))) for _ in range(2)]
-        bundles = [model._bundle(goods) for goods in members]
-        for _ in range(60):
-            side = rng.randrange(2)
+        model = _model(rng, m, mode, kind)
+        den = model.den
+        goods = rng.sample(range(m), rng.randint(0, m))
+        run, reference = model._bundle(goods), ReferenceBundle(model, goods)
+        for _ in range(40):
             g = rng.randrange(m)
-            if g in members[side]:
-                members[side].remove(g)
-                bundles[side].remove(g)
+            if g in reference.goods:
+                run.remove(g)
+                reference.remove(g)
             else:
-                members[side].add(g)
-                bundles[side].add(g)
-            for a, b in ((0, 1), (1, 0)):
-                run_a, run_b = bundles[a], bundles[b]
-                set_a, set_b = frozenset(members[a]), frozenset(members[b])
-                assert len(run_a) == len(set_a)
-                value_a = model.value(set_a)
-                assert _sign(run_a.value - run_b.min_drop) == _sign(value_a - model.min_drop(set_b))
-                assert _sign(run_a.value - run_b.max_drop) == _sign(value_a - model.max_drop(set_b))
-                g, h = rng.randrange(m), rng.randrange(m)
-                gain = lambda x: model.value(set_a | {x}) - value_a
-                assert _sign(run_a.gain(g) - run_a.gain(h)) == _sign(gain(g) - gain(h))
-                assert _sign(run_a.gain(g)) == _sign(gain(g))
+                run.add(g)
+                reference.add(g)
+            assert len(run) == len(reference)
+            assert Fraction(run.value, den) == reference.value
+            assert Fraction(run.min_drop, den) == reference.min_drop
+            assert Fraction(run.max_drop, den) == reference.max_drop
+            g = rng.randrange(m)
+            assert Fraction(run.gain(g), den) == reference.gain(g)
 
 
 def test_additive_bundle_survives_re_adding_a_good():

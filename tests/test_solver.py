@@ -18,7 +18,6 @@ from conflictfair import (
     IntervalSet,
     Negated,
     NoAlgorithmError,
-    Uniform,
     bipartite_ef1,
     chain_ef1,
     complete_to_maximal_is,
@@ -180,7 +179,7 @@ class TestAuto:
         calls = []
         original = graph_classes.bipartition
         monkeypatch.setattr(graph_classes, "bipartition", lambda graph: calls.append(graph) or original(graph))
-        instance = Instance(ConflictGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), 2, Uniform())
+        instance = Instance(ConflictGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), 2, Additive([1] * 6))
         assert solve(instance).algorithm == "bipartite"
         assert len(calls) == 1
 
@@ -204,12 +203,12 @@ class TestAuto:
 
     def test_no_algorithm_for_three_agents(self):
         with pytest.raises(NoAlgorithmError, match="no algorithm applies to 3 agents on 5 goods"):
-            solve(Instance(ConflictGraph(5), 3, Uniform()))
+            solve(Instance(ConflictGraph(5), 3, Additive([1] * 5)))
 
     def test_intervals_that_miss_the_graph_are_not_skipped(self):
         # The interval check's ValueError is no refusal: auto does not go
         # on to the bipartite or the swap solver.
-        path = Instance(ConflictGraph(4, [(0, 1), (1, 2), (2, 3)]), 2, Uniform())
+        path = Instance(ConflictGraph(4, [(0, 1), (1, 2), (2, 3)]), 2, Additive([1] * 4))
         disjoint = IntervalSet([(0, 1), (2, 3), (4, 5), (6, 7)])
         with pytest.raises(ValueError, match="joins disjoint intervals") as caught:
             solve(path, "auto", disjoint)
@@ -263,11 +262,11 @@ class TestInapplicable:
     @pytest.mark.parametrize(
         "algorithm, instance, message",
         [
-            ("swap", Instance(ConflictGraph(2), 3, Uniform()), "algorithm needs exactly 2 agents, got n=3"),
-            ("bipartite", Instance(ConflictGraph(3, [(0, 1), (1, 2), (0, 2)]), 2, Uniform()), "graph is not bipartite"),
-            ("interval", Instance(ConflictGraph(3), 2, Uniform()), "instance file has no intervals"),
-            ("roundrobin", Instance(ConflictGraph(4), 2, Uniform()), "round robin needs m <= n\\+1, got m=4"),
-            ("greedy", Instance(ConflictGraph(1), 2, Uniform()), "unknown algorithm"),
+            ("swap", Instance(ConflictGraph(2), 3, Additive([1] * 2)), "algorithm needs exactly 2 agents, got n=3"),
+            ("bipartite", Instance(ConflictGraph(3, [(0, 1), (1, 2), (0, 2)]), 2, Additive([1] * 3)), "graph is not bipartite"),
+            ("interval", Instance(ConflictGraph(3), 2, Additive([1] * 3)), "instance file has no intervals"),
+            ("roundrobin", Instance(ConflictGraph(4), 2, Additive([1] * 4)), "round robin needs m <= n\\+1, got m=4"),
+            ("greedy", Instance(ConflictGraph(1), 2, Additive([1] * 1)), "unknown algorithm"),
         ],
     )
     def test_rejected(self, algorithm, instance, message):

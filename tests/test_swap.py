@@ -53,9 +53,9 @@ class TestSwapExamples:
             swap_ef1(Instance(ConflictGraph(2, [(0, 1)]), 3, Additive([1, 1])))
 
     def test_rejects_chores_mode(self):
-        from conflictfair import Negated, Uniform
+        from conflictfair import Negated
 
-        instance = Instance(ConflictGraph(2), 2, Negated(Uniform()), "chores")
+        instance = Instance(ConflictGraph(2), 2, Negated(Additive([1] * 2)), "chores")
         with pytest.raises(ValueError, match="negated"):
             swap_ef1(instance)
 

@@ -9,11 +9,11 @@ import networkx as nx
 import pytest
 
 from conflictfair import (
+    Additive,
     Allocation,
     ConflictGraph,
     Instance,
     RootedTree,
-    Uniform,
     coloring_violations,
     equitable_tree_coloring,
     is_ef1,
@@ -196,7 +196,7 @@ class TestConstruction:
             n = rng.randint(1, 6)
             tree = RootedTree.from_edges(nv, random_tree_edges(rng, nv))
             coloring = equitable_tree_coloring(tree, n)
-            instance = Instance(tree.graph, n, Uniform())
+            instance = Instance(tree.graph, n, Additive([1] * nv))
             allocation = Allocation(coloring.classes())
             assert is_maximal(instance, allocation)
             assert is_ef1(instance, allocation)

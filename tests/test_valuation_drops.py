@@ -1,7 +1,8 @@
-"""Closed-form "value minus one good" on each valuation model: every
-``min_drop``/``max_drop`` override equals the definitional default of
-``ValuationModel`` on every subset, and ``is_ef1``, which runs on them,
-equals a checker written with ``value`` alone."""
+"""Closed-form "value minus one good" on each valuation model: ``value``,
+``min_drop`` and ``max_drop``, which read the model's running bundle, equal
+the definitional references of ``conftest`` on every subset, and
+``is_ef1``, which runs on the bundles, equals a checker written with the
+reference value alone."""
 
 import random
 from fractions import Fraction
@@ -15,49 +16,29 @@ from conflictfair import (
     Additive,
     Allocation,
     Composite,
+    ConflictGraph,
     Instance,
     Negated,
-    Uniform,
-    ValuationModel,
     is_ef1,
     value_minus_one,
 )
 
-from conftest import random_graph, random_monotone_table
-
-# Mixed denominators and zeros, so the common denominator is not 1.
-VALUES = st.sampled_from([Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2), Fraction(7, 3), Fraction(5, 6), Fraction(3, 4)])
-
-
-@st.composite
-def goods_models(draw, m, depth=2):
-    """A monotone non-decreasing model over m goods."""
-    kinds = ["additive", "uniform", "table"] + (["composite", "double-negated"] if depth else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "additive":
-        return Additive(draw(st.lists(VALUES, min_size=m, max_size=m)))
-    if kind == "uniform":
-        return Uniform()
-    if kind == "table":
-        return random_monotone_table(random.Random(draw(st.integers(0, 2**32))), m)
-    if kind == "composite":
-        base_goods = draw(st.integers(0, m))
-        tail = Additive(draw(st.lists(VALUES, min_size=m, max_size=m)))
-        return Composite(draw(goods_models(base_goods, depth - 1)), base_goods, tail)
-    return Negated(Negated(draw(goods_models(m, depth - 1))))
+from conftest import (
+    MODEL_KINDS,
+    random_graph,
+    random_model,
+    random_monotone_table,
+    reference_max_drop,
+    reference_min_drop,
+    reference_value,
+)
 
 
 @st.composite
 def models(draw, m, mode):
-    """A valid model over m goods in ``mode``."""
-    if mode == GOODS:
-        model = draw(goods_models(m))
-    elif draw(st.booleans()):
-        model = Additive([-v for v in draw(st.lists(VALUES, min_size=m, max_size=m))])
-    else:
-        model = Negated(draw(goods_models(m)))
-    model.check(m, mode)
-    return model
+    """A valid model over m goods in ``mode``, of every kind in turn."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_model(rng, m, mode, kind=draw(st.sampled_from(MODEL_KINDS)))
 
 
 def subsets(m):
@@ -72,28 +53,28 @@ def test_drops_equal_definition_on_every_subset(data):
     mode = data.draw(st.sampled_from([GOODS, CHORES]))
     model = data.draw(models(m, mode))
     for s in subsets(m):
-        low, high = model.min_drop(s), model.max_drop(s)
-        assert type(low) is Fraction and type(high) is Fraction
-        assert low == ValuationModel.min_drop(model, s)
-        assert high == ValuationModel.max_drop(model, s)
+        low, high, value = model.min_drop(s), model.max_drop(s), model.value(s)
+        assert type(low) is Fraction and type(high) is Fraction and type(value) is Fraction
+        assert low == reference_min_drop(model, s)
+        assert high == reference_max_drop(model, s)
+        assert value == reference_value(model, s)
         assert value_minus_one(model, sorted(s)) == low
-        assert type(model.value(s)) is Fraction
 
 
 def reference_ef1(instance, allocation):
-    """EF1 from ``value`` alone: drop each good (goods) or own chore
-    (chores) in turn."""
+    """EF1 from the reference value alone: drop each good (goods) or own
+    chore (chores) in turn."""
     bundles = allocation.bundles
     for i in range(instance.n):
-        v = instance.models[i]
-        own = v.value(bundles[i])
+        v = lambda s: reference_value(instance.models[i], s)
+        own = v(bundles[i])
         for j in range(instance.n):
             if i == j:
                 continue
             if instance.mode == GOODS:
-                if bundles[j] and own < min(v.value(bundles[j] - {g}) for g in bundles[j]):
+                if bundles[j] and own < min(v(bundles[j] - {g}) for g in bundles[j]):
                     return False
-            elif bundles[i] and max(v.value(bundles[i] - {c}) for c in bundles[i]) < v.value(bundles[j]):
+            elif bundles[i] and max(v(bundles[i] - {c}) for c in bundles[i]) < v(bundles[j]):
                 return False
     return True
 
@@ -123,16 +104,36 @@ def test_is_ef1_equals_reference(data):
 
 _ADDITIVE = Additive([Fraction(1, 2), 0, 2])
 _TABLE = random_monotone_table(random.Random(5), 3)
-RANGE_CHECKED = [_ADDITIVE, Negated(_ADDITIVE), _TABLE, Negated(_TABLE), Negated(Negated(_ADDITIVE)), Negated(Negated(_TABLE))]
+_BASE_TABLE = random_monotone_table(random.Random(6), 2)
+RANGE_CHECKED = [
+    _ADDITIVE,
+    Negated(_ADDITIVE),
+    _TABLE,
+    Negated(_TABLE),
+    Negated(Negated(_ADDITIVE)),
+    Negated(Negated(_TABLE)),
+    Composite(_BASE_TABLE, 2, _ADDITIVE),
+    Composite(Additive([1, 3]), 2, _ADDITIVE),
+    Negated(Composite(Composite(_BASE_TABLE, 2, Additive([0, 0])), 2, _ADDITIVE)),
+]
 
 
 @pytest.mark.parametrize("model", RANGE_CHECKED, ids=repr)
 @pytest.mark.parametrize("g", [3, -1])  # the good count, and a good that would wrap
 def test_out_of_range_goods_raise(model, g):
+    mode = GOODS
+    try:
+        model.check(3, GOODS)
+    except ValueError:
+        mode = CHORES
+    instance = Instance(ConflictGraph(3), 2, model, mode)
     for s in (frozenset({g}), frozenset({0, g})):
-        for method in (model.value, model.min_drop, model.max_drop):
+        for method in (model.value, model.min_drop, model.max_drop, model._bundle):
             with pytest.raises(ValueError):
                 method(s)
+        for bundles in ((s, ()), ((), s), ({1}, s)):
+            with pytest.raises(ValueError):
+                is_ef1(instance, Allocation(bundles))
 
 
 def test_additive_identity_ignores_denominators():
