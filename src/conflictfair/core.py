@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import gt, lt
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, List, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -36,10 +36,10 @@ def as_fraction(x: Rational) -> Fraction:
 DENOMINATOR_BITS = 1024
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple:
+def _over_common_denominator(values: Sequence[Rational]) -> tuple:
     """The values' integer numerators over their least common denominator,
-    and that denominator. Raises ValueError once the denominator passes
-    ``DENOMINATOR_BITS`` bits."""
+    and that denominator; ints and Fractions alike. Raises ValueError once
+    the denominator passes ``DENOMINATOR_BITS`` bits."""
     den = 1
     for d in {v.denominator for v in values}:
         den = math.lcm(den, d)
@@ -358,16 +358,18 @@ class Additive(ValuationModel):
 class Table(ValuationModel):
     """Explicit oracle over all 2^m subsets, keyed by bitmask (bit g = good g).
 
-    Values are integer numerators ``nums``, indexed by mask, over one
-    denominator ``den`` (1 when all are ints), as in :class:`Additive`. The
-    table must be total and assign the empty set value 0. Both monotonicity
-    directions are scanned once, here, for ``check``, comparing slices of
-    ``nums`` so that the pairs are compared in C, not one by one in Python.
+    ``entries`` maps each mask to its value, or is a list of the values
+    indexed by mask, read as it is. Values are kept as integer numerators
+    ``nums``, indexed by mask, over one denominator ``den`` (1 when all are
+    ints), as in :class:`Additive`. The table must be total and assign the
+    empty set value 0. Both monotonicity directions are scanned once, here,
+    for ``check``, comparing slices of ``nums`` so that the pairs are
+    compared in C, not one by one in Python.
     """
 
     __slots__ = ("m", "nums", "den", "nondecreasing", "nonincreasing")
 
-    def __init__(self, m: int, entries: Mapping[int, Rational]):
+    def __init__(self, m: int, entries: Union[Mapping[int, Rational], List[Rational]]):
         if m > TABLE_MAX_GOODS:
             raise ValueError(f"table valuations support at most {TABLE_MAX_GOODS} goods, got {m}")
         if m < 0:
@@ -376,13 +378,14 @@ class Table(ValuationModel):
         try:  # with size entries, a missing mask means some key is out of range
             if len(entries) != size:
                 raise KeyError
-            values = list(map(entries.__getitem__, range(size)))
+            values = entries if type(entries) is list else list(map(entries.__getitem__, range(size)))
         except KeyError:
             raise ValueError(f"table must cover all {size} subsets of {m} goods") from None
-        if set(map(type, values)) == {int}:
+        types = set(map(type, values))
+        if types == {int}:
             nums, den = tuple(values), 1
         else:
-            nums, den = _over_common_denominator([as_fraction(v) for v in values])
+            nums, den = _over_common_denominator(values if types <= {int, Fraction} else [as_fraction(v) for v in values])
         if nums[0] != 0:
             raise ValueError("table must assign value 0 to the empty set")
         self.m, self.nums, self.den = m, nums, den

@@ -110,18 +110,17 @@ def _edges_from_json(data) -> list:
     ]
 
 
-def _table_entries(items: list) -> dict:
-    """Mask -> value. Pairs of ASCII digit strings with no mask twice are
-    read in C, as edges are; the rest, and strings ``int`` refuses (empty or
-    past the digit limit), go entry by entry, to name the first bad one."""
+def _table_entries(items: list):
+    """A list of the values by mask when every entry is a pair of ASCII digit
+    strings and the masks run 0, 1, ... in order, as the writers list them,
+    read by one ``json.loads``; other files go entry by entry, into a dict."""
     if {list} >= set(map(type, items)) and {2} >= set(map(len, items)):
-        texts = list(chain.from_iterable(items))
-        try:
-            joined = "".join(texts)
-            if joined.isascii() and joined.isdigit():
-                entries = dict(zip(map(int, texts[0::2]), map(int, texts[1::2])))
-                if len(entries) == len(items):
-                    return entries
+        try:  # json refuses empty strings, leading zeros and numbers past the digit limit
+            body = ",".join(chain.from_iterable(items))
+            if body.isascii() and not body.encode().translate(None, b"0123456789,"):
+                numbers = json.loads(f"[{body}]")
+                if numbers[0::2] == list(range(len(items))):  # a comma in a string adds a number
+                    return numbers[1::2]
         except (TypeError, ValueError):
             pass
     return _table_entries_one_by_one(items)

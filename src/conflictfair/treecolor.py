@@ -32,25 +32,32 @@ class RootedTree:
         nv = graph.m
         if sum(map(len, graph.adj)) != 2 * (nv - 1):
             raise ValueError("a tree on v vertices has exactly v-1 edges")
-        # Marked when pushed: in a tree, a vertex's unmarked neighbours are its children.
-        children = [()] * nv
-        seen = [False] * nv
-        seen[0] = True
+        # Breadth first from the root: in a tree, the vertex that reaches w is its parent.
+        adj = graph.adj
+        parent = [-1] * nv
+        parent[0] = 0
+        reached = [0]
+        for u in reached:
+            for w in adj[u]:
+                if parent[w] < 0:
+                    parent[w] = u
+                    reached.append(w)
+        if len(reached) != nv:
+            raise ValueError("graph is not connected")
+        # Appended in ascending order, each vertex's children come out sorted.
+        kids = [[] for _ in range(nv)]
+        for w in range(1, nv):
+            kids[parent[w]].append(w)
+        children = tuple(map(tuple, kids))
         order = []
         stack = [0]
         while stack:
             u = stack.pop()
             order.append(u)
-            kids = sorted(w for w in graph.adj[u] if not seen[w])
-            for w in kids:
-                seen[w] = True
-            children[u] = tuple(kids)
-            stack.extend(reversed(kids))
-        if len(order) != nv:
-            raise ValueError("graph is not connected")
+            stack.extend(reversed(children[u]))
         self.graph = graph
         self.root = 0
-        self.children = tuple(children)
+        self.children = children
         self.order = tuple(order)
 
     @classmethod

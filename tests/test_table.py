@@ -183,6 +183,27 @@ def valid_table_files(rng):
             yield m, items
 
 
+def in_order_table_files(rng):
+    """Entry lists of every size m from 0 to 10 as the writers emit them:
+    masks "0", "1", ... in order, unpadded; some with a value past the 640
+    digits of the least ``int`` digit limit. Each m > 0 also has two near
+    misses: one value padded with a leading zero, and two masks swapped."""
+    for m in range(11):
+        items = [[str(mask), str(rng.randint(0, 99) if mask else 0)] for mask in range(1 << m)]
+        yield m, items
+        if m:
+            long = [entry[:] for entry in items]
+            long[rng.randrange(1, 1 << m)][1] = str(rng.randint(1, 9)) + digits(rng, rng.choice([640, 699, 999]))
+            yield m, long
+            zero_padded = [entry[:] for entry in items]
+            zero_padded[rng.randrange(1 << m)][1] = "0" + str(rng.randint(0, 99))
+            yield m, zero_padded
+            swapped = [entry[:] for entry in items]
+            i = rng.randrange((1 << m) - 1)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            yield m, swapped
+
+
 BAD_ENTRIES = [{"0": "1"}, "01", 1, None, ["1"], ["1", "1", "1"], []]
 BAD_FIELDS = [3, 0, True, False, 1.0, 1.5, "", "١", "¹", " 1", "-1", "1/2", "-1/3", "2/4", "1" * 700]
 
@@ -223,7 +244,7 @@ def test_c_level_table_parse_matches_the_per_entry_loop(monkeypatch, int_digits)
     from conflictfair import serialization
 
     rng = random.Random(21)
-    files = list(valid_table_files(rng)) + list(malformed_table_files(rng))
+    files = list(valid_table_files(rng)) + list(in_order_table_files(rng)) + list(malformed_table_files(rng))
     loop = serialization._table_entries_one_by_one
     looped = []
     monkeypatch.setattr(serialization, "_table_entries_one_by_one", lambda items: looped.append(items) or loop(items))
@@ -241,14 +262,61 @@ def test_c_level_table_parse_matches_the_per_entry_loop(monkeypatch, int_digits)
             assert got == expected
     finally:
         sys.set_int_max_str_digits(previous)
-    # The C-level path takes every file of pairs of digit strings that int()
-    # accepts with no mask twice, and only those.
+    # The C-level path takes every file of pairs of digit strings that json
+    # parses (no leading zero, within the digit limit) whose masks run
+    # 0, 1, ... in order, and only those.
     fell_back = {id(items) for items in looped}
     limit = int_digits or previous
+
+    def parses_in_c(text):
+        return type(text) is str and 0 < len(text) <= limit and text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+
     for m, items in files:
-        common = all(type(e) is list and len(e) == 2 for e in items) and all(
-            type(s) is str and 0 < len(s) <= limit and s.isascii() and s.isdigit() for e in items for s in e
-        )
-        common = common and len({int(mask) for mask, _ in items}) == len(items)
+        common = all(type(e) is list and len(e) == 2 for e in items) and all(parses_in_c(s) for e in items for s in e)
+        common = common and [mask for mask, _ in items] == [str(mask) for mask in range(len(items))]
         assert (id(items) not in fell_back) == common, (m, items[:4])
     assert len(files) - len(fell_back) >= 10
+
+
+def test_table_takes_a_list_indexed_by_mask():
+    for m, shape, entries in corpus():
+        values = [entries[mask] for mask in range(1 << m)]
+        table, reference = Table(m, values), Table(m, entries)
+        flags = (table.nondecreasing, table.nonincreasing)
+        assert table == reference and flags == (reference.nondecreasing, reference.nonincreasing), (m, shape)
+    for m, values in [(2, [0, 1, 1]), (2, [0, 1, 1, 2, 2]), (0, []), (2, [1, 1, 1, 2]), (1, [Fraction(1, 2), 1])]:
+        errors = []
+        for entries in (values, dict(enumerate(values))):
+            with pytest.raises(ValueError) as caught:
+                Table(m, entries)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1], (m, values)
+    assert errors[0] == "table must assign value 0 to the empty set"
+
+
+def test_written_tables_parse_on_the_c_level_path(monkeypatch):
+    from conflictfair import serialization
+
+    def loop(items):
+        raise AssertionError("took the per-entry loop")
+
+    monkeypatch.setattr(serialization, "_table_entries_one_by_one", loop)
+    parsed = 0
+    for m, shape, entries in corpus():
+        table = Table(m, entries)
+        if table.den == 1 and min(table.nums) >= 0:  # "1/2" and "-1" take the loop
+            assert model_from_json(json.loads(json.dumps(table.to_json())), m) == table, (m, shape)
+            parsed += 1
+    assert parsed >= 15
+
+
+def test_int_and_fraction_values_mix_without_conversion():
+    for m, shape, entries in corpus():
+        mixed = {mask: int(v) if Fraction(v).denominator == 1 and mask % 2 else Fraction(v) for mask, v in entries.items()}
+        fractions_only = {mask: Fraction(v) for mask, v in entries.items()}
+        table = Table(m, mixed)
+        assert table == Table(m, fractions_only) and set(map(type, table.nums)) == {int}, (m, shape)
+    for entries in ({0: 0, 1: 1.5}, {0: Fraction(0), 1: 1.5}, [0, 1.5], [Fraction(0), 1.0]):
+        with pytest.raises(TypeError) as caught:
+            Table(1, entries)
+        assert str(caught.value) == "expected an exact rational, got float"
