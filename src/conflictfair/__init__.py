@@ -21,7 +21,6 @@ from .core import (
     is_ef1,
     is_independent_set,
     is_maximal,
-    is_ordered_adjacent,
     validate_allocation,
     value_minus_one,
 )

@@ -9,9 +9,8 @@ side sets, the end-to-end value gap flips sign and some step must be EF1.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import islice
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     GOODS,
@@ -28,14 +27,14 @@ from .core import (
 )
 
 
-class Walk(Sequence, _ByFields):
+class Walk(_ByFields):
     """A sequence of two-agent allocations kept as the first step's two
     bundles and, for each later step, the goods that leave and join each
     bundle: ``(out1, in1, out2, in2)``.
 
     Steps are built on demand. Iterating replays the moves once; ``[i]``
     and ``index`` replay as far as they need and materialize only the
-    allocation they return, while a slice materializes every step.
+    allocation they return.
     """
 
     _fields = ("start", "moves")
@@ -62,10 +61,8 @@ class Walk(Sequence, _ByFields):
     def __iter__(self):
         return (Allocation(pair) for pair in self._replay())
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return tuple(self)[key]
-        return Allocation(next(islice(self._replay(), range(len(self))[key], None)))
+    def __getitem__(self, i: int) -> Allocation:
+        return Allocation(next(islice(self._replay(), range(len(self))[i], None)))
 
     def index(self, allocation) -> int:
         """Position of the first step equal to ``allocation``."""
@@ -109,14 +106,11 @@ class Walk(Sequence, _ByFields):
 class Chain(NamedTuple):
     """The chain A^(0)..A^(k) built from an ordered maximal independent set,
     as a :class:`Walk` whose steps are materialized on demand, with the side
-    sets and per-good (p, q) indices that define each step."""
+    sets X_1 and X_2 that pad its bundles."""
 
     steps: Walk
-    source: tuple
     x1: frozenset
     x2: frozenset
-    p: Mapping[int, int]
-    q: Mapping[int, int]
 
 
 class ChainOutcome(NamedTuple):
@@ -211,7 +205,7 @@ def build_chain(
     for t in x2:
         leaves2[p[t]].append(t)
     moves = tuple(((s[i],), tuple(joins1[i + 1]), tuple(leaves2[i + 1]), (s[i],)) for i in range(k))
-    return Chain(Walk((s_set, frozenset(x2)), moves), s, x1, x2, p, q)
+    return Chain(Walk((s_set, frozenset(x2)), moves), x1, x2)
 
 
 def chain_ef1(instance: Instance, source: Sequence[int]) -> ChainOutcome:

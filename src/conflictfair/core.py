@@ -113,8 +113,8 @@ class _ByFields:
 class ValuationModel(_ByFields):
     """Base for the valuation family. A subclass gives its denominator
     ``den``, ``check``, ``to_json`` and its one evaluator, ``_bundle``;
-    ``value``, ``min_drop`` and ``max_drop`` on a frozenset read a bundle
-    built from it. ``_fields`` names the defining attributes."""
+    ``value`` on a frozenset reads a bundle built from it. ``_fields``
+    names the defining attributes."""
 
     def _bundle(self, goods: Iterable[int] = ()):
         """A running bundle holding ``goods``, which goods join and leave one
@@ -125,14 +125,6 @@ class ValuationModel(_ByFields):
 
     def value(self, subset: frozenset) -> Fraction:
         return Fraction(self._bundle(subset).value, self.den)
-
-    def min_drop(self, subset: frozenset) -> Fraction:
-        """min over g in subset of v(subset - {g}); 0 for the empty set."""
-        return Fraction(self._bundle(subset).min_drop, self.den)
-
-    def max_drop(self, subset: frozenset) -> Fraction:
-        """max over g in subset of v(subset - {g}); 0 for the empty set."""
-        return Fraction(self._bundle(subset).max_drop, self.den)
 
     def check(self, m: int, mode: str) -> None:
         """Raise ValueError unless this is a valuation over ``m`` goods,
@@ -423,7 +415,8 @@ class Table(ValuationModel):
             raise ValueError("table is not monotone non-increasing")
 
     def to_json(self) -> dict:
-        return {"type": "table", "entries": [[str(mask), str(v)] for mask, v in self.entries.items()]}
+        values = self.nums if self.den == 1 else self.entries.values()
+        return {"type": "table", "entries": [[str(mask), str(v)] for mask, v in enumerate(values)]}
 
     def __eq__(self, other):
         return isinstance(other, Table) and (self.m, self.nums, self.den) == (other.m, other.nums, other.den)
@@ -614,7 +607,7 @@ def _most_valuable(model: ValuationModel, goods: Iterable[int]) -> int:
 
 def value_minus_one(model: ValuationModel, subset: Iterable[int]) -> Fraction:
     """min over g in subset of v(subset - {g}); 0 for the empty set."""
-    return model.min_drop(frozenset(subset))
+    return Fraction(model._bundle(subset).min_drop, model.den)
 
 
 def is_independent_set(graph: ConflictGraph, subset: Iterable[int]) -> bool:
@@ -675,13 +668,6 @@ def is_ef1(instance: Instance, allocation: Allocation) -> bool:
         elif bundles[i] and any(drops[i] < values[j] for j in range(n) if j != i):
             return False
     return True
-
-
-def is_ordered_adjacent(first: Allocation, second: Allocation) -> bool:
-    """At most one good leaves bundle 1 and at most one enters bundle 2."""
-    if first.n != 2 or second.n != 2:
-        raise ValueError("ordered adjacency is defined for 2-agent allocations")
-    return len(first[0] - second[0]) <= 1 and len(second[1] - first[1]) <= 1
 
 
 def complete_to_maximal_is(graph: ConflictGraph, seed: Iterable[int]) -> frozenset:

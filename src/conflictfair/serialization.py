@@ -39,12 +39,6 @@ SIZE_LIMIT = 100_000
 # next: the models' ``value`` recurses once per level.
 _MODEL_NESTING_LIMIT = 64
 
-# The longest digit string the table parse converts inline: the least limit
-# Python lets ``sys.set_int_max_str_digits`` put on ``int(str)``. Longer
-# strings take the helpers, which turn the limit's ValueError into a
-# ParseError.
-_INLINE_DIGITS = 640
-
 
 def rational_from_str(text) -> Fraction:
     """``Fraction(str(text))`` of a string or a JSON integer, else a
@@ -127,20 +121,14 @@ def _table_entries(items: list):
 
 
 def _table_entries_one_by_one(items: list) -> dict:
-    """``_table_entries`` with the helpers' ASCII-digit cases inlined."""
+    """Each entry's mask -> value, through the field helpers."""
     entries = {}
     for entry in items:
         mask_text, value_text = array_from_json(entry, "table entry", 2)
-        if type(mask_text) is str and len(mask_text) <= _INLINE_DIGITS and mask_text.isascii() and mask_text.isdigit():
-            mask = int(mask_text)
-        else:
-            mask = integer_from_json(mask_text, "table mask", decimal_string=True)
+        mask = integer_from_json(mask_text, "table mask", decimal_string=True)
         if mask in entries:
             raise ParseError(f"duplicate table entry for mask {mask}")
-        if type(value_text) is str and len(value_text) <= _INLINE_DIGITS and value_text.isascii() and value_text.isdigit():
-            entries[mask] = int(value_text)
-        else:
-            entries[mask] = rational_from_str(value_text)
+        entries[mask] = rational_from_str(value_text)
     return entries
 
 
@@ -264,10 +252,12 @@ def graph_from_json(data) -> ConflictGraph:
 
 
 def load_json(path):
+    """The file's JSON, else a ParseError: a ValueError is bad JSON, bad
+    UTF-8 or an integer past the interpreter's digit limit."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

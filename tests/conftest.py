@@ -507,20 +507,40 @@ class ReferenceTable:
         return self.m == other.m and self.entries == other.entries
 
 
-def eager_chain_steps(chain) -> list:
-    """Reference for ``build_chain``'s walk: every step A^(i) built from its
-    definition, bundle 1 = s_{i+1..k} + {t in X_1 : q(t) <= i} and
-    bundle 2 = s_{1..i} + {t in X_2 : p(t) > i}."""
-    s = chain.source
+def chain_positions(graph: ConflictGraph, source) -> tuple:
+    """p(t) and q(t) for each good t with a neighbour in ``source``: the
+    first and last 1-based position in ``source`` of such a neighbour."""
+    p, q = {}, {}
+    for t in range(graph.m):
+        hits = [i for i, u in enumerate(source, 1) if u in graph.adj[t]]
+        if hits:
+            p[t], q[t] = hits[0], hits[-1]
+    return p, q
+
+
+def eager_chain_steps(graph: ConflictGraph, source, chain) -> list:
+    """Reference for ``build_chain``'s walk over ``source``: every step
+    A^(i) built from its definition, bundle 1 = s_{i+1..k} +
+    {t in X_1 : q(t) <= i} and bundle 2 = s_{1..i} + {t in X_2 : p(t) > i},
+    with p and q from ``chain_positions`` and X_1, X_2 from ``chain``."""
+    s = tuple(source)
+    p, q = chain_positions(graph, s)
     return [
         Allocation(
             [
-                frozenset(s[i:]) | {t for t in chain.x1 if chain.q[t] <= i},
-                frozenset(s[:i]) | {t for t in chain.x2 if chain.p[t] > i},
+                frozenset(s[i:]) | {t for t in chain.x1 if q[t] <= i},
+                frozenset(s[:i]) | {t for t in chain.x2 if p[t] > i},
             ]
         )
         for i in range(len(s) + 1)
     ]
+
+
+def is_ordered_adjacent(first: Allocation, second: Allocation) -> bool:
+    """At most one good leaves bundle 1 and at most one enters bundle 2."""
+    if first.n != 2 or second.n != 2:
+        raise ValueError("ordered adjacency is defined for 2-agent allocations")
+    return len(first[0] - second[0]) <= 1 and len(second[1] - first[1]) <= 1
 
 
 def eager_splice(prefix_order, tail_order, fixed, fixed_side):
@@ -544,7 +564,8 @@ def eager_interval_segments(instance: Instance, intervals: IntervalSet, chains):
     x2 = chains.core.start[1]
     x1 = chains.widening.start[0]
     narrowing = eager_splice(sorted(x2, key=by_left, reverse=True), sorted(z2, key=by_left, reverse=True), z1, 0)
-    core = eager_chain_steps(build_chain(instance, sorted(z1, key=by_left), x1=x1, x2=x2))
+    source = sorted(z1, key=by_left)
+    core = eager_chain_steps(instance.graph, source, build_chain(instance, source, x1=x1, x2=x2))
     widening = eager_splice(sorted(x1, key=by_right), sorted(z2, key=by_right), z1, 1)[::-1]
     combined = list(narrowing)
     for step in core + widening:

@@ -34,7 +34,6 @@ from conflictfair import (
     interval_scheduling_greedy,
     is_ef1,
     is_maximal,
-    is_ordered_adjacent,
     iteration_bound_additive,
     round_robin_small,
     swap_ef1,
@@ -47,6 +46,7 @@ from conftest import (
     all_maximal_independent_sets,
     brute_max_schedule_size,
     independent_sets,
+    is_ordered_adjacent,
     max_independent_set_size,
     random_additive,
     random_graph,
@@ -143,7 +143,7 @@ def test_criterion_04_chain_steps_valid_maximal_adjacent(solver_corpus):
             for step in chain.steps:
                 assert validate_allocation(instance, step).wellformed
                 assert is_maximal(instance, step)
-            for prev, cur in zip(chain.steps, chain.steps[1:]):
+            for prev, cur in itertools.pairwise(chain.steps):
                 assert is_ordered_adjacent(prev, cur)
             vs = evaluate(model, source)
             if vs >= evaluate(model, chain.x1) and vs >= evaluate(model, chain.x2):

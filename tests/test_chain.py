@@ -17,12 +17,13 @@ from conflictfair import (
     evaluate,
     is_ef1,
     is_maximal,
-    is_ordered_adjacent,
     validate_allocation,
 )
 
 from conftest import (
     all_maximal_independent_sets,
+    chain_positions,
+    is_ordered_adjacent,
     random_additive,
     random_connected_graph,
     random_monotone_table,
@@ -85,7 +86,7 @@ class TestBuildChainExamples:
             ({2}, {1}),
             ({0}, {1, 2}),
         ]
-        assert chain.p[0] == 1 and chain.q[0] == 2
+        assert chain_positions(star, [1, 2]) == ({0: 1}, {0: 2})
 
     def test_rejects_dependent_source(self):
         instance = Instance(FOUR_CYCLE, 2, Additive([1, 3, 1, 3]))

@@ -284,11 +284,13 @@ class TestSolve:
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         for raw, message in [
-            ("{not json", "cannot read"),
-            ("[" * 5000 + "]" * 5000, "cannot read"),
-            ("[1, 2]", "instance file must be a JSON object"),
+            (b"{not json", "cannot read"),
+            (b"[" * 5000 + b"]" * 5000, "cannot read"),
+            (b"\xff\xfe{}", "cannot read"),  # not UTF-8
+            (b'{"agents": ' + b"1" * 5000 + b"}", "cannot read"),  # past the int digit limit
+            (b"[1, 2]", "instance file must be a JSON object"),
         ]:
-            bad.write_text(raw)
+            bad.write_bytes(raw)
             assert main(["solve", str(bad)]) == 3
             assert capsys.readouterr().err.startswith("error:" + message), raw[:10]
         table = [[True if mask == 1 else str(mask), "0"] for mask in range(8)]

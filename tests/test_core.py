@@ -31,7 +31,6 @@ from conflictfair import (
     is_independent_set,
     is_maximal,
     interval_ef1,
-    is_ordered_adjacent,
     round_robin_small,
     swap_ef1,
     validate_allocation,
@@ -41,6 +40,7 @@ from conflictfair.core import DENOMINATOR_BITS, _most_valuable
 from conflictfair.oracle import enumerate_maximal_allocations
 
 from conftest import (
+    is_ordered_adjacent,
     neighbours,
     random_additive,
     random_connected_graph,

@@ -23,7 +23,6 @@ from conflictfair import (
     interval_scheduling_greedy,
     is_ef1,
     is_maximal,
-    is_ordered_adjacent,
     round_robin_small,
     validate_allocation,
 )
@@ -31,6 +30,7 @@ from conflictfair.oracle import exists_maximal_ef1
 
 from conftest import (
     brute_max_schedule_size,
+    is_ordered_adjacent,
     random_additive,
     random_graph,
     random_intervals,
@@ -361,7 +361,7 @@ class TestIntervalEf1:
             combined = chains.combined
             assert evaluate(model, combined[0][0]) >= evaluate(model, combined[0][1])
             assert evaluate(model, combined[-1][0]) <= evaluate(model, combined[-1][1])
-            for prev, cur in zip(combined, combined[1:]):
+            for prev, cur in itertools.pairwise(combined):
                 assert is_ordered_adjacent(prev, cur)
             # endpoints are (Z1, Z2) and (Z2, Z1)
             assert combined[0][0] == combined[-1][1]

@@ -35,7 +35,7 @@ SRC = pathlib.Path(conflictfair.__file__).resolve().parent.parent
 
 RECORDS = {
     ValidationReport: ("disjoint", "independent", "wellformed"),
-    Chain: ("steps", "source", "x1", "x2", "p", "q"),
+    Chain: ("steps", "x1", "x2"),
     ChainOutcome: ("allocation", "step_index", "chain"),
     IntervalChains: ("narrowing", "core", "widening", "combined"),
     SwapIteration: ("source", "value", "chosen"),

@@ -1,5 +1,5 @@
-"""Closed-form "value minus one good" on each valuation model: ``value``,
-``min_drop`` and ``max_drop``, which read the model's running bundle, equal
+"""Closed-form "value minus one good" on each valuation model: ``value``
+and the running bundle's ``min_drop`` and ``max_drop`` (over ``den``) equal
 the definitional references of ``conftest`` on every subset, and
 ``is_ef1``, which runs on the bundles, equals a checker written with the
 reference value alone."""
@@ -53,8 +53,9 @@ def test_drops_equal_definition_on_every_subset(data):
     mode = data.draw(st.sampled_from([GOODS, CHORES]))
     model = data.draw(models(m, mode))
     for s in subsets(m):
-        low, high, value = model.min_drop(s), model.max_drop(s), model.value(s)
-        assert type(low) is Fraction and type(high) is Fraction and type(value) is Fraction
+        bundle = model._bundle(s)
+        low, high, value = Fraction(bundle.min_drop, model.den), Fraction(bundle.max_drop, model.den), model.value(s)
+        assert type(value) is Fraction
         assert low == reference_min_drop(model, s)
         assert high == reference_max_drop(model, s)
         assert value == reference_value(model, s)
@@ -128,7 +129,7 @@ def test_out_of_range_goods_raise(model, g):
         mode = CHORES
     instance = Instance(ConflictGraph(3), 2, model, mode)
     for s in (frozenset({g}), frozenset({0, g})):
-        for method in (model.value, model.min_drop, model.max_drop, model._bundle):
+        for method in (model.value, model._bundle, lambda s: value_minus_one(model, s)):
             with pytest.raises(ValueError):
                 method(s)
         for bundles in ((s, ()), ((), s), ({1}, s)):
