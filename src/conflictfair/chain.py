@@ -5,16 +5,20 @@ graph, the chain walks bundle 1 down from S while bundle 2 grows up to S,
 padding both sides with greedily chosen independent sets X_1, X_2 so that
 every intermediate allocation stays maximal. Whenever v(S) dominates both
 side sets, the end-to-end value gap flips sign and some step must be EF1.
+
+The step rule is one generator, :func:`chain_steps`; :func:`first_ef1_step`
+scans its moves, or a :class:`Walk`'s, and stops at the first EF1 step.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, NamedTuple, Optional, Sequence
+import itertools
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     GOODS,
     Allocation,
+    ConflictGraph,
     Instance,
     ValuationModel,
     _ByFields,
@@ -62,7 +66,7 @@ class Walk(_ByFields):
         return (Allocation(pair) for pair in self._replay())
 
     def __getitem__(self, i: int) -> Allocation:
-        return Allocation(next(islice(self._replay(), range(len(self))[i], None)))
+        return Allocation(next(itertools.islice(self._replay(), range(len(self))[i], None)))
 
     def index(self, allocation) -> int:
         """Position of the first step equal to ``allocation``."""
@@ -82,25 +86,8 @@ class Walk(_ByFields):
 
     def first_ef1(self, model: ValuationModel) -> Optional[int]:
         """Index of the first EF1 step for two agents with the identical
-        goods valuation ``model``, or None when no step is EF1.
-
-        A step is EF1 when each non-empty bundle, less its best good, is
-        worth at most the other. The scan keeps two running bundles, so
-        each move costs a few bundle updates, not a valuation of each step.
-        """
-        one, two = model._bundle(self.start[0]), model._bundle(self.start[1])
-        for i, (out1, in1, out2, in2) in enumerate((((), (), (), ()),) + self.moves):
-            for g in out1:
-                one.remove(g)
-            for g in in1:
-                one.add(g)
-            for g in out2:
-                two.remove(g)
-            for g in in2:
-                two.add(g)
-            if (not len(two) or two.min_drop <= one.value) and (not len(one) or one.min_drop <= two.value):
-                return i
-        return None
+        goods valuation ``model``, or None when no step is EF1."""
+        return first_ef1_step(model._bundle(self.start[0]), model._bundle(self.start[1]), self.moves)
 
 
 class Chain(NamedTuple):
@@ -153,59 +140,87 @@ def most_valuable_source(instance: Instance) -> frozenset:
     return complete_to_maximal_is(instance.graph, (_most_valuable(model, range(instance.m)),))
 
 
-def build_chain(
-    instance: Instance,
-    source: Sequence[int],
-    *,
-    x1: Optional[frozenset] = None,
-    x2: Optional[frozenset] = None,
-) -> Chain:
-    """Build the chain A^(0)..A^(k) for the ordered maximal independent set
-    ``source`` as a walk: from step i to i+1, s_{i+1} moves from bundle 1
-    to bundle 2, the goods of X_1 with q = i+1 join bundle 1 and those of
-    X_2 with p = i+1 leave bundle 2, so each good moves at most once.
+def chain_steps(graph: ConflictGraph, source: Sequence[int], x1=None, x2=None) -> Iterator[tuple]:
+    """The chain for the ordered maximal independent set ``source`` = S, one
+    move ``(out1, in1, out2, in2)`` per step: step 0 as ``((), S, (), X_2)``
+    from the empty allocation, then the move to each step i = 1..k: s_i goes
+    from bundle 1 to bundle 2, the goods of X_1 with q = i join bundle 1 and
+    those of X_2 with p = i leave bundle 2. The last step is (X_1, S).
 
-    ``x1``/``x2`` override the greedily computed side sets; an override must
-    itself be a valid outcome of the greedy scan under some tie-break of
-    equal q (resp. p) values, which is how the interval solver injects its
-    endpoint-ordered greedy solutions.
+    X_2, greedy in (-p, -t) order, is chosen before step 0; X_1, greedy in
+    (q, t) order, a step at a time, so a consumer that stops early pays only
+    for the steps it read. ``x1``/``x2`` override the side sets; an override
+    must be a valid outcome of the greedy under some tie-break of equal q
+    (resp. p), which is how the interval solver injects its own greedy sets.
     """
-    _require_two_agent_identical_goods(instance)
-    graph = instance.graph
+    adj, m = graph.adj, graph.m
     s = tuple(source)
-    s_set = frozenset(s)
-    if len(s) != len(s_set):
+    s_set, k = frozenset(s), len(s)
+    if k != len(s_set):
         raise ValueError("source contains duplicate goods")
-    if s and not 0 <= min(s) <= max(s) < graph.m:
-        raise ValueError(f"source holds a good outside [0,{graph.m})")
+    if s and not 0 <= min(s) <= max(s) < m:
+        raise ValueError(f"source holds a good outside [0,{m})")
     if not is_independent_set(graph, s_set):
         raise ValueError("source is not an independent set")
-    k = len(s)
     # p(t) and q(t): the first and last 1-based position in S of a
-    # neighbour of t; S is independent, so no neighbour of S is in S.
-    p = {}
-    q = {}
+    # neighbour of t, 0 for none; S is independent, so p and q are 0 on S.
+    p, q = [0] * m, [0] * m
     for i, u in enumerate(s, 1):
-        for t in graph.adj[u]:
-            if t not in p:
+        for t in adj[u]:
+            if not p[t]:
                 p[t] = i
             q[t] = i
-    if len(p) != graph.m - k:
-        t = next(t for t in range(graph.m) if t not in s_set and t not in p)
+    if p.count(0) != k:
+        t = next(t for t in range(m) if not p[t] and t not in s_set)
         raise ValueError(f"source is not maximal: good {t} has no neighbor in it")
+    # Side-set candidates by p and by q: all goods, ascending, or an override.
+    by_p, by_q = [[] for _ in range(k + 1)], [[] for _ in range(k + 1)]
+    for t in range(m) if x2 is None else x2:
+        by_p[p[t]].append(t)
+    for t in range(m) if x1 is None else x1:
+        by_q[q[t]].append(t)
 
-    if x1 is None:
-        x1 = _grow_independent(graph, (), sorted(p, key=lambda t: (q[t], t)))
     if x2 is None:
-        x2 = _grow_independent(graph, (), sorted(p, key=lambda t: (-p[t], -t)))
+        x2 = _grow_independent(graph, (), [t for i in range(k, 0, -1) for t in reversed(by_p[i])])
+    yield (), s_set, (), x2
+    grown = set()  # X_1 so far
+    for i, u in enumerate(s, 1):
+        in1 = []
+        for t in by_q[i]:
+            if x1 is not None or grown.isdisjoint(adj[t]):  # an override keeps all its goods
+                grown.add(t)
+                in1.append(t)
+        yield (u,), tuple(in1), tuple([t for t in by_p[i] if t in x2]), (u,)
 
-    joins1, leaves2 = [[] for _ in range(k + 1)], [[] for _ in range(k + 1)]
-    for t in x1:
-        joins1[q[t]].append(t)
-    for t in x2:
-        leaves2[p[t]].append(t)
-    moves = tuple(((s[i],), tuple(joins1[i + 1]), tuple(leaves2[i + 1]), (s[i],)) for i in range(k))
-    return Chain(Walk((s_set, frozenset(x2)), moves), x1, x2)
+
+def first_ef1_step(one, two, moves: Iterable[tuple]) -> Optional[int]:
+    """Index of the first EF1 step, or None, of a two-agent walk with one
+    identical goods valuation, whose running bundles ``one`` and ``two`` hold
+    step 0. Applies ``moves`` to them in place up to that step (or the last)."""
+    for i, (out1, in1, out2, in2) in enumerate(itertools.chain([((), (), (), ())], moves)):
+        for g in out1:
+            one.remove(g)
+        for g in in1:
+            one.add(g)
+        for g in out2:
+            two.remove(g)
+        for g in in2:
+            two.add(g)
+        # EF1: each non-empty bundle, less its best good, is worth at most the other.
+        if (not len(two) or two.min_drop <= one.value) and (not len(one) or one.min_drop <= two.value):
+            return i
+    return None
+
+
+def build_chain(instance: Instance, source: Sequence[int], *, x1=None, x2=None) -> Chain:
+    """The chain A^(0)..A^(k) for the ordered maximal independent set
+    ``source``: every move of :func:`chain_steps`, which says what
+    ``x1``/``x2`` override, as a walk."""
+    _require_two_agent_identical_goods(instance)
+    steps = chain_steps(instance.graph, source, x1, x2)
+    _, s, _, x2 = next(steps)
+    moves = tuple(steps)
+    return Chain(Walk((s, x2), moves), frozenset(g for move in moves for g in move[1]), x2)
 
 
 def chain_ef1(instance: Instance, source: Sequence[int]) -> ChainOutcome:

@@ -118,9 +118,9 @@ class ValuationModel(_ByFields):
 
     def _bundle(self, goods: Iterable[int] = ()):
         """A running bundle holding ``goods``, which goods join and leave one
-        at a time (``add``, ``remove``). Its ``len``, ``value``, ``min_drop``,
-        ``max_drop`` and ``gain(g)`` are integers over ``den``. A good outside
-        the model is a ValueError."""
+        at a time (``add``, ``remove``); its ``goods`` is the set of members.
+        Its ``len``, ``value``, ``min_drop``, ``max_drop`` and ``gain(g)`` are
+        integers over ``den``. A good outside the model is a ValueError."""
         raise NotImplementedError
 
     def value(self, subset: frozenset) -> Fraction:
@@ -242,10 +242,10 @@ class _NegatedBundle:
     """The inner model's running bundle with its values negated, so its
     two drops trade places; goods join and leave the inner bundle itself."""
 
-    __slots__ = ("inner", "add", "remove")
+    __slots__ = ("inner", "goods", "add", "remove")
 
     def __init__(self, inner):
-        self.inner, self.add, self.remove = inner, inner.add, inner.remove
+        self.inner, self.goods, self.add, self.remove = inner, inner.goods, inner.add, inner.remove
 
     def __len__(self):
         return len(self.inner)
@@ -271,13 +271,14 @@ class _CompositeBundle:
     and the tail's over all of them, each scaled to the composite's ``den``.
     Each drop takes every member out and back in, O(|S|) bundle updates."""
 
-    __slots__ = ("base", "tail", "base_goods", "base_scale", "tail_scale")
+    __slots__ = ("base", "tail", "goods", "base_goods", "base_scale", "tail_scale")
 
     def __init__(self, model: "Composite", goods: Iterable[int]):
         goods = set(goods)
         self.base_goods = model.base_goods
         self.base = model.base._bundle(g for g in goods if g < model.base_goods)
         self.tail = model.tail._bundle(goods)
+        self.goods = self.tail.goods
         self.base_scale, self.tail_scale = model.den // model.base.den, model.den // model.tail.den
 
     def add(self, g: int) -> None:
@@ -300,7 +301,7 @@ class _CompositeBundle:
     def _drops(self) -> list:
         """v(S - {g}) for each member g."""
         drops = []
-        for g in list(self.tail.goods):
+        for g in list(self.goods):
             self.remove(g)
             drops.append(self.value)
             self.add(g)

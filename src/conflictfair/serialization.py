@@ -43,17 +43,23 @@ _MODEL_NESTING_LIMIT = 64
 def rational_from_str(text) -> Fraction:
     """``Fraction(str(text))`` of a string or a JSON integer, else a
     ParseError (a float is not exact). A string of ASCII digits with an
-    optional leading '-' skips ``Fraction``'s regular expression."""
+    optional leading '-' skips ``Fraction``'s regular expression. A decimal
+    exponent of magnitude past the int digit limit (if one is set) is
+    refused: 10**e takes time and memory that grow faster than e."""
+    if type(text) is float:
+        raise ParseError(f"bad rational {text!r}: floats are not exact, write it as a string")
+    limit = sys.get_int_max_str_digits()
     try:
         if type(text) is str:
             digits = text.removeprefix("-")
             if digits.isascii() and digits.isdigit():
                 return Fraction(int(text))
-        if type(text) is not float:
+        _, e, exponent = str(text).upper().rpartition("E")
+        if not (e and limit and abs(int(exponent)) > limit):
             return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
-    raise ParseError(f"bad rational {text!r}: floats are not exact, write it as a string")
+    raise ParseError(f"bad rational {text!r}: its exponent is more than {limit} in magnitude")
 
 
 def integer_from_json(value, what: str, decimal_string: bool = False) -> int:
@@ -253,12 +259,16 @@ def graph_from_json(data) -> ConflictGraph:
 
 def load_json(path):
     """The file's JSON, else a ParseError: a ValueError is bad JSON, bad
-    UTF-8 or an integer past the interpreter's digit limit."""
+    UTF-8 or an integer past the interpreter's digit limit, which the
+    message names in place of Python's advice to raise the limit."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        reason = exc
+        if type(exc) is ValueError:  # the digit limit; JSON and UTF-8 errors are subclasses
+            reason = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        raise ParseError(f"cannot read {path}: {reason}") from exc
 
 
 def dump_json(path, data) -> None:

@@ -1,10 +1,12 @@
 """Escalating maximal-independent-set solver for two agents.
 
 Starts from a maximal independent set containing the single most valuable
-good and runs the chain construction; whenever the chain yields no EF1
-step, the more valuable side set seeds the next maximal independent set.
-Each failed round strictly increases v(S), so the loop terminates, and for
-additive valuations the increase is by a factor of at least m/(m-1).
+good and scans its chain step by step, as the chain is built, up to the
+first EF1 step; whenever the chain has no EF1 step, the scan ends at its
+last step, (X_1, S), and the more valuable side set seeds the next maximal
+independent set. Each failed round strictly increases v(S), so the loop
+terminates, and for additive valuations the increase is by a factor of at
+least m/(m-1).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-from .core import Allocation, Instance, complete_to_maximal_is, evaluate
-from .chain import chain_ef1, most_valuable_source, _require_two_agent_identical_goods
+from .core import Allocation, Instance, complete_to_maximal_is
+from .chain import chain_steps, first_ef1_step, most_valuable_source, _require_two_agent_identical_goods
 
 
 class SwapIteration(NamedTuple):
@@ -39,16 +41,17 @@ def swap_ef1(instance: Instance) -> Tuple[Allocation, Tuple[SwapIteration, ...]]
     iterations = []
     for _ in range(limit):
         ordered = tuple(sorted(source))
-        outcome = chain_ef1(instance, ordered)
-        value = evaluate(model, source)
-        if outcome.found:
+        steps = chain_steps(graph, ordered)
+        _, s, _, x2 = next(steps)
+        one, two = model._bundle(s), model._bundle(x2)
+        value = Fraction(one.value, model.den)
+        if first_ef1_step(one, two, steps) is not None:
             iterations.append(SwapIteration(ordered, value, None))
-            return outcome.allocation, tuple(iterations)
-        v1 = evaluate(model, outcome.chain.x1)
-        v2 = evaluate(model, outcome.chain.x2)
-        chosen = 1 if v1 >= v2 else 2
+            return Allocation((one.goods, two.goods)), tuple(iterations)
+        # No step was EF1: the scan read every step and ended at the last, (X_1, S).
+        chosen = 1 if one.value >= model._bundle(x2).value else 2
         iterations.append(SwapIteration(ordered, value, chosen))
-        source = complete_to_maximal_is(graph, outcome.chain.x1 if chosen == 1 else outcome.chain.x2)
+        source = complete_to_maximal_is(graph, one.goods if chosen == 1 else x2)
     raise RuntimeError("escalation failed to terminate within the maximal-IS bound")
 
 

@@ -20,15 +20,20 @@ from conflictfair import (
     IntervalSet,
     Negated,
     RootedTree,
+    SwapIteration,
     Table,
     ValidationReport,
     build_chain,
+    chain_ef1,
+    complete_to_maximal_is,
     enumerate_maximal_allocations,
+    evaluate,
     is_independent_set,
     is_maximal,
     swap_ef1,
     validate_allocation,
 )
+from conflictfair.chain import most_valuable_source
 from conflictfair.core import as_fraction
 from conflictfair.hardness import _assemble
 
@@ -516,6 +521,40 @@ def chain_positions(graph: ConflictGraph, source) -> tuple:
         if hits:
             p[t], q[t] = hits[0], hits[-1]
     return p, q
+
+
+def reference_side_sets(graph: ConflictGraph, source) -> tuple:
+    """X_1 and X_2 chosen eagerly by sorting: each the greedy independent
+    set over the goods with a neighbour in ``source``, X_1 in (q, t) order
+    and X_2 in (-p, -t) order."""
+    p, q = chain_positions(graph, tuple(source))
+    sides = []
+    for order in (sorted(p, key=lambda t: (q[t], t)), sorted(p, key=lambda t: (-p[t], -t))):
+        side = set()
+        for t in order:
+            if side.isdisjoint(graph.adj[t]):
+                side.add(t)
+        sides.append(frozenset(side))
+    return tuple(sides)
+
+
+def reference_swap_ef1(instance: Instance) -> tuple:
+    """The escalation loop over ``chain_ef1``: each round builds the whole
+    chain as a walk, scans it, and on failure seeds the next maximal
+    independent set with the more valuable side set."""
+    model = instance.identical_model
+    source = most_valuable_source(instance)
+    iterations = []
+    while True:
+        ordered = tuple(sorted(source))
+        outcome = chain_ef1(instance, ordered)
+        value = evaluate(model, source)
+        if outcome.found:
+            iterations.append(SwapIteration(ordered, value, None))
+            return outcome.allocation, tuple(iterations)
+        chosen = 1 if evaluate(model, outcome.chain.x1) >= evaluate(model, outcome.chain.x2) else 2
+        iterations.append(SwapIteration(ordered, value, chosen))
+        source = complete_to_maximal_is(instance.graph, outcome.chain.x1 if chosen == 1 else outcome.chain.x2)
 
 
 def eager_chain_steps(graph: ConflictGraph, source, chain) -> list:

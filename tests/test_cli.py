@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -395,6 +397,39 @@ class TestSolve:
                 assert main(["solve", path, "--algorithm", algorithm]) == 3, (change, algorithm)
                 err = capsys.readouterr().err
                 assert err.startswith("error:") and message in err, (change, algorithm, err)
+
+    def test_integer_past_the_digit_limit_names_the_limit(self, tmp_path, capsys):
+        bad = tmp_path / "big.json"
+        bad.write_bytes(b'{"agents": ' + b"1" * 5000 + b"}")
+        assert main(["solve", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert f"an integer of more than {sys.get_int_max_str_digits()} digits" in err
+        assert "sys.set_int_max_str_digits" not in err
+
+    def test_decimal_exponents_are_bounded(self, tmp_path, capsys):
+        # 10**e costs time and memory growing faster than e, so an exponent
+        # past the int digit limit is refused before any power is taken.
+        limit = sys.get_int_max_str_digits()
+        for value in ("1e1000000", "1e-1000000", f"1e{limit + 1}", f"3E-{limit + 1}"):
+            data = json.loads(open(path_instance(tmp_path)).read())
+            data["valuations"] = {"identical": {"type": "additive", "values": ["5", value, "5"]}}
+            assert main(["solve", write(tmp_path, "exponent.json", data)]) == 3, value
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"exponent is more than {limit} in magnitude" in err, value
+        printed = []
+        for value in ("1e3", "1000"):
+            data = json.loads(open(path_instance(tmp_path)).read())
+            data["valuations"] = {"identical": {"type": "additive", "values": ["5", value, "5"]}}
+            assert main(["solve", write(tmp_path, "exponent.json", data)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert rational_from_str("1e3") == 1000 and rational_from_str(f"1e-{limit}") == Fraction(1, 10**limit)
+        # With the digit limit switched off, no exponent is refused.
+        sys.set_int_max_str_digits(0)
+        try:
+            assert rational_from_str(f"1e{limit + 1}") == 10 ** (limit + 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_model_nesting_limit(self, tmp_path, capsys, monkeypatch):
         limit = serialization._MODEL_NESTING_LIMIT
@@ -994,6 +1029,11 @@ def _outcome(parse, value, errors):
 
 
 def _fraction_of_str(value):
+    """``Fraction(str(value))``, with the parser's bound: a decimal exponent
+    of magnitude past the int digit limit is a ValueError."""
+    exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*\Z", str(value))
+    if exponent and abs(int(exponent.group(1))) > sys.get_int_max_str_digits():
+        raise ValueError("exponent past the int digit limit")
     return Fraction(str(value))
 
 
@@ -1005,6 +1045,7 @@ class TestRationalFromStr:
         "007", "-0", "+3", " 4 ", "1_000", "\u0663", "1e3", "1/2", "-", "",
         "-007", "--3", "-+3", "3-", "12", "0", "7/0", "3.5", "0x10", "\u00b2",
         "1" * 5000, "-" + "2" * 4300, 0, 5, -12, 10**30, True, None,
+        "1e4300", "1E-4300", "1e4301", "-1e-4301", "1e1000000", "1e-1000000", " 2e+1_000_000 ", "1/2e9999",
     ]
 
     def test_cases_match_fraction(self):

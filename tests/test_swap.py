@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 from conflictfair import (
+    CHORES,
     Additive,
     ConflictGraph,
     Instance,
@@ -18,7 +19,18 @@ from conflictfair import (
     validate_allocation,
 )
 
-from conftest import random_additive, random_connected_graph, random_monotone_table
+from conflictfair import swap as swap_module
+from conflictfair.chain import chain_ef1, chain_steps
+from conflictfair.core import to_goods
+
+from conftest import (
+    random_additive,
+    random_connected_graph,
+    random_graph,
+    random_model,
+    random_monotone_table,
+    reference_swap_ef1,
+)
 
 
 def bundles(allocation):
@@ -152,3 +164,70 @@ class TestSwapInvariants:
             second_alloc, second_trace = swap_ef1(instance)
             assert first_alloc == second_alloc
             assert first_trace == second_trace
+
+
+# (kind, seed) of ``_seeded_instance`` inputs that take two swap rounds: the
+# first chain has no EF1 step, so the scan runs to the end and escalates.
+ESCALATING = (
+    [("additive", seed) for seed in (971, 1012, 1043, 1713, 2011, 2412)]
+    + [("chores", seed) for seed in (2775, 3337, 971, 1012)]
+    + [("table", seed) for seed in (327, 341, 417, 1151, 1667, 1952)]
+    + [("composite", seed) for seed in (1663, 1823, 2057, 2882, 2982, 5369)]
+)
+
+
+def _seeded_instance(kind, seed):
+    """A goods-mode two-agent instance on a random graph: additive goods,
+    negated additive chores, a monotone table or a composite model."""
+    rng = random.Random(seed)
+    m = rng.randint(4, 10 if kind in ("table", "composite") else 14)
+    graph = random_graph(rng, m, rng.choice([0.2, 0.3, 0.4]))
+    if kind == "additive":
+        return Instance(graph, 2, random_additive(rng, m))
+    if kind == "chores":
+        return to_goods(Instance(graph, 2, Additive([-rng.randint(0, 10) for _ in range(m)]), CHORES))
+    return Instance(graph, 2, random_model(rng, m, kind=kind))
+
+
+class TestScanAgainstReference:
+    """``swap_ef1`` scans each chain as it is built and stops at the first
+    EF1 step; the reference builds each chain whole through ``chain_ef1``."""
+
+    def test_corpus_matches_reference(self, swap_corpus):
+        for instance, allocation, trace in swap_corpus:
+            assert (allocation, trace) == reference_swap_ef1(instance)
+
+    def test_seeded_models_match_reference(self):
+        for kind in ("additive", "chores", "table", "composite"):
+            for seed in range(60):
+                instance = _seeded_instance(kind, seed)
+                assert swap_ef1(instance) == reference_swap_ef1(instance), (kind, seed)
+
+    def test_escalating_instances_match_reference(self):
+        assert len(ESCALATING) >= 20
+        for kind, seed in ESCALATING:
+            instance = _seeded_instance(kind, seed)
+            allocation, trace = swap_ef1(instance)
+            assert len(trace) >= 2, (kind, seed)
+            assert (allocation, trace) == reference_swap_ef1(instance), (kind, seed)
+            assert is_maximal(instance, allocation) and is_ef1(instance, allocation)
+
+    def test_each_chain_is_read_only_to_its_first_ef1_step(self, monkeypatch):
+        read = []
+
+        def counting(graph, source):
+            read.append(0)
+            for move in chain_steps(graph, source):
+                read[-1] += 1
+                yield move
+
+        monkeypatch.setattr(swap_module, "chain_steps", counting)
+        for kind, seed in ESCALATING[:8] + [("additive", seed) for seed in range(40)]:
+            instance = _seeded_instance(kind, seed)
+            read.clear()
+            _, trace = swap_ef1(instance)
+            expected = []
+            for round_ in trace:
+                outcome = chain_ef1(instance, round_.source)
+                expected.append(len(outcome.chain.steps) if outcome.step_index is None else outcome.step_index + 1)
+            assert read == expected, (kind, seed)

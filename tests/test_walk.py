@@ -37,6 +37,7 @@ from conftest import (
     random_graph,
     random_intervals,
     random_monotone_table,
+    reference_side_sets,
     without_repeats,
 )
 
@@ -104,6 +105,8 @@ def interval_corpus():
 def test_chain_walk_equals_eager_steps(swap_corpus):
     for instance, source in swap_corpus:
         chain = build_chain(instance, source)
+        # X_1, chosen a step at a time, and X_2 equal the sorted greedy sets
+        assert (chain.x1, chain.x2) == reference_side_sets(instance.graph, source)
         reference = eager_chain_steps(instance.graph, source, chain)
         assert list(chain.steps) == without_repeats(reference) == reference
         assert len(chain.steps) == len(reference)
