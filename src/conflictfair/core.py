@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import gt, lt
+from operator import gt, lt, neg
 from typing import Iterable, List, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -112,15 +113,23 @@ class _ByFields:
 
 class ValuationModel(_ByFields):
     """Base for the valuation family. A subclass gives its denominator
-    ``den``, ``check``, ``to_json`` and its one evaluator, ``_bundle``;
-    ``value`` on a frozenset reads a bundle built from it. ``_fields``
-    names the defining attributes."""
+    ``den``, ``check``, ``to_json``, its one evaluator, ``_bundle``, and
+    its negation, ``_negation``; ``value`` on a frozenset reads a bundle
+    built from it. ``_fields`` names the defining attributes."""
 
     def _bundle(self, goods: Iterable[int] = ()):
         """A running bundle holding ``goods``, which goods join and leave one
         at a time (``add``, ``remove``); its ``goods`` is the set of members.
-        Its ``len``, ``value``, ``min_drop``, ``max_drop`` and ``gain(g)`` are
-        integers over ``den``. A good outside the model is a ValueError."""
+        Its ``len``, ``value``, ``min_drop`` (the least v(S - {g}) over the
+        members g, 0 for no members) and ``gain(g)`` are integers over
+        ``den``. The largest v(S - {g}) is minus the ``min_drop`` of
+        ``_negation``'s bundle. A good outside the model is a ValueError."""
+        raise NotImplementedError
+
+    @cached_property
+    def _negation(self) -> "ValuationModel":
+        """-v in closed form, over the same ``den``; built on first use and
+        kept on the model."""
         raise NotImplementedError
 
     def value(self, subset: frozenset) -> Fraction:
@@ -139,10 +148,10 @@ class ValuationModel(_ByFields):
 
 class _AdditiveBundle:
     """Running integer sum of the members' numerators (over the model's
-    ``den``). The largest and smallest member come from heaps built on
-    first use; a removed good stays in a heap until it reaches the top."""
+    ``den``). The largest member comes from a heap built on the first
+    ``min_drop``; a removed good stays in it until it reaches the top."""
 
-    __slots__ = ("nums", "goods", "value", "heaps")
+    __slots__ = ("nums", "goods", "value", "heap")
 
     def __init__(self, nums: tuple, goods: Iterable[int]):
         self.nums = nums
@@ -155,15 +164,15 @@ class _AdditiveBundle:
         except IndexError:
             bad = next(g for g in goods if not 0 <= g < len(nums))
             raise ValueError(f"good {bad} outside additive vector of length {len(nums)}") from None
-        self.heaps = {}  # sign -> heap of (sign * numerator, good)
+        self.heap = None  # (-numerator, good) per member, once built
 
     def add(self, g: int) -> None:
         if g not in self.goods:
             x = self.nums[g]
             self.goods.add(g)
             self.value += x
-            for sign, heap in self.heaps.items():
-                heappush(heap, (sign * x, g))
+            if self.heap is not None:
+                heappush(self.heap, (-x, g))
 
     def remove(self, g: int) -> None:
         self.goods.remove(g)
@@ -172,23 +181,17 @@ class _AdditiveBundle:
     def __len__(self):
         return len(self.goods)
 
-    def _top(self, sign: int) -> int:
-        """The least of sign * numerator over the members."""
-        heap = self.heaps.get(sign)
+    @property
+    def min_drop(self):
+        if not self.goods:
+            return 0
+        heap = self.heap
         if heap is None:
-            heap = self.heaps[sign] = [(sign * self.nums[g], g) for g in self.goods]
+            heap = self.heap = [(-self.nums[g], g) for g in self.goods]
             heapify(heap)
         while heap[0][1] not in self.goods:
             heappop(heap)
-        return heap[0][0]
-
-    @property
-    def min_drop(self):
-        return self.value + self._top(-1) if self.goods else 0
-
-    @property
-    def max_drop(self):
-        return self.value - self._top(1) if self.goods else 0
+        return self.value + heap[0][0]
 
     def gain(self, g: int):
         return 0 if g in self.goods else self.nums[g]
@@ -229,47 +232,14 @@ class _TableBundle:
         mask, nums = self.mask, self.nums
         return min([nums[mask & ~(1 << g)] for g in self.goods], default=0)
 
-    @property
-    def max_drop(self):
-        mask, nums = self.mask, self.nums
-        return max([nums[mask & ~(1 << g)] for g in self.goods], default=0)
-
     def gain(self, g: int):
         return self.nums[self.mask | 1 << g] - self.nums[self.mask]
-
-
-class _NegatedBundle:
-    """The inner model's running bundle with its values negated, so its
-    two drops trade places; goods join and leave the inner bundle itself."""
-
-    __slots__ = ("inner", "goods", "add", "remove")
-
-    def __init__(self, inner):
-        self.inner, self.goods, self.add, self.remove = inner, inner.goods, inner.add, inner.remove
-
-    def __len__(self):
-        return len(self.inner)
-
-    @property
-    def value(self):
-        return -self.inner.value
-
-    @property
-    def min_drop(self):
-        return -self.inner.max_drop
-
-    @property
-    def max_drop(self):
-        return -self.inner.min_drop
-
-    def gain(self, g: int):
-        return -self.inner.gain(g)
 
 
 class _CompositeBundle:
     """The base model's running bundle over the members below ``base_goods``
     and the tail's over all of them, each scaled to the composite's ``den``.
-    Each drop takes every member out and back in, O(|S|) bundle updates."""
+    ``min_drop`` takes every member out and back in, O(|S|) bundle updates."""
 
     __slots__ = ("base", "tail", "goods", "base_goods", "base_scale", "tail_scale")
 
@@ -298,22 +268,14 @@ class _CompositeBundle:
     def value(self):
         return self.base.value * self.base_scale + self.tail.value * self.tail_scale
 
-    def _drops(self) -> list:
-        """v(S - {g}) for each member g."""
+    @property
+    def min_drop(self):
         drops = []
         for g in list(self.goods):
             self.remove(g)
             drops.append(self.value)
             self.add(g)
-        return drops
-
-    @property
-    def min_drop(self):
-        return min(self._drops(), default=0)
-
-    @property
-    def max_drop(self):
-        return max(self._drops(), default=0)
+        return min(drops, default=0)
 
     def gain(self, g: int):
         base = self.base.gain(g) * self.base_scale if g < self.base_goods else 0
@@ -336,6 +298,10 @@ class Additive(ValuationModel):
 
     def _bundle(self, goods: Iterable[int] = ()) -> _AdditiveBundle:
         return _AdditiveBundle(self.nums, goods)
+
+    @cached_property
+    def _negation(self) -> "Additive":
+        return Additive(map(neg, self.values))
 
     def check(self, m: int, mode: str) -> None:
         if len(self.values) != m:
@@ -407,6 +373,15 @@ class Table(ValuationModel):
     def _bundle(self, goods: Iterable[int] = ()) -> _TableBundle:
         return _TableBundle(self, goods)
 
+    @cached_property
+    def _negation(self) -> "Table":
+        """The negated numerators over the same ``den``; negating swaps the
+        two monotonicity flags, so nothing is scanned again."""
+        table = Table.__new__(Table)
+        table.m, table.nums, table.den = self.m, tuple(map(neg, self.nums)), self.den
+        table.nondecreasing, table.nonincreasing = self.nonincreasing, self.nondecreasing
+        return table
+
     def check(self, m: int, mode: str) -> None:
         if self.m != m:
             raise ValueError(f"table is over {self.m} goods, expected {m}")
@@ -427,7 +402,10 @@ class Table(ValuationModel):
 
 
 class Negated(ValuationModel):
-    """v(S) = -inner(S); maps goods models to chores models and back."""
+    """v(S) = -inner(S); maps goods models to chores models and back. It
+    reads its inner model's closed-form negation, and its own negation is
+    the inner model. Instance files and callers build it; ``to_goods``
+    does not."""
 
     _fields = ("inner",)
 
@@ -438,8 +416,12 @@ class Negated(ValuationModel):
     def den(self) -> int:
         return self.inner.den
 
-    def _bundle(self, goods: Iterable[int] = ()) -> _NegatedBundle:
-        return _NegatedBundle(self.inner._bundle(goods))
+    def _bundle(self, goods: Iterable[int] = ()):
+        return self.inner._negation._bundle(goods)
+
+    @cached_property
+    def _negation(self) -> ValuationModel:
+        return self.inner
 
     def check(self, m: int, mode: str) -> None:
         self.inner.check(m, CHORES if mode == GOODS else GOODS)
@@ -465,6 +447,10 @@ class Composite(ValuationModel):
 
     def _bundle(self, goods: Iterable[int] = ()) -> _CompositeBundle:
         return _CompositeBundle(self, goods)
+
+    @cached_property
+    def _negation(self) -> "Composite":
+        return Composite(self.base._negation, self.base_goods, self.tail._negation)
 
     def check(self, m: int, mode: str) -> None:
         if not 0 <= self.base_goods <= m:
@@ -543,14 +529,14 @@ class Instance:
 
 
 def to_goods(instance: Instance) -> Instance:
-    """Goods-mode twin of a chores instance, each model wrapped in
-    ``Negated``; goods instances come back unchanged. For identical
-    valuations an allocation is EF1 for chores under v exactly when it is
-    EF1 for goods under -v, which is how the two-agent solvers handle
-    chores."""
+    """Goods-mode twin of a chores instance, each model replaced by its
+    closed-form negation ``_negation``; goods instances come back
+    unchanged. For identical valuations an allocation is EF1 for chores
+    under v exactly when it is EF1 for goods under -v, which is how the
+    two-agent solvers handle chores."""
     if instance.mode == GOODS:
         return instance
-    models = Negated(instance.identical_model) if instance.identical else [Negated(v) for v in instance.models]
+    models = instance.identical_model._negation if instance.identical else [v._negation for v in instance.models]
     return Instance(instance.graph, instance.n, models, GOODS)
 
 
@@ -654,19 +640,22 @@ def is_maximal(instance: Instance, allocation: Allocation) -> bool:
 def is_ef1(instance: Instance, allocation: Allocation) -> bool:
     """Envy-freeness up to one good (goods mode) or one chore (chores mode),
     under each agent's own valuation. Each model builds one running bundle
-    per allocation bundle, and the comparisons run in its integer units."""
+    per allocation bundle, and the comparisons run in its integer units.
+    Chores are read through the negation u = -v: the largest v(A_i - {c})
+    is minus u's ``min_drop`` of A_i, so agent i passes when that drop is
+    at most u(A_j) for every other j."""
     _require_one_bundle_per_agent(instance, allocation)
     bundles, goods, n = allocation.bundles, instance.mode == GOODS, instance.n
-    seen = {}  # id(model) -> (values, drops) of the bundles under it
+    seen = {}  # id(model) -> (values, drops) of the bundles under it, or under its negation for chores
     for i, model in enumerate(instance.models):
         if id(model) not in seen:
-            runs = [model._bundle(b) for b in bundles]
-            seen[id(model)] = [r.value for r in runs], [r.min_drop if goods else r.max_drop for r in runs]
+            runs = [(model if goods else model._negation)._bundle(b) for b in bundles]
+            seen[id(model)] = [r.value for r in runs], [r.min_drop for r in runs]
         values, drops = seen[id(model)]
         if goods:
             if any(values[i] < drops[j] for j in range(n) if j != i and bundles[j]):
                 return False
-        elif bundles[i] and any(drops[i] < values[j] for j in range(n) if j != i):
+        elif bundles[i] and any(values[j] < drops[i] for j in range(n) if j != i):
             return False
     return True
 

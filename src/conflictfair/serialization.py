@@ -36,7 +36,8 @@ class ParseError(ValueError):
 SIZE_LIMIT = 100_000
 
 # The most negated and composite models a model may nest, one inside the
-# next: the models' ``value`` recurses once per level.
+# next: building a model's negation and building its running bundle recurse
+# once per level.
 _MODEL_NESTING_LIMIT = 64
 
 

@@ -78,6 +78,25 @@ def negated_document(depth, values=("5", "0", "5")):
     return {"agents": 2, "goods": len(values), "edges": edges, "mode": mode, "valuations": {"identical": model}}
 
 
+def alternating_document(depth, mode, values=("5", "0", "5", "1", "2")):
+    """An instance on a path in ``mode`` whose additive model sits inside
+    ``depth`` models, negated and composite in turn from the outside in,
+    each composite over all goods with a tail of 1 (or -1) per good."""
+    modes = [mode]  # the mode each level must be valid in, outermost first
+    for level in range(depth):
+        negated = level % 2 == 0
+        modes.append({"goods": "chores", "chores": "goods"}[modes[-1]] if negated else modes[-1])
+    sign = lambda level: "" if modes[level] == "goods" else "-"
+    model = {"type": "additive", "values": [sign(depth) + v for v in values]}
+    for level in reversed(range(depth)):
+        if level % 2 == 0:
+            model = {"type": "negated", "inner": model}
+        else:
+            model = {"type": "composite", "baseGoods": len(values), "base": model, "tail": [sign(level) + "1"] * len(values)}
+    edges = [[g, g + 1] for g in range(len(values) - 1)]
+    return {"agents": 2, "goods": len(values), "edges": edges, "mode": mode, "valuations": {"identical": model}}
+
+
 def one_good_table(entries):
     """A change to ``path_instance``: one good, whose table has ``entries``."""
     return {"goods": 1, "edges": [], "valuations": {"identical": {"type": "table", "entries": entries}}}
@@ -435,6 +454,14 @@ class TestSolve:
         limit = serialization._MODEL_NESTING_LIMIT
         assert main(["solve", write(tmp_path, "deep.json", negated_document(limit))]) == 0
         assert report_lines(capsys)["ef1"] == "true"
+        # negated and composite in turn: each composite's negation is built
+        # from its base's, one level per composite
+        for mode in ("goods", "chores"):
+            path = write(tmp_path, "alternating.json", alternating_document(limit, mode))
+            assert main(["solve", path]) == 0, mode
+            assert report_lines(capsys)["ef1"] == "true", mode
+            assert main(["oracle", path]) == 0, mode
+            capsys.readouterr()
         # Without the bound, 983 levels on a 5-good path parsed at the top of
         # a fresh interpreter and then overflowed the stack while solving
         # (exit 7). The document is handed over already decoded, since the

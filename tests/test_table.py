@@ -69,6 +69,11 @@ def test_table_matches_fraction_reference():
         flags = (table.nondecreasing, table.nonincreasing)
         assert flags == (ref.nondecreasing, ref.nonincreasing), (m, shape)
         flags_seen.add(flags)
+        # the negation swaps the flags without a scan; a scan agrees
+        negation = Table(m, {mask: -v for mask, v in entries.items()})
+        assert table._negation == negation, (m, shape)
+        assert (table._negation.nondecreasing, table._negation.nonincreasing) == flags[::-1], (m, shape)
+        assert (negation.nondecreasing, negation.nonincreasing) == flags[::-1], (m, shape)
         assert table.entries == ref.entries and set(map(type, table.nums)) == {int}
         for mask in range(1 << m):
             s = subset(mask)
@@ -76,7 +81,7 @@ def test_table_matches_fraction_reference():
             for method, got in [
                 ("value", table.value(s)),
                 ("min_drop", Fraction(bundle.min_drop, table.den)),
-                ("max_drop", Fraction(bundle.max_drop, table.den)),
+                ("max_drop", Fraction(-table._negation._bundle(s).min_drop, table.den)),
             ]:
                 assert got == getattr(ref, method)(s) and type(got) is Fraction, (m, shape, mask, method)
         assert table.to_json() == ref.to_json()

@@ -1,8 +1,9 @@
 """Closed-form "value minus one good" on each valuation model: ``value``
-and the running bundle's ``min_drop`` and ``max_drop`` (over ``den``) equal
-the definitional references of ``conftest`` on every subset, and
-``is_ef1``, which runs on the bundles, equals a checker written with the
-reference value alone."""
+and the running bundle's ``min_drop`` (over ``den``) equal the definitional
+references of ``conftest`` on every subset, and so does minus the
+``min_drop`` of the model's closed-form negation, ``_negation``, against
+the largest drop; ``is_ef1``, which runs on the bundles, equals a checker
+written with the reference value alone."""
 
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from conflictfair import (
     ConflictGraph,
     Instance,
     Negated,
+    Table,
     is_ef1,
     value_minus_one,
 )
@@ -36,9 +38,13 @@ from conftest import (
 
 @st.composite
 def models(draw, m, mode):
-    """A valid model over m goods in ``mode``, of every kind in turn."""
+    """A valid model over m goods in ``mode``, of every kind in turn, and
+    the negation of a composite."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return random_model(rng, m, mode, kind=draw(st.sampled_from(MODEL_KINDS)))
+    kind = draw(st.sampled_from(MODEL_KINDS + ("negated composite",)))
+    if kind == "negated composite":
+        return Negated(random_model(rng, m, CHORES if mode == GOODS else GOODS, kind="composite"))
+    return random_model(rng, m, mode, kind=kind)
 
 
 def subsets(m):
@@ -52,14 +58,28 @@ def test_drops_equal_definition_on_every_subset(data):
     m = data.draw(st.integers(0, 8))
     mode = data.draw(st.sampled_from([GOODS, CHORES]))
     model = data.draw(models(m, mode))
+    negation, den = model._negation, model.den
+    assert negation.den == den and model._negation is negation
+    if isinstance(model, Table):
+        # the one shortcut nothing else checks: the flags swapped, not scanned
+        scanned = Table(m, [-v for v in model.entries.values()])
+        assert negation == scanned
+        assert (negation.nondecreasing, negation.nonincreasing) == (scanned.nondecreasing, scanned.nonincreasing)
     for s in subsets(m):
         bundle = model._bundle(s)
-        low, high, value = Fraction(bundle.min_drop, model.den), Fraction(bundle.max_drop, model.den), model.value(s)
+        low, value = Fraction(bundle.min_drop, den), model.value(s)
         assert type(value) is Fraction
         assert low == reference_min_drop(model, s)
-        assert high == reference_max_drop(model, s)
         assert value == reference_value(model, s)
         assert value_minus_one(model, sorted(s)) == low
+        # the negation reads minus the definitions, its least drop minus the
+        # largest; Negated(model) reads the same through it
+        negated = negation._bundle(s)
+        reads = [negated.value, negated.min_drop, *map(negated.gain, range(m))]
+        gains = [reference_value(model, s | {g}) - value for g in range(m)]
+        assert [Fraction(x, den) for x in reads] == [-value, -reference_max_drop(model, s), *(-gain for gain in gains)]
+        wrapped = Negated(model)._bundle(s)
+        assert [wrapped.value, wrapped.min_drop, *map(wrapped.gain, range(m))] == reads
 
 
 def reference_ef1(instance, allocation):
