@@ -13,7 +13,7 @@ scans its moves, or a :class:`Walk`'s, and stops at the first EF1 step.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     GOODS,
@@ -36,9 +36,9 @@ class Walk(_ByFields):
     bundles and, for each later step, the goods that leave and join each
     bundle: ``(out1, in1, out2, in2)``.
 
-    Steps are built on demand. Iterating replays the moves once; ``[i]``
-    and ``index`` replay as far as they need and materialize only the
-    allocation they return.
+    Steps are built on demand. Iterating replays the moves once, and
+    ``index`` replays as far as it needs; ``first_ef1`` scans with running
+    bundles and materializes only the step it returns.
     """
 
     _fields = ("start", "moves")
@@ -65,9 +65,6 @@ class Walk(_ByFields):
     def __iter__(self):
         return (Allocation(pair) for pair in self._replay())
 
-    def __getitem__(self, i: int) -> Allocation:
-        return Allocation(next(itertools.islice(self._replay(), range(len(self))[i], None)))
-
     def index(self, allocation) -> int:
         """Position of the first step equal to ``allocation``."""
         if isinstance(allocation, Allocation):
@@ -84,10 +81,13 @@ class Walk(_ByFields):
             raise RuntimeError("walks do not meet: the second does not start where the first ends")
         return Walk(self.start, self.moves + other.moves)
 
-    def first_ef1(self, model: ValuationModel) -> Optional[int]:
-        """Index of the first EF1 step for two agents with the identical
-        goods valuation ``model``, or None when no step is EF1."""
-        return first_ef1_step(model._bundle(self.start[0]), model._bundle(self.start[1]), self.moves)
+    def first_ef1(self, model: ValuationModel) -> Tuple[Optional[int], Optional[Allocation]]:
+        """Index and allocation of the first EF1 step for two agents with the
+        identical goods valuation ``model``, read from the running bundles
+        where the scan stops; ``(None, None)`` when no step is EF1."""
+        one, two = model._bundle(self.start[0]), model._bundle(self.start[1])
+        i = first_ef1_step(one, two, self.moves)
+        return (None, None) if i is None else (i, Allocation((one.goods, two.goods)))
 
 
 class Chain(NamedTuple):
@@ -101,8 +101,9 @@ class Chain(NamedTuple):
 
 
 class ChainOutcome(NamedTuple):
-    """Result of scanning a chain for an EF1 step; the full chain is kept
-    for invariant testing."""
+    """Result of scanning a chain for an EF1 step: the allocation the scan's
+    running bundles hold where it stops, which is step ``step_index`` of
+    ``chain.steps``; the full chain is kept for invariant testing."""
 
     allocation: Optional[Allocation]
     step_index: Optional[int]
@@ -227,8 +228,8 @@ def chain_ef1(instance: Instance, source: Sequence[int]) -> ChainOutcome:
     """Walk the chain for ``source`` and return its first EF1 step, or a
     null outcome when no step is EF1."""
     chain = build_chain(instance, source)
-    i = chain.steps.first_ef1(instance.identical_model)
-    return ChainOutcome(None if i is None else chain.steps[i], i, chain)
+    i, allocation = chain.steps.first_ef1(instance.identical_model)
+    return ChainOutcome(allocation, i, chain)
 
 
 def cut_and_choose(

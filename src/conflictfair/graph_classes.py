@@ -233,17 +233,16 @@ def interval_chains(instance: Instance, intervals: Optional[IntervalSet]) -> Int
     # in that order, walked backwards, which is the splice of Z_2 into X'_1
     # in the reverse order.
     widening = _splice_walk(z2[::-1], x1[::-1], z1, fixed_side=1)
-    return IntervalChains(narrowing, core, widening, narrowing.then(core).then(widening))
+    return IntervalChains(narrowing, core, widening, narrowing.then(core.then(widening)))
 
 
 def interval_ef1(instance: Instance, intervals: Optional[IntervalSet]) -> Allocation:
     """Maximal EF1 allocation for an interval graph via the concatenated
     gapless chain; some member is always EF1."""
-    chains = interval_chains(instance, intervals)
-    i = chains.combined.first_ef1(instance.identical_model)
-    if i is None:
+    _, allocation = interval_chains(instance, intervals).combined.first_ef1(instance.identical_model)
+    if allocation is None:
         raise RuntimeError("gapless chain contained no EF1 step; invariant violated")
-    return chains.combined[i]
+    return allocation
 
 
 def bipartition(graph: ConflictGraph) -> Tuple[frozenset, frozenset]:

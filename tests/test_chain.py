@@ -143,9 +143,9 @@ class TestChainInvariants:
 
     def test_consecutive_steps_ordered_adjacent(self, chain_corpus):
         for instance, source in chain_corpus:
-            chain = build_chain(instance, source)
-            for i in range(1, len(chain.steps)):
-                prev, cur = chain.steps[i - 1], chain.steps[i]
+            steps = list(build_chain(instance, source).steps)
+            for i in range(1, len(steps)):
+                prev, cur = steps[i - 1], steps[i]
                 assert is_ordered_adjacent(prev, cur)
                 moved = {source[i - 1]}
                 assert prev[0] - cur[0] == moved
@@ -156,22 +156,24 @@ class TestChainInvariants:
             model = instance.identical_model
             outcome = chain_ef1(instance, source)
             chain = outcome.chain
+            steps = list(chain.steps)
             vs = evaluate(model, source)
             if vs >= evaluate(model, chain.x1) and vs >= evaluate(model, chain.x2):
                 assert outcome.found
-                assert bundles(chain.steps[0]) == (set(source), set(chain.x2))
-                assert bundles(chain.steps[-1]) == (set(chain.x1), set(source))
+                assert bundles(steps[0]) == (set(source), set(chain.x2))
+                assert bundles(steps[-1]) == (set(chain.x1), set(source))
             if outcome.found:
-                assert outcome.allocation == chain.steps[outcome.step_index]
+                # the scan's running bundles against the replayed step
+                assert outcome.allocation == steps[outcome.step_index]
                 assert is_ef1(instance, outcome.allocation)
                 assert is_maximal(instance, outcome.allocation)
 
     def test_sign_flip_pair_contains_ef1(self, chain_corpus):
         for instance, source in chain_corpus:
             model = instance.identical_model
-            chain = build_chain(instance, source)
-            for i in range(1, len(chain.steps)):
-                prev, cur = chain.steps[i - 1], chain.steps[i]
+            steps = list(build_chain(instance, source).steps)
+            for i in range(1, len(steps)):
+                prev, cur = steps[i - 1], steps[i]
                 if (
                     evaluate(model, prev[0]) >= evaluate(model, prev[1])
                     and evaluate(model, cur[0]) <= evaluate(model, cur[1])

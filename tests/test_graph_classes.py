@@ -358,7 +358,7 @@ class TestIntervalEf1:
                 for step in segment:
                     assert validate_allocation(instance, step).wellformed
                     assert is_maximal(instance, step)
-            combined = chains.combined
+            combined = list(chains.combined)
             assert evaluate(model, combined[0][0]) >= evaluate(model, combined[0][1])
             assert evaluate(model, combined[-1][0]) <= evaluate(model, combined[-1][1])
             for prev, cur in itertools.pairwise(combined):
