@@ -92,12 +92,11 @@ class Walk(_ByFields):
 
 class Chain(NamedTuple):
     """The chain A^(0)..A^(k) built from an ordered maximal independent set,
-    as a :class:`Walk` whose steps are materialized on demand, with the side
-    sets X_1 and X_2 that pad its bundles."""
+    as a :class:`Walk` whose steps are materialized on demand. The side sets
+    are its ends: X_2 is ``steps.start[1]`` and X_1 is bundle 1 of the last
+    step."""
 
     steps: Walk
-    x1: frozenset
-    x2: frozenset
 
 
 class ChainOutcome(NamedTuple):
@@ -220,8 +219,7 @@ def build_chain(instance: Instance, source: Sequence[int], *, x1=None, x2=None) 
     _require_two_agent_identical_goods(instance)
     steps = chain_steps(instance.graph, source, x1, x2)
     _, s, _, x2 = next(steps)
-    moves = tuple(steps)
-    return Chain(Walk((s, x2), moves), frozenset(g for move in moves for g in move[1]), x2)
+    return Chain(Walk((s, x2), tuple(steps)))
 
 
 def chain_ef1(instance: Instance, source: Sequence[int]) -> ChainOutcome:

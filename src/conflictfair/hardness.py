@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from .core import (
     Additive,
@@ -24,7 +24,7 @@ from .core import (
     is_independent_set,
     value_minus_one,
 )
-from .oracle import EnumerationBudget, _gamma_and_allocation
+from .oracle import _gamma_and_allocation
 
 
 def _three_agent_table() -> Table:
@@ -83,17 +83,12 @@ class ISInstance:
 
 class GoodMap(NamedTuple):
     """Index ranges of the reduced instance: base goods first, then per
-    copy i a block of x-goods followed by its y-goods."""
+    copy i a block of x-goods followed by its y-goods: ``x[i][w]`` and
+    ``y[i][w]`` are vertex w's goods in copy i."""
 
     base: range
     x: tuple
     y: tuple
-
-    def x_good(self, copy: int, vertex: int) -> int:
-        return self.x[copy].start + vertex
-
-    def y_good(self, copy: int, vertex: int) -> int:
-        return self.y[copy].start + vertex
 
 
 class ReductionSpec(NamedTuple):
@@ -108,17 +103,13 @@ class ReductionSpec(NamedTuple):
     gamma_allocation: Allocation
 
 
-def build_reduction(
-    base: Instance,
-    is_instance: ISInstance,
-    budget: Optional[EnumerationBudget] = None,
-) -> Tuple[Instance, ReductionSpec]:
+def build_reduction(base: Instance, is_instance: ISInstance) -> Tuple[Instance, ReductionSpec]:
     """Compose the base no-EF1 instance with n copies of the IS graph. The
     base must have identical goods valuations: gamma refuses any other."""
     # With identical monotone goods valuations, gamma <= 0 exactly when some
     # maximal allocation is EF1: a bundle's own term and an empty bundle's
     # term of the gap are never positive.
-    gamma, gamma_allocation = _gamma_and_allocation(base, budget)
+    gamma, gamma_allocation = _gamma_and_allocation(base)
     if gamma <= 0:
         raise ValueError("base instance admits a maximal EF1 allocation")
     lam = gamma / is_instance.t
@@ -131,11 +122,9 @@ def build_reduction(
     good_map = GoodMap(range(m_base), x_ranges, y_ranges)
 
     edges, is_edges = list(base.graph.edges), is_instance.graph.edges
-    for i in range(n):
-        for u, w in is_edges:
-            edges.append((good_map.x_good(i, u), good_map.x_good(i, w)))
-        for w in range(h):
-            edges.append((good_map.x_good(i, w), good_map.y_good(i, w)))
+    for x, y in zip(x_ranges, y_ranges):
+        edges.extend((x[u], x[w]) for u, w in is_edges)
+        edges.extend(zip(x, y))
     for i in range(n):
         for j in range(i + 1, n):
             edges.extend((a, b) for a in blocks[i] for b in blocks[j])
@@ -157,12 +146,10 @@ def build_reduction(
 def _assemble(spec: ReductionSpec, base_bundles, picks: Iterable[Iterable[int]]) -> Allocation:
     """Attach copy i's x-goods for the picked vertices and the complementary
     y-goods to agent i's base bundle."""
-    h = spec.is_instance.graph.m
     bundles = []
-    for i, (base_bundle, pick) in enumerate(zip(base_bundles, picks)):
+    for x, y, base_bundle, pick in zip(spec.good_map.x, spec.good_map.y, base_bundles, picks):
         pick = frozenset(pick)
-        extra = {spec.good_map.x_good(i, w) for w in pick}
-        extra |= {spec.good_map.y_good(i, w) for w in range(h) if w not in pick}
+        extra = {x[w] for w in pick} | {y[w] for w in range(len(y)) if w not in pick}
         bundles.append(frozenset(base_bundle) | extra)
     return Allocation(bundles)
 

@@ -206,6 +206,8 @@ def instance_from_json(data) -> Tuple[Instance, Optional[IntervalSet]]:
         mode = data.get("mode", "goods")
         graph = ConflictGraph(m, _edges_from_json(data))
         valuations = data["valuations"]
+        if type(valuations) is not dict:
+            raise ParseError(f"valuations must be an object, got {type(valuations).__name__}")
         uniforms: dict = {}
         if "identical" in valuations:
             models: object = model_from_json(valuations["identical"], m, uniforms)

@@ -23,8 +23,8 @@ from .core import ConflictGraph
 
 class RootedTree:
     """A tree conflict graph rooted at vertex 0: children are kept in
-    ascending vertex order and ``order`` is their preorder, for deterministic
-    output."""
+    ascending vertex order, for deterministic output, and ``order`` is the
+    breadth-first order that found them, so each vertex follows its parent."""
 
     __slots__ = ("graph", "root", "children", "order")
 
@@ -48,17 +48,10 @@ class RootedTree:
         kids = [[] for _ in range(nv)]
         for w in range(1, nv):
             kids[parent[w]].append(w)
-        children = tuple(map(tuple, kids))
-        order = []
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(reversed(children[u]))
         self.graph = graph
         self.root = 0
-        self.children = children
-        self.order = tuple(order)
+        self.children = tuple(map(tuple, kids))
+        self.order = tuple(reached)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]]) -> "RootedTree":

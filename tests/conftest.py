@@ -538,6 +538,13 @@ def reference_side_sets(graph: ConflictGraph, source) -> tuple:
     return tuple(sides)
 
 
+def chain_side_sets(chain) -> tuple:
+    """(X_1, X_2) of ``chain``, read from its walk's ends: X_1 is bundle 1
+    of the last step, X_2 bundle 2 of step 0."""
+    *_, last = chain.steps
+    return last[0], chain.steps.start[1]
+
+
 def reference_swap_ef1(instance: Instance) -> tuple:
     """The escalation loop over ``chain_ef1``: each round builds the whole
     chain as a walk, scans it, and on failure seeds the next maximal
@@ -552,23 +559,25 @@ def reference_swap_ef1(instance: Instance) -> tuple:
         if outcome.found:
             iterations.append(SwapIteration(ordered, value, None))
             return outcome.allocation, tuple(iterations)
-        chosen = 1 if evaluate(model, outcome.chain.x1) >= evaluate(model, outcome.chain.x2) else 2
+        x1, x2 = chain_side_sets(outcome.chain)
+        chosen = 1 if evaluate(model, x1) >= evaluate(model, x2) else 2
         iterations.append(SwapIteration(ordered, value, chosen))
-        source = complete_to_maximal_is(instance.graph, outcome.chain.x1 if chosen == 1 else outcome.chain.x2)
+        source = complete_to_maximal_is(instance.graph, x1 if chosen == 1 else x2)
 
 
 def eager_chain_steps(graph: ConflictGraph, source, chain) -> list:
     """Reference for ``build_chain``'s walk over ``source``: every step
     A^(i) built from its definition, bundle 1 = s_{i+1..k} +
     {t in X_1 : q(t) <= i} and bundle 2 = s_{1..i} + {t in X_2 : p(t) > i},
-    with p and q from ``chain_positions`` and X_1, X_2 from ``chain``."""
+    with p and q from ``chain_positions`` and X_1, X_2 from ``chain``'s ends."""
     s = tuple(source)
     p, q = chain_positions(graph, s)
+    x1, x2 = chain_side_sets(chain)
     return [
         Allocation(
             [
-                frozenset(s[i:]) | {t for t in chain.x1 if q[t] <= i},
-                frozenset(s[:i]) | {t for t in chain.x2 if p[t] > i},
+                frozenset(s[i:]) | {t for t in x1 if q[t] <= i},
+                frozenset(s[:i]) | {t for t in x2 if p[t] > i},
             ]
         )
         for i in range(len(s) + 1)

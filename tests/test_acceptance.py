@@ -45,6 +45,7 @@ from conflictfair import (
 from conftest import (
     all_maximal_independent_sets,
     brute_max_schedule_size,
+    chain_side_sets,
     independent_sets,
     is_ordered_adjacent,
     max_independent_set_size,
@@ -146,7 +147,7 @@ def test_criterion_04_chain_steps_valid_maximal_adjacent(solver_corpus):
             for prev, cur in itertools.pairwise(chain.steps):
                 assert is_ordered_adjacent(prev, cur)
             vs = evaluate(model, source)
-            if vs >= evaluate(model, chain.x1) and vs >= evaluate(model, chain.x2):
+            if all(vs >= evaluate(model, side) for side in chain_side_sets(chain)):
                 assert any(is_ef1(instance, step) for step in chain.steps)
     passed(4, f"{chains} chains: every step valid+maximal, adjacency and EF1 guarantees hold")
 

@@ -355,6 +355,10 @@ class TestSolve:
                 {"valuations": {"identical": {"type": "composite", "baseGoods": 4, "base": {"type": "uniform"}, "tail": ["0"] * 3}}},
                 "composite base goods out of range",
             ),
+            (
+                {"valuations": {"identical": {"type": "composite", "baseGoods": -1, "base": {"type": "additive", "values": ["1"]}, "tail": ["0"] * 3}}},
+                "composite base goods out of range",
+            ),
             # A base past SIZE_LIMIT goods builds no vector of that length.
             (
                 {"valuations": {"identical": {"type": "composite", "baseGoods": 10**12, "base": {"type": "uniform"}, "tail": ["0"] * 3}}},
@@ -363,6 +367,12 @@ class TestSolve:
             ({"mode": "chores", "valuations": {"identical": {"type": "uniform"}}}, "additive values must be non-positive in chores mode"),
             ({"agents": 0}, "need at least one agent"),
             ({"valuations": {}}, "valuations must contain 'identical' or 'perAgent'"),
+            # Not an object: a string would pass the key test by substring, and
+            # Python's own error text for each differs between versions.
+            ({"valuations": "identical"}, "valuations must be an object, got str"),
+            ({"valuations": ["identical"]}, "valuations must be an object, got list"),
+            ({"valuations": 5}, "valuations must be an object, got int"),
+            ({"valuations": None}, "valuations must be an object, got NoneType"),
             ({"valuations": {"identical": too_deep}}, "models nest more than"),
             (negated_document(serialization._MODEL_NESTING_LIMIT + 1), "models nest more than"),
             (

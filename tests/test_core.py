@@ -16,6 +16,7 @@ from conflictfair import (
     GOODS,
     Additive,
     Allocation,
+    Composite,
     ConflictGraph,
     Instance,
     Negated,
@@ -592,6 +593,11 @@ class TestInstanceValidation:
     def test_table_over_other_goods(self):
         with pytest.raises(ValueError, match="table is over 2 goods, expected 3"):
             Instance(ConflictGraph(3), 2, Table(2, {0: 0, 1: 1, 2: 1, 3: 2}))
+
+    def test_composite_base_goods_in_range(self):
+        for base_goods in (-1, 4):
+            with pytest.raises(ValueError, match="composite base goods out of range"):
+                Instance(ConflictGraph(3), 2, Composite(Additive([1]), base_goods, Additive([0] * 3)))
 
     def test_per_agent_instance_has_no_identical_model(self):
         instance = Instance(PATH3, 2, [Additive([5, 0, 5]), Additive([1, 1, 1])])

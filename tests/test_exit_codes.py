@@ -1,10 +1,15 @@
 """The exit codes are named once, as ``cli.EXIT_*``; the module docstring
 and README's table describe exactly those codes, and every exception that
-``cli.main`` maps through ``EXIT_CODES`` lands on one of them."""
+``cli.main`` maps through ``EXIT_CODES`` lands on one of them;
+``python -m conflictfair`` runs ``cli.main`` and exits with its code."""
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
+import conflictfair
 from conflictfair import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -32,3 +37,13 @@ def test_exception_table_maps_to_exit_values():
     for cls, code in cli.EXIT_CODES.items():
         assert isinstance(cls, type) and issubclass(cls, Exception), cls
         assert code in exit_values(), (cls, code)
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(pathlib.Path(conflictfair.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "conflictfair", "--help"], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")

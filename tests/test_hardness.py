@@ -117,8 +117,8 @@ class TestBuildReduction:
         instance, spec = reduction3_triangle
         model = instance.identical_model
         base_model = spec.base.identical_model
-        x_good = spec.good_map.x_good(1, 0)
-        y_good = spec.good_map.y_good(2, 1)
+        x_good = spec.good_map.x[1][0]
+        y_good = spec.good_map.y[2][1]
         assert evaluate(model, {4, 6}) == evaluate(base_model, {4, 6})
         assert evaluate(model, {x_good}) == spec.lam
         assert evaluate(model, {y_good}) == 0

@@ -35,7 +35,7 @@ SRC = pathlib.Path(conflictfair.__file__).resolve().parent.parent
 
 RECORDS = {
     ValidationReport: ("disjoint", "independent", "wellformed"),
-    Chain: ("steps", "x1", "x2"),
+    Chain: ("steps",),
     ChainOutcome: ("allocation", "step_index", "chain"),
     IntervalChains: ("narrowing", "core", "widening", "combined"),
     SwapIteration: ("source", "value", "chosen"),
@@ -76,7 +76,7 @@ def test_record_defaults_methods_and_repr():
     assert repr(SwapIteration((0, 2), Fraction(3), 1)) == "SwapIteration(source=(0, 2), value=Fraction(3, 1), chosen=1)"
     assert not ChainOutcome(None, None, None).found
     good_map = GoodMap(range(2), (range(2, 4),), (range(4, 6),))
-    assert (good_map.x_good(0, 1), good_map.y_good(0, 1)) == (3, 5)
+    assert (good_map.x[0][1], good_map.y[0][1]) == (3, 5)
     assert PartialColoring(2, (1, None, 2), (1, 1)).classes() == [frozenset({0}), frozenset({2})]
 
 

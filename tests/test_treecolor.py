@@ -155,6 +155,20 @@ class TestRootedTree:
         assert tree.children == ((1,), (2, 3), (), ())
         assert tree.order == (0, 1, 2, 3)
 
+    def test_order_is_breadth_first(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            nv = rng.randint(1, 40)
+            ids = list(range(nv))
+            rng.shuffle(ids)
+            edges = [(ids[u], ids[w]) for u, w in random_tree_edges(rng, nv)]
+            tree = RootedTree.from_edges(nv, edges)
+            depth = nx.single_source_shortest_path_length(nx.Graph(edges), 0) if edges else {0: 0}
+            assert sorted(tree.order) == list(range(nv))
+            assert [depth[v] for v in tree.order] == sorted(depth.values())
+            position = {v: i for i, v in enumerate(tree.order)}
+            assert all(position[u] < position[w] for u, kids in enumerate(tree.children) for w in kids)
+
 
 class TestConstruction:
     def test_random_trees_satisfy_all_conditions(self):

@@ -31,6 +31,7 @@ from conflictfair.core import to_goods
 from conflictfair.graph_classes import _splice_walk
 
 from conftest import (
+    chain_side_sets,
     eager_chain_steps,
     eager_interval_segments,
     eager_splice,
@@ -107,8 +108,8 @@ def interval_corpus():
 def test_chain_walk_equals_eager_steps(swap_corpus):
     for instance, source in swap_corpus:
         chain = build_chain(instance, source)
-        # X_1, chosen a step at a time, and X_2 equal the sorted greedy sets
-        assert (chain.x1, chain.x2) == reference_side_sets(instance.graph, source)
+        # X_1, chosen a step at a time, and X_2, at the walk's ends, equal the sorted greedy sets
+        assert chain_side_sets(chain) == reference_side_sets(instance.graph, source)
         reference = eager_chain_steps(instance.graph, source, chain)
         assert list(chain.steps) == without_repeats(reference) == reference
         assert len(chain.steps) == len(reference)
