@@ -3,7 +3,7 @@ graphs, and the m <= n+1 round-robin procedure."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -16,7 +16,6 @@ from .core import (
     _most_valuable,
     _over_common_denominator,
     as_fraction,
-    evaluate,
 )
 from .chain import InapplicableError, Walk, build_chain, chain_ef1, _require_two_agent_identical_goods
 
@@ -34,9 +33,13 @@ class IntervalSet:
     and the endpoints are sorted stably on 2x+1 for a left and 2x for a
     right endpoint, listed as good 0's left and right, then good 1's. No
     ``Fraction`` is compared; ``intervals`` keeps exact endpoints, ints as ints.
+
+    The same sort gives ``by_left`` and ``by_right``, the goods in order of
+    their left and of their right ranks. No two ranks tie, so each equals any
+    sort on that rank, whatever its tie-breaks; the solver reads them.
     """
 
-    __slots__ = ("intervals", "keys")
+    __slots__ = ("intervals", "keys", "by_left", "by_right")
 
     def __init__(self, intervals: Iterable[Sequence[Rational]]):
         ends = []
@@ -51,9 +54,12 @@ class IntervalSet:
         doubled = [2 * x for x in nums]
         doubled[0::2] = [x + 1 for x in doubled[0::2]]
         ranks = [0] * len(ends)
-        for rank, end in enumerate(sorted(range(len(ends)), key=doubled.__getitem__)):
+        order = sorted(range(len(ends)), key=doubled.__getitem__)
+        for rank, end in enumerate(order):
             ranks[end] = rank
         self.keys = tuple(zip(ranks[0::2], ranks[1::2]))
+        self.by_left = tuple(end >> 1 for end in order if not end & 1)
+        self.by_right = tuple(end >> 1 for end in order if end & 1)
 
     def __len__(self):
         return len(self.intervals)
@@ -109,40 +115,41 @@ def interval_scheduling_greedy(
     """Maximum-size subset covering no point more than ``c`` times, in
     ascending order of right endpoint.
 
-    Forward scans by increasing right endpoint; reverse is the same scan on
-    mirrored ranks (x -> 2m-1-x), that is by decreasing left endpoint. Every
-    interval chosen so far ends before the candidate [lo, hi), so ``reach[k]``,
-    one past the last gap covered at least k+1 times, decides it: the
-    candidate fits iff ``reach[c-1] <= lo``. One call costs the sort plus
-    O(c) per candidate.
+    Forward scans ``by_right``; reverse is the same scan on mirrored ranks
+    (x -> 2m-1-x), that is ``by_left`` backwards, and sorts its pick back
+    into right-endpoint order. Every interval chosen so far ends before the
+    candidate [lo, hi), so ``reach[k]``, one past the last gap covered at
+    least k+1 times, decides it: the candidate fits iff ``reach[c-1] <= lo``.
+    One call costs O(m) plus O(c) per candidate.
     """
     if c < 1:
         raise ValueError("capacity must be at least 1")
     keys = intervals.keys
     m = len(keys)
-    if subset is None:
-        goods = range(m)
-    else:
-        goods = set(subset)
-        outside = next((g for g in goods if not 0 <= g < m), None)
-        if outside is not None:
-            raise ValueError(f"good {outside} is outside [0,{m})")
     if direction == "forward":
-        order = sorted((keys[g][1], keys[g][0], g) for g in goods)
+        order, spans = intervals.by_right, keys
     elif direction == "reverse":
-        order = sorted((2 * m - 1 - keys[g][0], 2 * m - 1 - keys[g][1], g) for g in goods)
+        order, spans = intervals.by_left[::-1], [(2 * m - 1 - r, 2 * m - 1 - l) for l, r in keys]
     else:
         raise ValueError("direction must be 'forward' or 'reverse'")
+    if subset is not None:
+        goods = set(subset)
+        order = [g for g in order if g in goods]
+        if len(order) < len(goods):
+            outside = next(g for g in goods if g not in range(m))
+            raise ValueError(f"good {outside} is outside [0,{m})")
     reach = [0] * c
     chosen = []
-    for hi, lo, g in order:
+    for g in order:
+        lo, hi = spans[g]
         if reach[-1] <= lo:
             for k in range(c - 1, 0, -1):
                 if reach[k - 1] > lo:
                     reach[k] = reach[k - 1]
             reach[0] = hi
             chosen.append(g)
-    chosen.sort(key=lambda g: keys[g][1])
+    if direction == "reverse":
+        chosen.sort(key=lambda g: keys[g][1])
     return tuple(chosen)
 
 
@@ -158,22 +165,24 @@ class IntervalChains(NamedTuple):
 
 
 def _two_color_pick(intervals: IntervalSet, chosen) -> Tuple[list, list]:
-    """Proper 2-coloring of a capacity-2-feasible pick, scanning by left
-    endpoint; each color class comes out in left-endpoint order. At each
-    interval at most one color is blocked (a third overlapping interval
+    """Proper 2-coloring of a capacity-2-feasible pick, scanning ``by_left``
+    for its members; each color class comes out in left-endpoint order. At
+    each interval at most one color is blocked (a third overlapping interval
     would cover its left endpoint three times), so two colors always
-    suffice; with no nested intervals this reproduces the odd/even
-    alternation along the right-endpoint order.
+    suffice; the first free one is taken. With no nested intervals this
+    reproduces the odd/even alternation along the right-endpoint order.
     """
-    last = [-1, -1]  # per color, the latest right-endpoint rank so far
+    keys, chosen = intervals.keys, set(chosen)
+    last = [-1, -1]  # per color, the right-endpoint rank of its latest interval
     sides = ([], [])
-    for g in sorted(chosen, key=lambda g: intervals.keys[g][0]):
-        l, r = intervals.keys[g]
-        free = [i for i in range(2) if last[i] <= l]
-        if not free:
-            raise RuntimeError("pick covers a point three times; not a c=2 solution")
-        sides[free[0]].append(g)
-        last[free[0]] = max(last[free[0]], r)
+    for g in intervals.by_left:
+        if g in chosen:
+            l, r = keys[g]
+            color = 0 if last[0] <= l else 1
+            if last[color] > l:
+                raise RuntimeError("pick covers a point three times; not a c=2 solution")
+            sides[color].append(g)
+            last[color] = r
     return sides
 
 
@@ -184,12 +193,12 @@ def _splice_walk(prefix_order, tail_order, fixed: frozenset, fixed_side: int) ->
     same-size solutions in scan order. A good joins or leaves only when its
     count over the two parts crosses zero, and a step equal to the one
     before it is dropped."""
-    count = Counter(tail_order)
+    count = dict.fromkeys(tail_order, 1)
     moves = []
     for joining, leaving in zip(prefix_order, tail_order):
         if joining == leaving:
             continue
-        count[joining] += 1
+        count[joining] = count.get(joining, 0) + 1
         count[leaving] -= 1
         ins = (joining,) if count[joining] == 1 else ()
         outs = (leaving,) if count[leaving] == 0 else ()
@@ -213,7 +222,7 @@ def interval_chains(instance: Instance, intervals: Optional[IntervalSet]) -> Int
     # in the scan order its splice or chain needs.
     z = interval_scheduling_greedy(intervals, c=2)
     z1, z2 = _two_color_pick(intervals, z)
-    if evaluate(model, z1) < evaluate(model, z2):
+    if model._bundle(z1).value < model._bundle(z2).value:
         z1, z2 = z2, z1
     z1 = _grow_independent(instance.graph, z1, z2)
     z2 = [g for g in z2 if g not in z1]
@@ -282,7 +291,7 @@ def bipartite_ef1(instance: Instance) -> Allocation:
     isolated = frozenset(g for g in range(graph.m) if not graph.adj[g])
     side0, side1 = bipartition(graph)
     side0 -= isolated
-    if evaluate(model, side0) < evaluate(model, side1):
+    if model._bundle(side0).value < model._bundle(side1).value:
         side0, side1 = side1, side0
     outcome = chain_ef1(instance, sorted(side0 | isolated))
     if not outcome.found:

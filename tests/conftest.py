@@ -28,6 +28,7 @@ from conflictfair import (
     complete_to_maximal_is,
     enumerate_maximal_allocations,
     evaluate,
+    is_ef1,
     is_independent_set,
     is_maximal,
     swap_ef1,
@@ -601,16 +602,22 @@ def eager_splice(prefix_order, tail_order, fixed, fixed_side):
     return steps
 
 
-def eager_interval_segments(instance: Instance, intervals: IntervalSet, chains):
+def interval_junctions(chains) -> tuple:
+    """The sets (Z_1, Z_2, X'_2, X'_1) at the ends of ``interval_chains``'
+    segments: the narrowing starts at (Z_1, Z_2), the core at (Z_1, X'_2)
+    and the widening at (X'_1, Z_1)."""
+    z1, z2 = chains.narrowing.start
+    return z1, z2, chains.core.start[1], chains.widening.start[0]
+
+
+def eager_interval_segments(instance: Instance, intervals: IntervalSet, junctions):
     """Reference for ``interval_chains``: the three segments built step by
-    step from the sets at the walks' junctions, and their concatenation,
-    which drops a core or widening step equal to the step before it but
-    keeps repeats inside the narrowing segment."""
+    step from the junction sets (Z_1, Z_2, X'_2, X'_1), and their
+    concatenation, which drops a core or widening step equal to the step
+    before it but keeps repeats inside the narrowing segment."""
     by_right = lambda g: intervals.keys[g][1]
     by_left = lambda g: intervals.keys[g][0]
-    z1, z2 = chains.narrowing.start
-    x2 = chains.core.start[1]
-    x1 = chains.widening.start[0]
+    z1, z2, x2, x1 = junctions
     narrowing = eager_splice(sorted(x2, key=by_left, reverse=True), sorted(z2, key=by_left, reverse=True), z1, 0)
     source = sorted(z1, key=by_left)
     core = eager_chain_steps(instance.graph, source, build_chain(instance, source, x1=x1, x2=x2))
@@ -647,6 +654,42 @@ def slice_greedy(intervals: IntervalSet, subset=None, c: int = 1, direction: str
             chosen.append(g)
     chosen.sort(key=lambda g: keys[g][1])
     return tuple(chosen)
+
+
+def reference_two_color_pick(intervals: IntervalSet, chosen) -> tuple:
+    """Reference for ``graph_classes._two_color_pick``: the pick sorted by
+    left rank, each interval put in the first color of the list of colors
+    whose latest interval ends by its left endpoint."""
+    last = [-1, -1]
+    sides = ([], [])
+    for g in sorted(chosen, key=lambda g: intervals.keys[g][0]):
+        l, r = intervals.keys[g]
+        free = [i for i in range(2) if last[i] <= l]
+        if not free:
+            raise RuntimeError("pick covers a point three times; not a c=2 solution")
+        sides[free[0]].append(g)
+        last[free[0]] = max(last[free[0]], r)
+    return sides
+
+
+def reference_interval_ef1(instance: Instance, intervals: IntervalSet) -> tuple:
+    """Reference for ``interval_ef1``: Z from ``slice_greedy`` at c=2, split
+    by ``reference_two_color_pick``, the side worth more by ``evaluate`` as
+    Z_1, grown by every Z_2 interval it does not overlap; X'_1 and X'_2 the
+    forward and reverse ``slice_greedy`` picks of the rest; the segments
+    built by ``eager_interval_segments``; and the first step of their
+    concatenation that ``is_ef1`` accepts. Returns that step (None if none
+    is) and the junction sets (Z_1, Z_2, X'_2, X'_1)."""
+    model = instance.identical_model
+    z1, z2 = reference_two_color_pick(intervals, slice_greedy(intervals, c=2))
+    if evaluate(model, z1) < evaluate(model, z2):
+        z1, z2 = z2, z1
+    z1 = frozenset(z1) | {g for g in z2 if not any(intervals.overlaps(g, h) for h in z1)}
+    rest = frozenset(range(instance.m)) - z1
+    x1, x2 = (frozenset(slice_greedy(intervals, rest, 1, direction)) for direction in ("forward", "reverse"))
+    junctions = (z1, frozenset(z2) - z1, x2, x1)
+    *_, combined = eager_interval_segments(instance, intervals, junctions)
+    return next((step for step in combined if is_ef1(instance, step)), None), junctions
 
 
 def sweep_check(intervals: IntervalSet, graph: ConflictGraph) -> None:

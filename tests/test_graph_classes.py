@@ -30,12 +30,14 @@ from conflictfair.oracle import exists_maximal_ef1
 
 from conftest import (
     brute_max_schedule_size,
+    interval_junctions,
     is_ordered_adjacent,
     random_additive,
     random_graph,
     random_intervals,
     random_monotone_table,
     reference_interval_check,
+    reference_interval_ef1,
     reference_interval_set,
     schedule_feasible,
     slice_greedy,
@@ -62,6 +64,31 @@ def interval_corpus(rng, count):
             yield IntervalSet([(l, l + length) for l in (rng.randint(0, 10) for _ in range(m))])
         else:
             yield random_intervals(rng, m, span=40)
+
+
+def large_intervals(rng, m, kind):
+    """An interval set of ``m`` goods, at the bench's sizes and past them:
+    nested runs around shared centres (kind 0), a grid narrow enough that
+    most endpoints coincide (1), ``Fraction`` endpoints (2), or the bench's
+    own shape, lengths drawn around a mean point coverage of 3 to 10 (3)."""
+    if kind == 0:
+        raw = []
+        while len(raw) < m:
+            centre = rng.randint(0, 4 * m)
+            raw += [(centre - w, centre + w) for w in range(1, rng.randint(2, 7))]
+        return IntervalSet(rng.sample(raw, m))
+    if kind == 1:
+        return random_intervals(rng, m, span=rng.randint(2, 2 + m // 3))
+    if kind == 2:
+        lefts = [Fraction(rng.randint(0, 3 * m), rng.choice((1, 2, 3, 7))) for _ in range(m)]
+        return IntervalSet([(l, l + Fraction(rng.randint(1, 3 * m), rng.choice((1, 2, 5)))) for l in lefts])
+    span, load = 10 * m, rng.uniform(3.0, 10.0)
+    raw = []
+    for _ in range(m):
+        length = rng.uniform(0.2, 1.0) if rng.random() < 0.7 else rng.uniform(1.0, 2.9)
+        left = rng.randint(0, span)
+        raw.append((left, left + max(1, round(length * load * 10))))
+    return IntervalSet(raw)
 
 
 def check_outcome(check, intervals, graph):
@@ -133,6 +160,11 @@ class TestIntervalSet:
             except (TypeError, ValueError) as exc:
                 expected = (type(exc), str(exc))
             assert got == expected, raw
+            if got[0] == "ok":
+                # the stored endpoint orders: goods sorted by left, then by right rank
+                assert (iv.by_left, iv.by_right) == tuple(
+                    tuple(sorted(range(len(raw)), key=lambda g: expected[2][g][side])) for side in (0, 1)
+                ), raw
             outcomes.add(got[0])
         assert outcomes == {"ok", TypeError, ValueError}
 
@@ -235,7 +267,7 @@ class TestSchedulingGreedy:
                             iv, subset, c, direction
                         ), (iv.keys, subset, c, direction)
 
-    @pytest.mark.parametrize("good", [-1, 3, 7])
+    @pytest.mark.parametrize("good", [-1, 3, 7, 1.5])
     def test_rejects_goods_outside_the_set(self, good):
         iv = IntervalSet([(0, 2), (1, 3), (2, 4)])
         with pytest.raises(ValueError, match=rf"good {good} is outside \[0,3\)"):
@@ -346,6 +378,22 @@ class TestIntervalEf1:
             assert is_maximal(instance, allocation)
             assert is_ef1(instance, allocation)
             assert exists_maximal_ef1(instance).exists
+
+    def test_matches_reference_at_bench_sizes(self, rng):
+        # The bench solves m = 24-49 with nested intervals, past the m <= 9
+        # of the pinned allocations; here m runs from 1 to 60, every shape
+        # in goods and in chores negated into goods mode, as the bench
+        # builds them.
+        for i in range(152):
+            m = 1 + i * 59 // 151
+            iv = large_intervals(rng, m, kind=i % 4)
+            model = random_additive(rng, m, hi=20)
+            if i // 4 % 2:
+                model = Negated(Additive([-v for v in model.values]))
+            instance = Instance(iv.induced_graph(), 2, model)
+            expected, junctions = reference_interval_ef1(instance, iv)
+            assert interval_ef1(instance, iv) == expected, iv.intervals
+            assert interval_junctions(interval_chains(instance, iv)) == junctions, iv.intervals
 
     def test_chain_segments_are_maximal_and_gapless(self, rng):
         for _ in range(40):

@@ -35,6 +35,7 @@ from conftest import (
     eager_chain_steps,
     eager_interval_segments,
     eager_splice,
+    interval_junctions,
     random_additive,
     random_graph,
     random_intervals,
@@ -119,7 +120,7 @@ def test_chain_walk_equals_eager_steps(swap_corpus):
 def test_interval_walks_equal_eager_segments(interval_corpus):
     for instance, intervals in interval_corpus:
         chains = interval_chains(instance, intervals)
-        narrowing, core, widening, combined = eager_interval_segments(instance, intervals, chains)
+        narrowing, core, widening, combined = eager_interval_segments(instance, intervals, interval_junctions(chains))
         assert list(chains.narrowing) == without_repeats(narrowing)
         assert list(chains.core) == without_repeats(core)
         assert list(chains.widening) == without_repeats(widening)
