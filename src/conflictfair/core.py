@@ -11,7 +11,8 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import gt, lt, neg
+from itertools import repeat
+from operator import neg
 from typing import Iterable, List, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -314,6 +315,40 @@ class Additive(ValuationModel):
         return {"type": "additive", "values": [str(v) for v in self.values]}
 
 
+def _monotone_flags(m: int, nums: Sequence[int]) -> tuple:
+    """(non-decreasing, non-increasing) for the integer values ``nums`` of
+    a table over m goods, indexed by mask, with ``nums[0] == 0``: sign
+    tests, then one word-parallel pass per good, as :class:`Table` shows."""
+    try:
+        packed = bytes(nums)
+        small = packed.isascii()  # every value in [0, 128): one byte per field
+    except ValueError:  # a value outside [0, 256)
+        small = False
+    if small:
+        if packed.count(0) == len(packed):
+            return True, True
+        rising, width = True, 1
+    else:
+        low, high = min(nums), max(nums)
+        if low < 0 < high:
+            return False, False
+        rising = high > 0  # not all 0, or the values would fit in bytes
+        values, top = (nums, high) if rising else (map(neg, nums), -low)
+        width = top.bit_length() // 8 + 1  # every value below 2^(8 * width - 1)
+        packed = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
+    bits = 8 * width
+    fields = int.from_bytes(packed, "little")
+    guards = int.from_bytes((bytes(width - 1) + b"\x80") * len(nums), "little")
+    lift = guards - fields  # field j is 2^(w-1) - f[j], in [1, 2^(w-1)]
+    clear = guards >> (bits << m - 1)  # the guards of the fields without bit m-1
+    for g in reversed(range(m)):
+        shift = bits << g
+        if (((fields >> shift) + lift) & clear) != clear:
+            return False, False
+        clear ^= clear << (shift >> 1)  # now the fields without bit g-1
+    return rising, not rising
+
+
 class Table(ValuationModel):
     """Explicit oracle over all 2^m subsets, keyed by bitmask (bit g = good g).
 
@@ -321,9 +356,21 @@ class Table(ValuationModel):
     indexed by mask, read as it is. Values are kept as integer numerators
     ``nums``, indexed by mask, over one denominator ``den`` (1 when all are
     ints), as in :class:`Additive`. The table must be total and assign the
-    empty set value 0. Both monotonicity directions are scanned once, here,
-    for ``check``, comparing slices of ``nums`` so that the pairs are
-    compared in C, not one by one in Python.
+    empty set value 0.
+
+    Both monotonicity flags, which ``check`` reads, are found once, here,
+    over all m * 2^(m-1) covering pairs, by :func:`_monotone_flags`. Since
+    v(empty set) = 0, a table with a negative and a positive value is
+    monotone in neither direction, and one whose values are all >= 0 (all
+    <= 0) is non-increasing (non-decreasing) only when every value is 0.
+    The one direction left is tested word-parallel: the values, negated
+    for a non-positive table, are packed in mask order into one int P of
+    w-bit fields f[j], each below 2^(w-1). With H holding bit w-1 of every
+    field, each field of E = (P >> b*w) + H - P is
+    f[j+b] - f[j] + 2^(w-1) (f[j+b] = 0 past the top), which lies in
+    [1, 2^w); so no field borrows from the next, and bit w-1 of field j is
+    set exactly when f[j+b] >= f[j]. The values rise along good g, b = 2^g,
+    when ``E & G == G`` for G, H restricted to the fields j without bit g.
     """
 
     __slots__ = ("m", "nums", "den", "nondecreasing", "nonincreasing")
@@ -348,21 +395,7 @@ class Table(ValuationModel):
         if nums[0] != 0:
             raise ValueError("table must assign value 0 to the empty set")
         self.m, self.nums, self.den = m, nums, den
-        # The masks without bit g are j + k*2b with b = 2^g and j < b:
-        # compare strided slices (one per j) while b is small and contiguous
-        # blocks (one per k) once it is large, about 2 * 2^(m/2) pairs in all.
-        up = down = False
-        for g in range(m):
-            b = 1 << g
-            if 2 * b * b <= size:
-                pairs = ((nums[j::2 * b], nums[j + b::2 * b]) for j in range(b))
-            else:
-                pairs = ((nums[k:k + b], nums[k + b:k + 2 * b]) for k in range(0, size, 2 * b))
-            for lo, hi in pairs:
-                up = up or any(map(lt, lo, hi))
-                down = down or any(map(gt, lo, hi))
-        self.nondecreasing = not down
-        self.nonincreasing = not up
+        self.nondecreasing, self.nonincreasing = _monotone_flags(m, nums)
 
     @property
     def entries(self) -> dict:

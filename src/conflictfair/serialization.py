@@ -275,9 +275,9 @@ def load_json(path):
 
 
 def dump_json(path, data) -> None:
+    text = json.dumps(data, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 # Bundle colors follow the usual figure convention: agents 1, 2, 3 are red,

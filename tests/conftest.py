@@ -75,6 +75,20 @@ def random_monotone_table(rng: random.Random, m: int, step: int = 3) -> Table:
     return Table(m, entries)
 
 
+def one_pair_violation(m: int, g: int, j: int) -> list:
+    """Table values by mask over m goods that break monotone non-decreasing
+    at the one covering pair (j, j + 2^g), j without bit g: 4|S| elsewhere,
+    4|j| + 2 at j and 4|j| + 1 at j + 2^g. For j = 0 the pair's top is -1,
+    as v(empty set) stays 0."""
+    values = [4 * bin(mask).count("1") for mask in range(1 << m)]
+    if j:
+        values[j] += 2
+        values[j | 1 << g] -= 3
+    else:
+        values[1 << g] = -1
+    return values
+
+
 # Mixed denominators and zeros, so a common denominator is not 1.
 MODEL_VALUES = (Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2), Fraction(7, 3), Fraction(5, 6), Fraction(3, 4))
 MODEL_KINDS = ("additive", "uniform", "table", "negated", "double-negated", "composite")

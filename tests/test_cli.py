@@ -40,7 +40,7 @@ from conflictfair.serialization import (
 )
 from conflictfair.graph_classes import IntervalSet
 
-from conftest import random_graph, random_intervals, random_monotone_table, random_tree_edges
+from conftest import one_pair_violation, random_graph, random_intervals, random_monotone_table, random_tree_edges
 
 
 HUGE_DENOMINATOR = f"1/{2 ** DENOMINATOR_BITS}"
@@ -206,6 +206,22 @@ class TestSolve:
         assert capsys.readouterr().err == "error:no algorithm applies to 1 agents on 4 goods\n"
         assert main(["oracle", path]) == 0
         assert report_lines(capsys)["exists"] == "true"
+
+    @pytest.mark.parametrize("mode", ["goods", "chores"])
+    @pytest.mark.parametrize("g", [0, 5])
+    def test_table_with_one_violated_pair_is_rejected(self, tmp_path, capsys, mode, g):
+        # The pair (j, j + 2^g) with j = 30 or 31 is the table's only
+        # violation; a chores table is written with its own negative entries.
+        sign = 1 if mode == "goods" else -1
+        values = [sign * v for v in one_pair_violation(6, g, 31 & ~(1 << g))]
+        table = {"type": "table", "entries": [[str(mask), str(v)] for mask, v in enumerate(values)]}
+        edges = [[u, u + 1] for u in range(5)]
+        path = write(tmp_path, "table.json", {"agents": 2, "goods": 6, "edges": edges, "mode": mode, "valuations": {"identical": table}})
+        alloc = write(tmp_path, "a.json", {"bundles": [[0], [1]]})
+        message = "table is not monotone " + ("non-decreasing" if mode == "goods" else "non-increasing")
+        for argv in (["solve", path], ["check", path, alloc]):
+            assert main(argv) == 3, argv
+            assert capsys.readouterr().err == f"error:malformed instance file: {message}\n", argv
 
     def test_chores_identical_swap(self, tmp_path, capsys):
         data = {

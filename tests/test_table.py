@@ -20,7 +20,7 @@ from conflictfair.serialization import (
     rational_from_str,
 )
 
-from conftest import ReferenceTable
+from conftest import ReferenceTable, one_pair_violation
 
 SHAPES = ("nondecreasing", "nonincreasing", "zero", "neither")
 KINDS = ("int", "fraction", "mixed")
@@ -95,6 +95,59 @@ def test_table_matches_fraction_reference():
             assert Table(m, other) != table and ReferenceTable(m, other) != ref
         wider = table_entries(random.Random(m), m + 1, "zero", "int")
         assert Table(m + 1, wider) != table and ReferenceTable(m + 1, wider) != ref
+    assert flags_seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# Each side of the field-width boundaries 2^(8k-1) for k = 1, 2, 4, 8, a
+# value that needs a whole byte, and values of 2^64 and above.
+WIDTH_BOUNDARIES = [2 ** (8 * k - 1) + d for k in (1, 2, 4, 8) for d in (-1, 0)] + [255, 2**64, 2**64 + 1, 2**100]
+
+
+def violated_pairs(values, m):
+    return sum(values[j | 1 << g] < values[j] for g in range(m) for j in range(1 << m) if not j >> g & 1)
+
+
+def flag_cases():
+    """(label, m, values by mask) for the monotonicity flags: the corpus;
+    every table with one violated covering pair at m <= 6, as it is and
+    scaled past 2^64; tables at each field-width boundary; all-zero,
+    mixed-sign and den > 1 tables."""
+    for m, shape, entries in corpus():
+        yield f"corpus {m} {shape}", m, [entries[mask] for mask in range(1 << m)]
+    for m in range(1, 7):
+        for g in range(m):
+            for j in range(1 << m):
+                if not j >> g & 1:
+                    values = one_pair_violation(m, g, j)
+                    assert violated_pairs(values, m) == 1
+                    yield f"pair m={m} g={g} j={j}", m, values
+                    yield f"pair m={m} g={g} j={j} * 2^64", m, [v << 64 for v in values]
+    for top in WIDTH_BOUNDARIES:
+        for m in (1, 3, 5):
+            size = 1 << m
+            below = [top - m + bin(mask).count("1") if mask else 0 for mask in range(size)]
+            yield f"{top} flat m={m}", m, [top if mask else 0 for mask in range(size)]
+            yield f"{top} rising m={m}", m, below
+            yield f"{top} dip m={m}", m, below[:-1] + [top - m - 1]
+            yield f"{top} drop by 1 m={m}", m, below[:-1] + [top - 2]
+            # the steepest fall between fields: top at {0}, 0 at {0, 1}
+            yield f"{top} cliff m={m}", m, [top if mask == 1 else 0 for mask in range(size)]
+            yield f"{top} over 3 m={m}", m, [Fraction(v, 3) for v in below]
+    for m in range(5):
+        yield f"zero m={m}", m, [0] * (1 << m)
+    yield "mixed sign", 2, [0, 1, -1, 0]
+    yield "mixed sign, monotone steps elsewhere", 3, [0, 1, 2, 3, -1, 4, 5, 6]
+    yield "den 7", 2, [0, Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)]
+
+
+def test_monotone_flags_match_reference():
+    flags_seen = set()
+    for label, m, values in flag_cases():
+        for sign in (1, -1):  # a chores table given with its own negative entries
+            table, ref = Table(m, [sign * v for v in values]), ReferenceTable(m, {mask: sign * v for mask, v in enumerate(values)})
+            flags = (table.nondecreasing, table.nonincreasing)
+            assert flags == (ref.nondecreasing, ref.nonincreasing), (label, sign)
+            flags_seen.add(flags)
     assert flags_seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -213,6 +266,20 @@ def in_order_table_files(rng):
             yield m, swapped
 
 
+def width_boundary_table_files():
+    """Three-good files, masks in order, whose values reach 127 and 128,
+    2^15, 2^31, 2^63, 2^64 and 2^100: a monotone table, one whose last
+    entry falls below its neighbours and one that falls from the top to 0;
+    each also as a chores file with its own negative entries and as a
+    table of thirds, whose den is 3."""
+    for top in (127, 128, 2**15, 2**31, 2**63, 2**64, 2**100):
+        rising = [top - 3 + bin(mask).count("1") if mask else 0 for mask in range(8)]
+        for values in (rising, rising[:-1] + [top - 4], [top if mask == 1 else 0 for mask in range(8)]):
+            for sign in ("", "-"):
+                yield 3, [[str(mask), sign + str(v) if v else "0"] for mask, v in enumerate(values)]
+            yield 3, [[str(mask), f"{v}/3"] for mask, v in enumerate(values)]
+
+
 BAD_ENTRIES = [{"0": "1"}, "01", 1, None, ["1"], ["1", "1", "1"], []]
 BAD_FIELDS = [3, 0, True, False, 1.0, 1.5, "", "١", "¹", " 1", "-1", "1/2", "-1/3", "2/4", "1" * 700]
 
@@ -243,7 +310,8 @@ def malformed_table_files(rng):
 
 def table_outcome(entries_of, m, items):
     try:
-        return ("table", Table(m, entries_of(items)))
+        table = Table(m, entries_of(items))
+        return ("table", table, table.nondecreasing, table.nonincreasing)
     except ValueError as exc:  # ParseError included
         return ("error", str(exc))
 
@@ -254,6 +322,7 @@ def test_c_level_table_parse_matches_the_per_entry_loop(monkeypatch, int_digits)
 
     rng = random.Random(21)
     files = list(valid_table_files(rng)) + list(in_order_table_files(rng)) + list(malformed_table_files(rng))
+    files += width_boundary_table_files()
     loop = serialization._table_entries_one_by_one
     looped = []
     monkeypatch.setattr(serialization, "_table_entries_one_by_one", lambda items: looped.append(items) or loop(items))
@@ -265,7 +334,8 @@ def test_c_level_table_parse_matches_the_per_entry_loop(monkeypatch, int_digits)
             expected = table_outcome(loop, m, items)
             assert table_outcome(serialization._table_entries, m, items) == expected, (m, items[:4])
             try:
-                got = ("table", model_from_json({"type": "table", "entries": items}, m))
+                table = model_from_json({"type": "table", "entries": items}, m)
+                got = ("table", table, table.nondecreasing, table.nonincreasing)
             except ParseError as exc:
                 got = ("error", str(exc))
             assert got == expected
