@@ -334,6 +334,9 @@ def _monotone_flags(m: int, nums: Sequence[int]) -> tuple:
             return False, False
         rising = high > 0  # not all 0, or the values would fit in bytes
         values, top = (nums, high) if rising else (map(neg, nums), -low)
+        if top.bit_length() > 64:  # pack ranks, below 2^m, so a field stays at most 9 bytes wide
+            distinct = sorted(set(nums), reverse=not rising)
+            values, top = map(dict(zip(distinct, range(len(distinct)))).__getitem__, nums), len(distinct) - 1
         width = top.bit_length() // 8 + 1  # every value below 2^(8 * width - 1)
         packed = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
     bits = 8 * width
@@ -365,8 +368,12 @@ class Table(ValuationModel):
     <= 0) is non-increasing (non-decreasing) only when every value is 0.
     The one direction left is tested word-parallel: the values, negated
     for a non-positive table, are packed in mask order into one int P of
-    w-bit fields f[j], each below 2^(w-1). With H holding bit w-1 of every
-    field, each field of E = (P >> b*w) + H - P is
+    w-bit fields f[j], each below 2^(w-1). Values wider than 64 bits are
+    packed as their ranks among the distinct values instead (in reverse
+    order for a non-positive table): ranks keep every comparison and are
+    below 2^m, so P takes at most 9 bytes per mask whatever the values'
+    size. With H holding bit w-1 of every field, each field of
+    E = (P >> b*w) + H - P is
     f[j+b] - f[j] + 2^(w-1) (f[j+b] = 0 past the top), which lies in
     [1, 2^w); so no field borrows from the next, and bit w-1 of field j is
     set exactly when f[j+b] >= f[j]. The values rise along good g, b = 2^g,

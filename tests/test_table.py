@@ -6,6 +6,7 @@ C-level path against its per-entry loop."""
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -110,8 +111,9 @@ def violated_pairs(values, m):
 def flag_cases():
     """(label, m, values by mask) for the monotonicity flags: the corpus;
     every table with one violated covering pair at m <= 6, as it is and
-    scaled past 2^64; tables at each field-width boundary; all-zero,
-    mixed-sign and den > 1 tables."""
+    scaled past 2^64; tables at each field-width boundary, of the values
+    and of the ranks that stand for values past 2^64; all-zero, mixed-sign
+    and den > 1 tables."""
     for m, shape, entries in corpus():
         yield f"corpus {m} {shape}", m, [entries[mask] for mask in range(1 << m)]
     for m in range(1, 7):
@@ -133,6 +135,10 @@ def flag_cases():
             # the steepest fall between fields: top at {0}, 0 at {0, 1}
             yield f"{top} cliff m={m}", m, [top if mask == 1 else 0 for mask in range(size)]
             yield f"{top} over 3 m={m}", m, [Fraction(v, 3) for v in below]
+    for top in (127, 128):  # values past 2^64 whose top rank is on each side of 2^7
+        ranked = [min(mask, top) << 64 for mask in range(256)]
+        yield f"ranks to {top}", 8, ranked
+        yield f"ranks to {top}, dip", 8, ranked[:-1] + [ranked[-2] - 1]
     for m in range(5):
         yield f"zero m={m}", m, [0] * (1 << m)
     yield "mixed sign", 2, [0, 1, -1, 0]
@@ -149,6 +155,26 @@ def test_monotone_flags_match_reference():
             assert flags == (ref.nondecreasing, ref.nonincreasing), (label, sign)
             flags_seen.add(flags)
     assert flags_seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_one_wide_value_keeps_the_flag_check_small():
+    """One 4000-digit value in a table over 16 goods: the check packs ranks,
+    not fields as wide as that value, so its peak memory stays far below
+    2^16 copies of it (about 110 MB)."""
+    m, huge = 16, 10**3999
+    counts = [bin(mask).count("1") for mask in range(1 << m)]
+    for label, values in (("rising", counts[:-1] + [huge]), ("peak at {0}", [huge if mask == 1 else c for mask, c in enumerate(counts)])):
+        for sign in (1, -1):
+            entries = [sign * v for v in values]
+            tracemalloc.start()
+            try:
+                table = Table(m, entries)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ref = ReferenceTable(m, dict(enumerate(entries)))
+            assert (table.nondecreasing, table.nonincreasing) == (ref.nondecreasing, ref.nonincreasing), (label, sign)
+            assert peak < 64 << 20, (label, sign, peak)
 
 
 def test_instance_files_round_trip_byte_for_byte():
