@@ -25,7 +25,6 @@ from .core import (
     _grow_independent,
     _most_valuable,
     complete_to_maximal_is,
-    evaluate,
     is_independent_set,
     to_goods,
 )
@@ -250,6 +249,6 @@ def cut_and_choose(
         return None
 
     v2 = instance.models[1]
-    if evaluate(v2, allocation[1]) < evaluate(v2, allocation[0]):
+    if v2._bundle(allocation[1]).value < v2._bundle(allocation[0]).value:
         allocation = Allocation([allocation[1], allocation[0]])
     return allocation

@@ -1,8 +1,9 @@
 """Exact-arithmetic domain types and definitional checkers.
 
-All values are :class:`fractions.Fraction`; there is no floating point
-anywhere in this package, since every fairness test reduces to an exact
-sign comparison.
+Values are taken as ints or :class:`fractions.Fraction`, kept as integer
+numerators over one denominator per model, and handed out as ``Fraction``;
+there is no floating point anywhere in this package, since every fairness
+test reduces to an exact sign comparison.
 """
 
 from __future__ import annotations
@@ -50,7 +51,30 @@ def _over_common_denominator(values: Sequence[Rational]) -> tuple:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-class ConflictGraph:
+class _ByFields:
+    """Equality within one class, hash and ``Name(field=value, ...)`` repr,
+    all read from the attributes named in ``_fields``. ``ConflictGraph``,
+    the valuation models, ``Instance``, ``Allocation`` and ``chain.Walk``
+    compare and hash through it; ``ConflictGraph``, ``Table``, ``Instance``
+    and ``Allocation`` keep their own repr."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class ConflictGraph(_ByFields):
     """Undirected graph over goods 0..m-1; an edge forbids both endpoints
     in one bundle. ``adj`` is the graph: ``adj[g]`` is a tuple of g's
     neighbours, each once, in no fixed order, so callers test disjointness
@@ -59,6 +83,7 @@ class ConflictGraph:
     so loops should read ``adj``."""
 
     __slots__ = ("m", "adj")
+    _fields = ("m", "edges")
 
     def __init__(self, m: int, edges: Iterable[Sequence[int]] = ()):
         if m < 0:
@@ -82,34 +107,8 @@ class ConflictGraph:
     def edges(self) -> frozenset:
         return frozenset((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
 
-    def __eq__(self, other):
-        return isinstance(other, ConflictGraph) and self.m == other.m and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.m, self.edges))
-
     def __repr__(self):
         return f"ConflictGraph(m={self.m}, edges={sorted(self.edges)})"
-
-
-class _ByFields:
-    """Equality within one class, hash and ``Name(field=value, ...)`` repr,
-    all read from the attributes named in ``_fields``."""
-
-    __slots__ = ()
-    _fields = ()
-
-    def _key(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._fields))
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
 class ValuationModel(_ByFields):
@@ -381,6 +380,7 @@ class Table(ValuationModel):
     """
 
     __slots__ = ("m", "nums", "den", "nondecreasing", "nonincreasing")
+    _fields = ("m", "nums", "den")
 
     def __init__(self, m: int, entries: Union[Mapping[int, Rational], List[Rational]]):
         if m > TABLE_MAX_GOODS:
@@ -433,9 +433,6 @@ class Table(ValuationModel):
     def to_json(self) -> dict:
         values = self.nums if self.den == 1 else self.entries.values()
         return {"type": "table", "entries": [[str(mask), str(v)] for mask, v in enumerate(values)]}
-
-    def __eq__(self, other):
-        return isinstance(other, Table) and (self.m, self.nums, self.den) == (other.m, other.nums, other.den)
 
     def __repr__(self):
         return f"Table(m={self.m})"
@@ -507,14 +504,14 @@ class Composite(ValuationModel):
         }
 
 
-class Instance:
+class Instance(_ByFields):
     """A fair-division instance: conflict graph, agents, valuations, mode.
 
     ``valuations`` is either a single model (identical for all agents) or a
     sequence of one model per agent.
     """
 
-    __slots__ = ("graph", "n", "mode", "identical", "models")
+    __slots__ = _fields = ("graph", "n", "mode", "identical", "models")
 
     def __init__(
         self,
@@ -553,16 +550,6 @@ class Instance:
             raise ValueError("instance does not have identical valuations")
         return self.models[0]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Instance)
-            and self.graph == other.graph
-            and self.n == other.n
-            and self.mode == other.mode
-            and self.identical == other.identical
-            and self.models == other.models
-        )
-
     def __repr__(self):
         kind = "identical" if self.identical else "per-agent"
         return f"Instance(n={self.n}, m={self.m}, {kind}, mode={self.mode})"
@@ -580,10 +567,10 @@ def to_goods(instance: Instance) -> Instance:
     return Instance(instance.graph, instance.n, models, GOODS)
 
 
-class Allocation:
+class Allocation(_ByFields):
     """Ordered list of n disjoint bundles; some goods may stay unassigned."""
 
-    __slots__ = ("bundles",)
+    __slots__ = _fields = ("bundles",)
 
     def __init__(self, bundles: Iterable[Iterable[int]]):
         self.bundles = tuple(map(frozenset, bundles))
@@ -604,12 +591,6 @@ class Allocation:
 
     def __iter__(self):
         return iter(self.bundles)
-
-    def __eq__(self, other):
-        return isinstance(other, Allocation) and self.bundles == other.bundles
-
-    def __hash__(self):
-        return hash(self.bundles)
 
     def __repr__(self):
         return "Allocation(%s)" % ", ".join("{%s}" % ",".join(map(str, sorted(b))) for b in self.bundles)

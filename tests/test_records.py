@@ -2,7 +2,8 @@
 ``dataclasses`` nor ``inspect``; the result records are immutable named
 tuples; the models compare, hash and print as the frozen dataclasses they
 replaced did (equality within one class, the hash of the defining fields
-as one tuple, ``Name(field=value, ...)``)."""
+as one tuple, ``Name(field=value, ...)``); the graph, instance and
+allocation compare and hash the same way."""
 
 import pathlib
 import subprocess
@@ -13,13 +14,17 @@ import pytest
 
 import conflictfair
 from conflictfair import (
+    CHORES,
     Additive,
+    Allocation,
     Chain,
     ChainOutcome,
     Composite,
+    ConflictGraph,
     EnumerationBudget,
     ExistenceResult,
     GoodMap,
+    Instance,
     IntervalChains,
     Negated,
     PartialColoring,
@@ -100,11 +105,11 @@ def test_models_compare_hash_and_print_as_frozen_dataclasses():
     assert Additive([]) != Negated(Additive([])) and Additive([]) != ()
     assert Additive([1]) != ((one,),)
 
-    table = Table(1, {0: 0, 1: 1})
-    assert table == Table(1, {0: 0, 1: 1}) and repr(table) == "Table(m=1)"
-    for unhashable in (table, Negated(table), Composite(table, 1, Additive([0]))):
-        with pytest.raises(TypeError):
-            hash(unhashable)
+    # Tables hash by (m, nums, den), so the models that hold them hash too.
+    table, twin = Table(1, {0: 0, 1: 1}), Table(1, [0, Fraction(2, 2)])
+    assert table == twin and repr(table) == "Table(m=1)"
+    for wrap in (lambda t: t, Negated, lambda t: Composite(t, 1, Additive([0]))):
+        assert wrap(table) == wrap(twin) and hash(wrap(table)) == hash(wrap(twin))
 
 
 def test_walks_compare_hash_and_print_by_start_and_moves():
@@ -113,3 +118,61 @@ def test_walks_compare_hash_and_print_by_start_and_moves():
     assert walk == Walk(start, moves) and hash(walk) == hash((start, moves))
     assert walk != Walk(start, ()) and walk != (start, moves)
     assert repr(walk) == "Walk(start=(frozenset({0}), frozenset()), moves=(((0,), (), (), (0,)),))"
+
+
+GRAPH = ConflictGraph(3, [(0, 1), (1, 2)])
+TABLE = Table(2, {0: 0, 1: 1, 2: 1, 3: 2})
+MODEL = Additive([1, 2, 3])
+
+
+# Each value type: an object, twins built from differently shaped input,
+# twins that change one field, and its fields as ``_fields`` names them.
+VALUE_TYPES = {
+    "ConflictGraph": (
+        GRAPH,
+        [ConflictGraph(3, [(2, 1), (1, 0)]), ConflictGraph(3, iter([(1, 2), (0, 1), (1, 0)]))],
+        [ConflictGraph(4, [(0, 1), (1, 2)]), ConflictGraph(3, [(0, 1)])],
+        (3, frozenset({(0, 1), (1, 2)})),
+    ),
+    "Table": (
+        TABLE,
+        [Table(2, {3: 2, 2: 1, 1: 1, 0: 0}), Table(2, [0, 1, 1, 2]), Table(2, [0, Fraction(2, 2), 1, Fraction(4, 2)])],
+        # The last changes ``den`` only: its numerators over 2 are (0, 1, 1, 2).
+        [Table(2, [0, 1, 1, 3]), Table(1, [0, 1]), Table(2, [0, Fraction(1, 2), Fraction(1, 2), 1])],
+        (2, (0, 1, 1, 2), 1),
+    ),
+    "Instance": (
+        Instance(GRAPH, 2, MODEL),
+        [Instance(ConflictGraph(3, [(2, 1), (0, 1)]), 2, [MODEL, Additive([1, Fraction(4, 2), 3])])],
+        [
+            Instance(ConflictGraph(3, [(0, 1)]), 2, MODEL),
+            Instance(GRAPH, 3, MODEL),
+            Instance(GRAPH, 2, Negated(MODEL), CHORES),
+            Instance(GRAPH, 2, [MODEL, Additive([3, 2, 1])]),
+        ],
+        (GRAPH, 2, "goods", True, (MODEL, MODEL)),
+    ),
+    "Allocation": (
+        Allocation([{0, 2}, {1}]),
+        [Allocation([[2, 0], [1, 1]]), Allocation(iter([(0, 2), [1]]))],
+        [Allocation([{1}, {0, 2}]), Allocation([{0, 2}, {1}, set()]), Allocation([{0}, {1}])],
+        ((frozenset({0, 2}), frozenset({1})),),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUE_TYPES))
+def test_value_types_compare_and_hash_by_their_fields(name):
+    value, twins, changed, fields = VALUE_TYPES[name]
+    assert type(value).__name__ == name
+    assert tuple(getattr(value, f) for f in value._fields) == fields
+    for twin in twins:
+        assert twin == value and value == twin and not twin != value
+        assert hash(twin) == hash(value) == hash(fields)
+        assert repr(twin) == repr(value)
+    for other in changed:
+        assert other != value and value != other, other
+    others = [v for k, (v, *_) in VALUE_TYPES.items() if k != name] + [Walk((), ()), Additive([0, 1, 1, 2])]
+    for other in [fields, fields[0]] + others:
+        assert value != other and other != value, other
+    assert len({value, *twins}) == 1

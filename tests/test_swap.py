@@ -1,5 +1,6 @@
 """Escalating solver: traces, termination bounds, and output quality."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,9 +20,10 @@ from conflictfair import (
     validate_allocation,
 )
 
-from conflictfair import swap as swap_module
-from conflictfair.chain import chain_ef1, chain_steps
+from conflictfair import cli, swap as swap_module
+from conflictfair.chain import chain_ef1, chain_steps, most_valuable_source
 from conflictfair.core import to_goods
+from conflictfair.serialization import instance_to_json
 
 from conftest import (
     random_additive,
@@ -231,3 +233,30 @@ class TestScanAgainstReference:
                 outcome = chain_ef1(instance, round_.source)
                 expected.append(len(outcome.chain.steps) if outcome.step_index is None else outcome.step_index + 1)
             assert read == expected, (kind, seed)
+
+
+def test_escalation_stops_at_the_maximal_is_bound(tmp_path, capsys, monkeypatch):
+    # Every round seeds the next with round 1's source, so v(S) never rises
+    # and the loop runs until its bound on distinct maximal independent sets.
+    instance = _seeded_instance("additive", 971)
+    m = instance.m
+    assert m == 8 and len(swap_ef1(instance)[1]) == 2
+    first = most_valuable_source(instance)
+    rounds = []
+
+    def counting(graph, source):
+        rounds.append(source)
+        return chain_steps(graph, source)
+
+    monkeypatch.setattr(swap_module, "complete_to_maximal_is", lambda graph, seed: first)
+    monkeypatch.setattr(swap_module, "chain_steps", counting)
+    with pytest.raises(RuntimeError, match="escalation failed to terminate"):
+        swap_ef1(instance)
+    assert len(rounds) == 3 ** ((m + 2) // 3) + 1 == 28
+    assert set(rounds) == {tuple(sorted(first))}
+
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps(instance_to_json(instance)))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path), "--algorithm", "swap"]) == 7
+    assert capsys.readouterr().err.startswith("error:internal invariant failed: escalation failed")
