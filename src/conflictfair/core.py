@@ -394,11 +394,11 @@ class Table(ValuationModel):
             values = entries if type(entries) is list else list(map(entries.__getitem__, range(size)))
         except KeyError:
             raise ValueError(f"table must cover all {size} subsets of {m} goods") from None
-        types = set(map(type, values))
-        if types == {int}:
+        if list(map(type, values)).count(int) == size:  # cheaper than a set of the types
             nums, den = tuple(values), 1
         else:
-            nums, den = _over_common_denominator(values if types <= {int, Fraction} else [as_fraction(v) for v in values])
+            exact = {int, Fraction} >= set(map(type, values))
+            nums, den = _over_common_denominator(values if exact else [as_fraction(v) for v in values])
         if nums[0] != 0:
             raise ValueError("table must assign value 0 to the empty set")
         self.m, self.nums, self.den = m, nums, den

@@ -9,14 +9,17 @@ child's ranks are rotated onto colors by a running offset, so the merged
 coloring stays equitable; the root is then either left uncolored or given
 color n, after a child that landed on n trades n for an equally large class.
 Every subtree's coloring is equitable, so its rank order follows from the
-merge alone and no merge sorts. Only colors change: the longest child's list
-of classes is moved by slices, and at each class the longer vertex list is
+merge alone and no merge sorts. One pass, children before parents, keeps
+each subtree's report in a list indexed by vertex until its parent merges
+it. Only colors change: the longest child's classes are rotated by slices,
+every other child's classes go straight to their colors, a trade swaps just
+the two classes it exchanges, and at each class the longer vertex list is
 kept and the shorter appended to it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .core import ConflictGraph
 
@@ -100,88 +103,84 @@ def coloring_violations(graph: ConflictGraph, colors: Sequence[Optional[int]], n
     return problems
 
 
-def _color_subtree(reports: list, u: int, n: int) -> Tuple[List[List[int]], int, Optional[int]]:
-    """Merge the children's ``reports`` at ``u``. Each report, and the
-    result, is (classes, higher, root_rank): the non-empty classes in rank
-    order, the number of largest ones, and the rank of the root's class
-    (None if the root is uncolored)."""
-    singular = [rep for rep in reports if rep[1] == 1 and rep[2] is not None]
-    if singular:  # singular subtrees first, stable
-        reports = singular + [rep for rep in reports if rep[1] != 1 or rep[2] is None]
-    color_root = len(singular) < n
-    # Child rank r takes color (r + offset) % n + 1, and the offsets tile the
-    # children's largest classes over colors 1, 2, ... cyclically: colors
-    # 1..rem, and n if the root takes it, end one larger than the rest. So
-    # the merged rank order is colors 1..rem, n, rem+1..n-1, or 1..n when
-    # the root stays uncolored. Every class is non-empty once some child has
-    # n classes or the tiling wraps; otherwise only the tiled colors are,
-    # and the root's.
-    covered = sum(rep[1] for rep in reports)
-    rem = covered % n
-    lengths = [len(rep[0]) for rep in reports]
-    longest = max(lengths)
-    size = n if covered >= n or longest == n else covered + color_root
-
-    placements = []
-    offset = 0
-    for classes, higher, root_rank in reports:
-        trade = None
-        if color_root and root_rank is not None and (root_rank + offset) % n == n - 1:
-            # Not singular: the root's class is the last largest one, so rank
-            # 0 holds the least color among the others; trade n with it.
-            trade = root_rank, 0
-        placements.append((classes, offset, trade))
-        offset = (offset + higher) % n
-
-    # merged[c - 1] holds class c, but its last slot holds class n. The
-    # first longest child's list becomes it, moved by slices.
-    merged, offset, trade = placements.pop(lengths.index(longest))
-    merged += [None] * (size - longest)
-    if offset:  # rotate right in place: copies offset items, shifts the rest
-        merged[:0] = merged[size - offset :]
-        del merged[size:]
-    if trade:
-        a, b = ((r + offset) % n for r in trade)
-        merged[a], merged[b] = merged[b], merged[a]
-    for classes, offset, trade in placements:
-        colors = [(r + offset) % n for r in range(len(classes))]
-        if trade:
-            a, b = trade
-            colors[a], colors[b] = colors[b], colors[a]
-        # keep the longer list of each class, so each vertex moves O(log V) times
-        for c, vertices in zip(colors, classes):
-            kept = merged[c]
-            if kept is None:
-                merged[c] = vertices
-            elif len(kept) < len(vertices):
-                vertices.extend(kept)
-                merged[c] = vertices
-            else:
-                kept.extend(vertices)
-    if not color_root:
-        return merged, rem or n, None
-    merged.insert(rem, merged.pop())  # to rank order: class n to rank rem
-    if merged[rem] is None:
-        merged[rem] = [u]
-    else:
-        merged[rem].append(u)
-    return merged, rem + 1, rem
-
-
 def equitable_tree_coloring(tree: RootedTree, n: int) -> PartialColoring:
     """Construct a maximal equitable n-coloring; the root ends up in a class
     of maximum size or uncolored."""
     if n < 1:
         raise ValueError("need at least one color")
-    colored = {}
-    for u in reversed(tree.order):
+    # reports[v] is (classes, higher, root_rank) for v's subtree: its non-empty
+    # classes in rank order, the number of largest ones, and the rank of v's
+    # class (None if v is uncolored); dropped once v's parent has merged it.
+    reports = [None] * tree.graph.m
+    for u in reversed(tree.order):  # children before parents, the root last
         children = tree.children[u]
-        if children:
-            colored[u] = _color_subtree([colored.pop(child) for child in children], u, n)
-        else:
-            colored[u] = [[u]], 1, 0
-    classes, _higher, root_rank = colored[tree.root]
-    if not tree.children[tree.root]:
+        if not children:
+            reports[u] = [[u]], 1, 0
+            continue
+        # The singular children, whose colored root holds their one largest
+        # class, tile first, in order, then the rest: child rank r takes color
+        # (r + offset) % n + 1, the offset counting the largest classes tiled
+        # before it, so the children's largest classes cover colors 1, 2, ...
+        # cyclically: colors 1..rem, and n if the root takes it, end one
+        # larger than the rest. So the merged rank order is colors 1..rem, n,
+        # rem+1..n-1, or 1..n when the root stays uncolored. Every class is
+        # non-empty once some child has n classes or the tiling wraps;
+        # otherwise only the tiled colors are, and the root's.
+        singular = covered = longest = 0
+        for child in children:
+            classes, higher, root_rank = reports[child]
+            if len(classes) > longest:
+                longest, base, base_at = len(classes), child, (singular, covered)
+            covered += higher
+            singular += higher == 1 and root_rank is not None
+        color_root = singular < n
+        rem = covered % n
+        size = n if covered >= n or longest == n else covered + color_root
+        # merged[c - 1] holds class c, but its last slot holds class n. The
+        # first longest child's list becomes it, rotated by slices.
+        merged, higher, root_rank = reports[base]
+        before, tiled = base_at
+        offset = (before if higher == 1 and root_rank is not None else singular + tiled - before) % n
+        if color_root and root_rank is not None and (root_rank + offset) % n == n - 1:
+            # Not singular: the root's class is the last largest one, so rank
+            # 0 holds the least color among the others; trade n with it.
+            merged[0], merged[root_rank] = merged[root_rank], merged[0]
+        merged += [None] * (size - longest)
+        if offset:  # rotate right in place: copies offset items, shifts the rest
+            merged[:0] = merged[size - offset :]
+            del merged[size:]
+        before = tiled = 0
+        for child in children:
+            classes, higher, root_rank = reports[child]
+            reports[child] = None
+            lone = higher == 1 and root_rank is not None
+            offset = (before if lone else singular + tiled - before) % n
+            before += lone
+            tiled += higher
+            if child == base:
+                continue
+            if color_root and root_rank is not None and (root_rank + offset) % n == n - 1:
+                classes[0], classes[root_rank] = classes[root_rank], classes[0]
+            # keep the longer list of each class, so each vertex moves O(log V) times
+            for c, vertices in enumerate(classes, offset):
+                if c >= n:
+                    c -= n
+                kept = merged[c]
+                if kept is None:
+                    merged[c] = vertices
+                elif len(kept) < len(vertices):
+                    vertices += kept
+                    merged[c] = vertices
+                else:
+                    kept += vertices
+        if not color_root:
+            reports[u] = merged, rem or n, None
+            continue
+        merged.insert(rem, merged.pop() or [])  # to rank order: class n to rank rem
+        merged[rem].append(u)
+        reports[u] = merged, rem + 1, rem
+    classes, _higher, root_rank = reports[u]
+    if not tree.children[u]:
         palette = [1]
     elif root_rank is None:
         palette = range(1, n + 1)

@@ -22,7 +22,7 @@ from conflictfair import (
     interval_ef1,
     yes_certificate,
 )
-from conflictfair import graph_classes, oracle, treecolor
+from conflictfair import cli, graph_classes, oracle
 from conflictfair.chain import Walk
 from conflictfair.cli import main
 from conflictfair.graph_classes import IntervalSet, _two_color_pick
@@ -94,14 +94,22 @@ def test_yes_certificate_refuses_a_witness_too_small_for_lambda():
 
 
 def test_tree_coloring_refuses_a_root_in_a_smaller_class(tmp_path, capsys, monkeypatch):
-    # Star with centre 0: the root alone takes color 2, the two leaves color 1.
-    tree = RootedTree(ConflictGraph(3, [(0, 1), (0, 2)]))
-    monkeypatch.setattr(treecolor, "_color_subtree", lambda reports, u, n: ([[1, 2], [0]], 2, None))
-    monkeypatch.setattr(treecolor, "coloring_violations", lambda graph, colors, n: [])
+    # The path 0-1-2, merged from vertex 0 with two colors, gives 0 and 2
+    # color 2 and vertex 1 color 1; a tree whose root names vertex 1 has its
+    # root colored in the smaller class.
+    class MisrootedTree(RootedTree):
+        __slots__ = ()
+
+        def __init__(self, graph):
+            super().__init__(graph)
+            self.root = 1
+
+    tree = MisrootedTree(ConflictGraph(3, [(0, 1), (1, 2)]))
     message = "root is colored but not with a higher color"
     with pytest.raises(RuntimeError, match=message):
         equitable_tree_coloring(tree, 2)
-    path = tmp_path / "star.json"
-    path.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [0, 2]]}))
+    monkeypatch.setattr(cli, "RootedTree", MisrootedTree)
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]]}))
     assert main(["color-tree", str(path), "--n", "2"]) == 7
     assert capsys.readouterr().err == f"error:internal invariant failed: {message}\n"

@@ -421,6 +421,9 @@ def test_int_and_fraction_values_mix_without_conversion():
         fractions_only = {mask: Fraction(v) for mask, v in entries.items()}
         table = Table(m, mixed)
         assert table == Table(m, fractions_only) and set(map(type, table.nums)) == {int}, (m, shape)
+    # bools are ints, but they are kept as plain ints, as written by to_json
+    table = Table(2, [False, True, True, 1])
+    assert table.nums == (0, 1, 1, 1) and set(map(type, table.nums)) == {int}
     for entries in ({0: 0, 1: 1.5}, {0: Fraction(0), 1: 1.5}, [0, 1.5], [Fraction(0), 1.0]):
         with pytest.raises(TypeError) as caught:
             Table(1, entries)

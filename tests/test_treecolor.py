@@ -237,6 +237,26 @@ class TestConstruction:
                 coloring = equitable_tree_coloring(tree, n)
                 assert coloring.colors == dict_tree_colors(tree, n)
 
+    def test_matches_the_dict_merge_on_bench_sized_trees(self):
+        # Random recursive trees of the size the benchmark colors, where the
+        # tree_corpus above stops at 120 vertices.
+        rng = random.Random(0xB3)
+        for _ in range(4):
+            nv = rng.randint(900, 1100)
+            tree = RootedTree.from_edges(nv, random_tree_edges(rng, nv))
+            for n in range(2, 6):
+                assert equitable_tree_coloring(tree, n).colors == dict_tree_colors(tree, n)
+
+    def test_many_colors_on_a_long_path_and_a_wide_star(self):
+        # The two shapes on which a merge that sorted or copied classes at
+        # every level was quadratic: a deep path with n = V, a star with n = V/2.
+        nv = 20000
+        coloring = equitable_tree_coloring(RootedTree.from_edges(nv, [(v - 1, v) for v in range(1, nv)]), nv)
+        assert sorted(coloring.colors) == list(range(1, nv + 1))
+        coloring = equitable_tree_coloring(RootedTree.from_edges(8001, [(0, v) for v in range(1, 8001)]), 4000)
+        assert coloring.colors[0] is None
+        assert coloring.class_sizes == (2,) * 4000
+
     def test_colorings_match_parent(self):
         digest = hashlib.sha256()
         for nv, edges, n in tree_corpus(random.Random(2718)):
