@@ -13,7 +13,7 @@ scans its moves, or a :class:`Walk`'s, and stops at the first EF1 step.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     GOODS,
@@ -26,7 +26,6 @@ from .core import (
     _most_valuable,
     complete_to_maximal_is,
     is_independent_set,
-    to_goods,
 )
 
 
@@ -229,25 +228,18 @@ def chain_ef1(instance: Instance, source: Sequence[int]) -> ChainOutcome:
     return ChainOutcome(allocation, i, chain)
 
 
-def cut_and_choose(
-    instance: Instance,
-    solve: Callable[[Instance], Optional[Allocation]],
-) -> Optional[Allocation]:
-    """Two-agent protocol for possibly distinct valuations: ``solve`` the
-    identical-valuation problem under agent 1's valuation, then let agent 2
-    take the preferred bundle. When ``solve`` returns None (a solver that
-    may fail), so does the protocol.
+def cut_and_choose(instance: Instance, allocation: Optional[Allocation]) -> Optional[Allocation]:
+    """Agent 2's choice in the two-agent protocol for possibly distinct
+    valuations: ``allocation`` solves the identical-valuation problem under
+    agent 1's valuation, and agent 2 takes the preferred bundle. A None
+    allocation (a solver that may fail) comes back as None.
 
-    Works in both modes: for chores the identical sub-problem is negated
-    into goods form, while the choice step always compares agent 2's true
-    valuation (a chores agent prefers the bundle of higher, i.e. less
-    negative, value).
+    Works in both modes: the choice compares agent 2's true valuation (a
+    chores agent prefers the bundle of higher, i.e. less negative, value).
     """
     _require_two_agents(instance)
-    allocation = solve(to_goods(Instance(instance.graph, 2, instance.models[0], instance.mode)))
     if allocation is None:
         return None
-
     v2 = instance.models[1]
     if v2._bundle(allocation[1]).value < v2._bundle(allocation[0]).value:
         allocation = Allocation([allocation[1], allocation[0]])

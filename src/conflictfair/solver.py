@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .core import Allocation, Instance, to_goods
-from .chain import InapplicableError, chain_ef1, cut_and_choose, most_valuable_source
+from .chain import InapplicableError, _require_two_agents, chain_ef1, cut_and_choose, most_valuable_source
 from .swap import swap_ef1
 from .graph_classes import IntervalSet, bipartite_ef1, interval_ef1, round_robin_small
 
@@ -41,36 +41,28 @@ def solve(instance: Instance, algorithm: str = "auto", intervals: Optional[Inter
     guard when it does not apply; ``auto`` runs the first of ``AUTO`` whose
     guard accepts the instance.
 
-    Round robin takes chores as they are; the two-agent solvers take them in
-    negated goods form, and two agents with different valuations go through
-    cut-and-choose on the original instance, once for all the solvers tried.
+    Round robin takes the instance as given. The two-agent solvers take one
+    goods-form instance, built at the first of them asked: the instance
+    itself, chores negated, or for two agents with different valuations
+    agent 1's; then agent 2 picks a bundle of the allocation found
+    (cut-and-choose).
     """
     if algorithm != "auto" and algorithm not in ALGORITHMS:
         raise InapplicableError(f"unknown algorithm {algorithm!r}")
-    # Each name whose guard refuses is dropped, so the first one left is the
-    # one that ran; the last one's refusal propagates.
-    names = list(AUTO if algorithm == "auto" else (algorithm,))
-
-    def two_agent(goods_instance: Instance) -> Optional[Allocation]:
-        while True:
-            try:
-                return TWO_AGENT[names[0]](goods_instance, intervals)
-            except InapplicableError:
-                del names[0]
-                if not names:
-                    raise
-
-    try:
-        if names[0] == "roundrobin":
-            try:
-                return Solution("roundrobin", round_robin_small(instance))
-            except InapplicableError:
-                del names[0]
-                if not names:
-                    raise
-        allocation = two_agent(to_goods(instance)) if instance.identical else cut_and_choose(instance, two_agent)
-    except InapplicableError:
-        if algorithm != "auto":
-            raise
-        raise NoAlgorithmError(f"no algorithm applies to {instance.n} agents on {instance.m} goods") from None
-    return Solution(names[0], allocation)
+    goods = None
+    for name in AUTO if algorithm == "auto" else (algorithm,):
+        try:
+            if name == "roundrobin":
+                return Solution(name, round_robin_small(instance))
+            if goods is None and instance.identical:
+                goods = to_goods(instance)
+            elif goods is None:
+                _require_two_agents(instance)
+                goods = to_goods(Instance(instance.graph, 2, instance.models[0], instance.mode))
+            allocation = TWO_AGENT[name](goods, intervals)
+        except InapplicableError:
+            if algorithm != "auto":
+                raise
+        else:
+            return Solution(name, allocation if instance.identical else cut_and_choose(instance, allocation))
+    raise NoAlgorithmError(f"no algorithm applies to {instance.n} agents on {instance.m} goods")

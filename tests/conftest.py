@@ -40,8 +40,11 @@ from conflictfair.hardness import _assemble
 
 
 def swap_solver(instance: Instance) -> Allocation:
-    """The swap solver's allocation, as ``cut_and_choose`` takes it."""
-    return swap_ef1(instance)[0]
+    """The swap solver's allocation for two agents who both hold agent 1's
+    valuation, negated by hand into goods form for chores: the allocation
+    that ``cut_and_choose`` lets agent 2 choose from."""
+    model = instance.models[0]
+    return swap_ef1(Instance(instance.graph, 2, Negated(model) if instance.mode == CHORES else model, GOODS))[0]
 
 
 def random_connected_graph(rng: random.Random, m: int, extra_edge_prob: float = 0.3) -> ConflictGraph:

@@ -374,7 +374,7 @@ def test_criterion_12_cut_and_choose_two_sided():
         graph = random_graph(rng, m, edge_prob=rng.choice([0.2, 0.5]))
         models = [random_additive(rng, m), random_additive(rng, m)]
         instance = Instance(graph, 2, models)
-        allocation = cut_and_choose(instance, swap_solver)
+        allocation = cut_and_choose(instance, swap_solver(instance))
         assert validate_allocation(instance, allocation).wellformed
         assert is_maximal(instance, allocation)
         assert is_ef1(instance, allocation)

@@ -186,7 +186,7 @@ class TestChainInvariants:
 class TestCutAndChoose:
     def test_identical_valuations_pass_through(self):
         instance = Instance(FOUR_CYCLE, 2, Additive([1, 3, 1, 3]))
-        allocation = cut_and_choose(instance, swap_solver)
+        allocation = cut_and_choose(instance, swap_solver(instance))
         assert is_maximal(instance, allocation)
         assert is_ef1(instance, allocation)
 
@@ -194,13 +194,13 @@ class TestCutAndChoose:
         instance = Instance(
             FOUR_CYCLE, 2, [Additive([1, 3, 1, 3]), Additive([3, 1, 3, 1])]
         )
-        allocation = cut_and_choose(instance, swap_solver)
+        allocation = cut_and_choose(instance, swap_solver(instance))
         assert bundles(allocation) == ({3}, {1})
         assert is_maximal(instance, allocation) and is_ef1(instance, allocation)
 
     def test_path_no_swap_needed(self):
         instance = Instance(PATH3, 2, [Additive([5, 0, 5]), Additive([0, 9, 0])])
-        allocation = cut_and_choose(instance, swap_solver)
+        allocation = cut_and_choose(instance, swap_solver(instance))
         assert bundles(allocation) == ({2}, {0})
         assert is_maximal(instance, allocation) and is_ef1(instance, allocation)
 
@@ -209,7 +209,7 @@ class TestCutAndChoose:
             m = rng.randint(1, 7)
             graph = random_connected_graph(rng, m)
             instance = Instance(graph, 2, [random_additive(rng, m), random_additive(rng, m)])
-            allocation = cut_and_choose(instance, swap_solver)
+            allocation = cut_and_choose(instance, swap_solver(instance))
             assert validate_allocation(instance, allocation).wellformed
             assert is_maximal(instance, allocation)
             assert is_ef1(instance, allocation)
@@ -223,7 +223,7 @@ class TestCutAndChoose:
                 Negated(random_monotone_table(rng, m)),
             ]
             instance = Instance(graph, 2, models, "chores")
-            allocation = cut_and_choose(instance, swap_solver)
+            allocation = cut_and_choose(instance, swap_solver(instance))
             assert validate_allocation(instance, allocation).wellformed
             assert is_maximal(instance, allocation)
             assert is_ef1(instance, allocation)

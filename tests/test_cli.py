@@ -1,6 +1,7 @@
 """Command-line surface: file formats, dispatch, exit codes, DOT export."""
 
 import json
+import pathlib
 import random
 import re
 import sys
@@ -116,7 +117,7 @@ class TestSolve:
         assert code == 0
         assert lines["bundles"] == "[[2], [0]]"
         assert lines["maximal"] == "true" and lines["ef1"] == "true"
-        saved = json.loads(open(out).read())
+        saved = json.loads(pathlib.Path(out).read_text())
         assert saved["bundles"] == [[2], [0]]
         assert saved["certificate"] == {"maximal": True, "ef1": True}
 
@@ -199,6 +200,15 @@ class TestSolve:
         instance = Instance(ConflictGraph(6), 3, Additive([1] * 6))
         path = write(tmp_path, "big3.json", instance_to_json(instance))
         assert main(["solve", path]) == 4
+
+    @pytest.mark.parametrize("mode", ["goods", "chores"])
+    def test_auto_fails_for_per_agent_three_agent_instance(self, tmp_path, capsys, mode):
+        models = [Additive([agent + g + 1 for g in range(6)]) for agent in range(3)]
+        if mode == "chores":
+            models = [Negated(v) for v in models]
+        path = write(tmp_path, "per3.json", instance_to_json(Instance(ConflictGraph(6), 3, models, mode)))
+        assert main(["solve", path]) == 4
+        assert capsys.readouterr().err == "error:no algorithm applies to 3 agents on 6 goods\n"
 
     def test_auto_fails_for_one_agent_on_more_than_two_goods(self, tmp_path, capsys):
         path = write(tmp_path, "one.json", instance_to_json(Instance(ConflictGraph(4), 1, Additive([1] * 4))))
@@ -309,7 +319,7 @@ class TestSolve:
             ]
             printed = []
             for model in models:
-                data = json.loads(open(path_instance(tmp_path)).read())
+                data = json.loads(pathlib.Path(path_instance(tmp_path)).read_text())
                 data["valuations"] = {"identical": model}
                 data["intervals"] = [[number(left), number(left + 2)] for left in range(3)]
                 assert main(["solve", write(tmp_path, "numbers.json", data)]) == 0
@@ -435,7 +445,7 @@ class TestSolve:
             ({"mode": "both"}, "mode must be 'goods' or 'chores'"),
             ({"valuations": {"perAgent": [{"type": "uniform"}]}}, "expected 2 models, got 1"),
         ]:
-            data = json.loads(open(path_instance(tmp_path)).read())
+            data = json.loads(pathlib.Path(path_instance(tmp_path)).read_text())
             data.update(change)
             path = write(tmp_path, "bad.json", data)
             for algorithm in ("auto", "interval"):
@@ -456,14 +466,14 @@ class TestSolve:
         # past the int digit limit is refused before any power is taken.
         limit = sys.get_int_max_str_digits()
         for value in ("1e1000000", "1e-1000000", f"1e{limit + 1}", f"3E-{limit + 1}"):
-            data = json.loads(open(path_instance(tmp_path)).read())
+            data = json.loads(pathlib.Path(path_instance(tmp_path)).read_text())
             data["valuations"] = {"identical": {"type": "additive", "values": ["5", value, "5"]}}
             assert main(["solve", write(tmp_path, "exponent.json", data)]) == 3, value
             err = capsys.readouterr().err
             assert err.startswith("error:") and f"exponent is more than {limit} in magnitude" in err, value
         printed = []
         for value in ("1e3", "1000"):
-            data = json.loads(open(path_instance(tmp_path)).read())
+            data = json.loads(pathlib.Path(path_instance(tmp_path)).read_text())
             data["valuations"] = {"identical": {"type": "additive", "values": ["5", value, "5"]}}
             assert main(["solve", write(tmp_path, "exponent.json", data)]) == 0
             printed.append(capsys.readouterr().out)
@@ -690,7 +700,7 @@ class TestOracleCommand:
         assert code == 0
         assert lines["exists"] == "true"
         assert lines["count"] == "2"
-        saved = json.loads(open(witness_path).read())
+        saved = json.loads(pathlib.Path(witness_path).read_text())
         assert saved["certificate"]["ef1"] is True
 
     def test_budget_exceeded(self, tmp_path, capsys):
@@ -744,7 +754,7 @@ class TestGen:
         lines = report_lines(capsys)
         assert code == 0
         assert lines["goods"] == "7" and lines["edges"] == "11"
-        instance, _ = instance_from_json(json.loads(open(out).read()))
+        instance, _ = instance_from_json(json.loads(pathlib.Path(out).read_text()))
         assert instance == gen_counterexample(3)
 
     def test_counterexample_needs_three_agents(self, tmp_path):
@@ -771,9 +781,9 @@ class TestGen:
         assert code == 0
         assert lines["goods"] == "46"
         assert lines["lambda"] == "1/3"
-        sidecar = json.loads(open(out + ".spec.json").read())
+        sidecar = json.loads(pathlib.Path(out + ".spec.json").read_text())
         assert sidecar["gamma"] == "1" and sidecar["t"] == 3
-        instance, _ = instance_from_json(json.loads(open(out).read()))
+        instance, _ = instance_from_json(json.loads(pathlib.Path(out).read_text()))
         assert instance.m == 46 and len(instance.graph.edges) == 657
 
     def test_reduction_t_out_of_range(self, tmp_path, capsys):
@@ -821,10 +831,10 @@ class TestColorTree:
         code = main(["color-tree", tree, "--n", "2", "--out", out, "--dot", dot])
         lines = report_lines(capsys)
         assert code == 0
-        saved = json.loads(open(out).read())
+        saved = json.loads(pathlib.Path(out).read_text())
         assert sorted(saved["classSizes"]) == [1, 2]
         assert saved["colors"][0] == 0
-        text = open(dot).read()
+        text = pathlib.Path(dot).read_text()
         assert "graph tree {" in text
         assert 'fillcolor="red"' in text and 'fillcolor="gray"' in text
 
@@ -832,7 +842,7 @@ class TestColorTree:
         tree = write(tmp_path, "t.json", {"vertices": 24, "edges": [[v, v + 1] for v in range(23)]})
         dot = str(tmp_path / "tree.dot")
         assert main(["color-tree", tree, "--n", "12", "--dot", dot]) == 0
-        fills = [line.split('"')[1] for line in open(dot) if "fillcolor" in line]
+        fills = [line.split('"')[1] for line in pathlib.Path(dot).read_text().splitlines() if "fillcolor" in line]
         assert fills[0] == "0.917 0.600 0.900"
         assert {fill for fill in fills if fill[0].isdigit()} == {"0.833 0.600 0.900", "0.917 0.600 0.900"}
 

@@ -35,7 +35,7 @@ from conflictfair import graph_classes, solver
 from conflictfair.cli import main
 from conflictfair.core import to_goods
 from conflictfair.oracle import worst_envy_gap
-from conflictfair.solver import ALGORITHMS
+from conflictfair.solver import ALGORITHMS, TWO_AGENT
 
 from conftest import (
     random_additive,
@@ -82,7 +82,21 @@ def _goods_identical(instance):
 def _direct(instance, identical_solver):
     if instance.identical:
         return identical_solver(_goods_identical(instance))
-    return cut_and_choose(instance, solve=identical_solver)
+    agent_one = Instance(instance.graph, 2, instance.models[0], instance.mode)
+    return cut_and_choose(instance, identical_solver(_goods_identical(agent_one)))
+
+
+# Identical and per-agent valuations, each in goods and chores mode.
+VALUATIONS = pytest.mark.parametrize("per_agent, mode", [(False, GOODS), (False, CHORES), (True, GOODS), (True, CHORES)])
+
+
+def _valued(graph, n, per_agent, mode):
+    """n agents on ``graph`` with distinct additive valuations, or the first
+    agent's for all; one agent's valuations are always identical."""
+    models = [Additive([agent + g + 1 for g in range(graph.m)]) for agent in range(n)]
+    if mode == CHORES:
+        models = [Negated(v) for v in models]
+    return Instance(graph, n, models if per_agent else models[0], mode)
 
 
 def _single_chain(instance):
@@ -198,12 +212,18 @@ class TestAuto:
             solution = solve(instance)
             monkeypatch.undo()
             assert solution.algorithm == "swap"
-            assert solution.allocation == cut_and_choose(instance, swap_solver)
+            assert solution.allocation == cut_and_choose(instance, swap_solver(instance))
             assert len(calls) == 1 and len(built) == built_per_solve, mode
 
     def test_no_algorithm_for_three_agents(self):
         with pytest.raises(NoAlgorithmError, match="no algorithm applies to 3 agents on 5 goods"):
             solve(Instance(ConflictGraph(5), 3, Additive([1] * 5)))
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (3, 5)])
+    @VALUATIONS
+    def test_no_algorithm_for_one_or_three_agents(self, n, m, per_agent, mode):
+        with pytest.raises(NoAlgorithmError, match=f"^no algorithm applies to {n} agents on {m} goods$"):
+            solve(_valued(ConflictGraph(m), n, per_agent, mode))
 
     def test_intervals_that_miss_the_graph_are_not_skipped(self):
         # The interval check's ValueError is no refusal: auto does not go
@@ -273,6 +293,13 @@ class TestInapplicable:
         with pytest.raises(InapplicableError, match=message):
             solve(instance, algorithm)
 
+    @pytest.mark.parametrize("algorithm", TWO_AGENT)
+    @VALUATIONS
+    def test_two_agent_names_need_two_agents(self, algorithm, per_agent, mode):
+        intervals = IntervalSet([(2 * g, 2 * g + 1) for g in range(5)])
+        with pytest.raises(InapplicableError, match="^algorithm needs exactly 2 agents, got n=3$"):
+            solve(_valued(ConflictGraph(5), 3, per_agent, mode), algorithm, intervals)
+
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_zero_goods_under_every_algorithm(tmp_path, capsys, algorithm):
@@ -314,7 +341,7 @@ def test_allocations_match_parent():
         graph = random_connected_graph(rng, m)
         allocation, trace = swap_ef1(to_goods(Instance(graph, 2, models[0], mode)))
         put("swap", repr(allocation), len(trace))
-        put("cut", repr(cut_and_choose(Instance(graph, 2, models, mode), swap_solver)))
+        put("cut", repr(cut_and_choose(Instance(graph, 2, models, mode), allocation)))
         intervals = random_intervals(rng, m, span=12)
         put("interval", repr(interval_ef1(to_goods(Instance(intervals.induced_graph(), 2, models[0], mode)), intervals)))
         put("bipartite", repr(bipartite_ef1(to_goods(Instance(_bipartite_graph(rng, m), 2, models[0], mode)))))
