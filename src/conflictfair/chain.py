@@ -7,7 +7,10 @@ every intermediate allocation stays maximal. Whenever v(S) dominates both
 side sets, the end-to-end value gap flips sign and some step must be EF1.
 
 The step rule is one generator, :func:`chain_steps`; :func:`first_ef1_step`
-scans its moves, or a :class:`Walk`'s, and stops at the first EF1 step.
+scans its moves, or a :class:`Walk`'s, and stops at the first EF1 step. Its
+model is a goods model, monotone with v({}) = 0 (``Instance`` checks both), so
+the richer bundle R's holder never envies the poorer P, as min_g v(P - {g}) <=
+v(P) <= v(R) (0 for an empty P): a step is EF1 iff R's drop is at most v(P).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .core import (
     _grow_independent,
     _most_valuable,
     complete_to_maximal_is,
-    is_independent_set,
 )
 
 
@@ -81,8 +83,8 @@ class Walk(_ByFields):
 
     def first_ef1(self, model: ValuationModel) -> Tuple[Optional[int], Optional[Allocation]]:
         """Index and allocation of the first EF1 step for two agents with the
-        identical goods valuation ``model``, read from the running bundles
-        where the scan stops; ``(None, None)`` when no step is EF1."""
+        identical goods valuation ``model`` (monotone, v({}) = 0), read from
+        the running bundles where the scan stops; ``(None, None)`` if none is."""
         one, two = model._bundle(self.start[0]), model._bundle(self.start[1])
         i = first_ef1_step(one, two, self.moves)
         return (None, None) if i is None else (i, Allocation((one.goods, two.goods)))
@@ -158,16 +160,16 @@ def chain_steps(graph: ConflictGraph, source: Sequence[int], x1=None, x2=None) -
         raise ValueError("source contains duplicate goods")
     if s and not 0 <= min(s) <= max(s) < m:
         raise ValueError(f"source holds a good outside [0,{m})")
-    if not is_independent_set(graph, s_set):
-        raise ValueError("source is not an independent set")
     # p(t) and q(t): the first and last 1-based position in S of a
-    # neighbour of t, 0 for none; S is independent, so p and q are 0 on S.
+    # neighbour of t, 0 for none; S is independent exactly when p is 0 on S.
     p, q = [0] * m, [0] * m
     for i, u in enumerate(s, 1):
         for t in adj[u]:
             if not p[t]:
                 p[t] = i
             q[t] = i
+    if any(map(p.__getitem__, s)):
+        raise ValueError("source is not an independent set")
     if p.count(0) != k:
         t = next(t for t in range(m) if not p[t] and t not in s_set)
         raise ValueError(f"source is not maximal: good {t} has no neighbor in it")
@@ -193,8 +195,9 @@ def chain_steps(graph: ConflictGraph, source: Sequence[int], x1=None, x2=None) -
 
 def first_ef1_step(one, two, moves: Iterable[tuple]) -> Optional[int]:
     """Index of the first EF1 step, or None, of a two-agent walk with one
-    identical goods valuation, whose running bundles ``one`` and ``two`` hold
-    step 0. Applies ``moves`` to them in place up to that step (or the last)."""
+    identical goods valuation, monotone with v({}) = 0, so the richer bundle's
+    drop alone decides each step (module docstring). Applies ``moves`` to the
+    running bundles ``one`` and ``two``, at step 0, up to that step (or the last)."""
     for i, (out1, in1, out2, in2) in enumerate(itertools.chain([((), (), (), ())], moves)):
         for g in out1:
             one.remove(g)
@@ -204,8 +207,8 @@ def first_ef1_step(one, two, moves: Iterable[tuple]) -> Optional[int]:
             two.remove(g)
         for g in in2:
             two.add(g)
-        # EF1: each non-empty bundle, less its best good, is worth at most the other.
-        if (not len(two) or two.min_drop <= one.value) and (not len(one) or one.min_drop <= two.value):
+        a, b = one.value, two.value
+        if one.min_drop <= b if a >= b else two.min_drop <= a:
             return i
     return None
 

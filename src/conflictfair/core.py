@@ -120,7 +120,7 @@ class ValuationModel(_ByFields):
     def _bundle(self, goods: Iterable[int] = ()):
         """A running bundle holding ``goods``, which goods join and leave one
         at a time (``add``, ``remove``); its ``goods`` is the set of members.
-        Its ``len``, ``value``, ``min_drop`` (the least v(S - {g}) over the
+        Its ``value``, ``min_drop`` (the least v(S - {g}) over the
         members g, 0 for no members) and ``gain(g)`` are integers over
         ``den``. The largest v(S - {g}) is minus the ``min_drop`` of
         ``_negation``'s bundle. A good outside the model is a ValueError."""
@@ -178,9 +178,6 @@ class _AdditiveBundle:
         self.goods.remove(g)
         self.value -= self.nums[g]
 
-    def __len__(self):
-        return len(self.goods)
-
     @property
     def min_drop(self):
         if not self.goods:
@@ -220,9 +217,6 @@ class _TableBundle:
         self.goods.remove(g)
         self.mask &= ~(1 << g)
 
-    def __len__(self):
-        return len(self.goods)
-
     @property
     def value(self):
         return self.nums[self.mask]
@@ -260,9 +254,6 @@ class _CompositeBundle:
         if g < self.base_goods:
             self.base.remove(g)
         self.tail.remove(g)
-
-    def __len__(self):
-        return len(self.tail)
 
     @property
     def value(self):

@@ -172,9 +172,6 @@ class ReferenceBundle:
     def remove(self, g: int) -> None:
         self.goods.remove(g)
 
-    def __len__(self):
-        return len(self.goods)
-
     @property
     def value(self) -> Fraction:
         return reference_value(self.model, self.goods)

@@ -94,6 +94,22 @@ class TestBuildChainExamples:
         with pytest.raises(ValueError, match="independent"):
             build_chain(instance, [0, 1])
 
+    def test_dependent_source_errors_keep_their_order(self):
+        # duplicates, then range, then independence, then maximality
+        path_and_isolated = ConflictGraph(4, [(0, 1), (1, 2)])
+        cases = [
+            (path_and_isolated, [0, 1], "source is not an independent set"),
+            (FOUR_CYCLE, [0, 1, 0], "source contains duplicate goods"),
+            (FOUR_CYCLE, [1, 0, 1, 7], "source contains duplicate goods"),
+            (FOUR_CYCLE, [0, 1, 4], "source holds a good outside [0,4)"),
+            (FOUR_CYCLE, [-1, 0, 1], "source holds a good outside [0,4)"),
+        ]
+        for graph, source, message in cases:
+            instance = Instance(graph, 2, Additive([1] * graph.m))
+            with pytest.raises(ValueError) as raised:
+                build_chain(instance, source)
+            assert str(raised.value) == message, source
+
     def test_rejects_duplicate_goods(self):
         instance = Instance(PATH3, 2, Additive([5, 0, 5]))
         with pytest.raises(ValueError, match="source contains duplicate goods"):

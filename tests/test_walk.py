@@ -7,6 +7,7 @@ materialized steps is the ground truth for the scan.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from conflictfair import (
     swap_ef1,
 )
 from conflictfair.chain import Walk, most_valuable_source
-from conflictfair.core import to_goods
+from conflictfair.core import _AdditiveBundle, _TableBundle, to_goods
 from conflictfair.graph_classes import _splice_walk
 
 from conftest import (
@@ -219,3 +220,120 @@ def test_source_outside_the_goods_is_rejected():
     for source in ([0, 1, 2, -1], [0, 1, 2, 3]):
         with pytest.raises(ValueError, match="outside"):
             build_chain(instance, source)
+
+
+def _tie_model(rng, m, chores):
+    """A valuation whose values tie often: additive values in {0, 1, 2}, all
+    zero, a table of steps 0-1, or a composite of such a table and additive
+    values; for chores the same kinds negated, which ``to_goods`` undoes."""
+    sign = -1 if chores else 1
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Additive([sign * rng.randint(0, 2) for _ in range(m)])
+    if kind == 1:
+        return Additive([0] * m)
+    base = m if kind == 2 else rng.randint(0, min(m, 4))
+    table = random_monotone_table(rng, base, step=1)
+    table = Negated(table) if chores else table
+    if kind == 2:
+        return table
+    return Composite(table, base, Additive([sign * rng.randint(0, 2) for _ in range(m)]))
+
+
+def _tie_instance(rng, graph):
+    if rng.random() < 0.5:
+        return Instance(graph, 2, _tie_model(rng, graph.m, False))
+    return to_goods(Instance(graph, 2, _tie_model(rng, graph.m, True), CHORES))
+
+
+def _seeded_tie_instance(seed):
+    rng = random.Random(seed)
+    m = rng.randint(0, 10)
+    return _tie_instance(rng, random_graph(rng, m, rng.choice([0.2, 0.4, 0.6])))
+
+
+# Seeds whose tie-heavy instance takes two swap rounds (31 of the first 40 000).
+ESCALATING_TIES = (250, 874, 1567, 1583, 2142, 2492, 8240, 10445, 12879, 16347, 16562, 18061)
+
+
+def _count_ties(counts, instance, steps, stop):
+    """Count the steps scanned up to ``stop`` (all when None) that hold an
+    empty bundle or two equal values, and those of them the scan stops at."""
+    value = instance.identical_model.value
+    counts["no stop"] += stop is None
+    for i, (one, two) in enumerate(steps[: len(steps) if stop is None else stop + 1]):
+        for kind, holds in (("empty", not (one and two)), ("tied", value(one) == value(two))):
+            counts[kind] += holds
+            counts[kind + " stop"] += holds and i == stop
+
+
+def test_scan_matches_the_definition_where_values_tie():
+    # is_ef1 on each materialized step is the reference; conftest's
+    # reference_swap_ef1 is not, since it scans through chain_ef1 too
+    counts, rng = Counter(), random.Random(606)
+    for seed in (*range(240), *ESCALATING_TIES):
+        instance = _seeded_tie_instance(seed)
+        for source in (most_valuable_source(instance), complete_to_maximal_is(instance.graph, ())):
+            order = sorted(source)
+            rng.shuffle(order)
+            walk = build_chain(instance, order).steps
+            steps = list(walk)
+            expected = _first_ef1_by_definition(instance, steps)
+            assert walk.first_ef1(instance.identical_model) == expected
+            _count_ties(counts, instance, steps, expected[0])
+        allocation, trace = swap_ef1(instance)
+        assert len(trace) >= 1 + (seed in ESCALATING_TIES)
+        for round_ in trace:
+            # a failed round has no EF1 step; the last round returns its first one
+            steps = list(build_chain(instance, round_.source).steps)
+            index, step = _first_ef1_by_definition(instance, steps)
+            assert (index is None) == (round_.chosen is not None)
+            _count_ties(counts, instance, steps, index)
+        assert allocation == step
+    for _ in range(240):
+        m = rng.randint(0, 10)
+        intervals = random_intervals(rng, m, span=rng.choice([6, 12, 20]))
+        instance = _tie_instance(rng, intervals.induced_graph())
+        walk = interval_chains(instance, intervals).combined
+        steps = list(walk)
+        expected = _first_ef1_by_definition(instance, steps)
+        assert walk.first_ef1(instance.identical_model) == expected
+        assert interval_ef1(instance, intervals) == expected[1]
+        _count_ties(counts, instance, steps, expected[0])
+    assert min(counts[k] for k in ("empty", "tied", "empty stop", "tied stop")) >= 100, counts
+    assert counts["no stop"] >= len(ESCALATING_TIES), counts
+
+
+def test_scan_reads_one_drop_per_step(monkeypatch):
+    # only the richer bundle's holder can fail EF1, so a step reads one drop
+    rng = random.Random(707)
+    cases = []
+    for _ in range(60):
+        m = rng.randint(0, 10)
+        model = random_additive(rng, m) if rng.random() < 0.5 else random_monotone_table(rng, m)
+        cases.append((Instance(random_graph(rng, m, rng.choice([0.2, 0.4, 0.6])), 2, model), None))
+        intervals = random_intervals(rng, m, span=12)
+        cases.append((Instance(intervals.induced_graph(), 2, model), intervals))
+    reads = []
+    for bundle in (_AdditiveBundle, _TableBundle):
+
+        def counting(self, drop=bundle.min_drop.fget):
+            reads.append(1)
+            return drop(self)
+
+        monkeypatch.setattr(bundle, "min_drop", property(counting))
+    total = 0
+    for instance, intervals in cases:
+        reads.clear()
+        if intervals is None:
+            walks = [build_chain(instance, round_.source).steps for round_ in swap_ef1(instance)[1]]
+        else:
+            interval_ef1(instance, intervals)
+            walks = [interval_chains(instance, intervals).combined]
+        read, scanned = len(reads), 0
+        for walk in walks:
+            index, _ = _first_ef1_by_definition(instance, list(walk))
+            scanned += len(walk) if index is None else index + 1
+        assert read <= scanned, (instance, read, scanned)
+        total += read
+    assert total >= len(cases)
