@@ -17,7 +17,7 @@ from .core import (
     _over_common_denominator,
     as_fraction,
 )
-from .chain import InapplicableError, Walk, build_chain, chain_ef1, _require_two_agent_identical_goods
+from .chain import InapplicableError, Walk, chain_ef1, chain_steps, _require_two_agent_identical_goods
 
 
 class IntervalSet:
@@ -155,7 +155,7 @@ def interval_scheduling_greedy(
 
 class IntervalChains(NamedTuple):
     """The three chain segments of the interval solver and their gapless
-    concatenation, all as walks whose steps are built on demand. No walk
+    concatenation, all as walks whose moves are generated as read. No walk
     holds a step equal to the one before it."""
 
     narrowing: Walk  # (Z1, Z2) -> (Z1, X'2)
@@ -192,30 +192,37 @@ def _splice_walk(prefix_order, tail_order, fixed: frozenset, fixed_side: int) ->
     bundle is prefix_order[:i] + tail_order[i:]. Both orders must list the
     same-size solutions in scan order. A good joins or leaves only when its
     count over the two parts crosses zero, and a step equal to the one
-    before it is dropped."""
-    count = dict.fromkeys(tail_order, 1)
-    moves = []
-    for joining, leaving in zip(prefix_order, tail_order):
-        if joining == leaving:
-            continue
-        count[joining] = count.get(joining, 0) + 1
-        count[leaving] -= 1
-        ins = (joining,) if count[joining] == 1 else ()
-        outs = (leaving,) if count[leaving] == 0 else ()
-        if ins or outs:
-            moves.append((outs, ins, (), ()) if fixed_side == 1 else ((), (), outs, ins))
+    before it is dropped. The moves are generated as a reader reads them."""
+
+    def moves():
+        count = dict.fromkeys(tail_order, 1)
+        for joining, leaving in zip(prefix_order, tail_order):
+            if joining == leaving:
+                continue
+            count[joining] = count.get(joining, 0) + 1
+            count[leaving] -= 1
+            ins = (joining,) if count[joining] == 1 else ()
+            outs = (leaving,) if count[leaving] == 0 else ()
+            if ins or outs:
+                yield (outs, ins, (), ()) if fixed_side == 1 else ((), (), outs, ins)
+
     moving = frozenset(tail_order)
-    return Walk((fixed, moving) if fixed_side == 0 else (moving, fixed), tuple(moves))
+    return Walk((fixed, moving) if fixed_side == 0 else (moving, fixed), moves)
 
 
 def interval_chains(instance: Instance, intervals: Optional[IntervalSet]) -> IntervalChains:
-    """Build the interval solver's three chain segments and their
-    concatenation as walks; no allocation is materialized. Without
-    intervals, raises ``InapplicableError``."""
+    """The interval solver's three chain segments and their concatenation,
+    as walks. Every call checks the intervals against the graph, picks and
+    two-colors Z, and runs both one-side greedies with their size check;
+    the walks' moves are generated only as a reader reads them, and the
+    core chain's source checks run before its first move, each junction's
+    check when a reader crosses it. Without intervals, raises
+    ``InapplicableError``."""
     model = _require_two_agent_identical_goods(instance)
     if intervals is None:
         raise InapplicableError("instance file has no intervals")
-    intervals.check(instance.graph)
+    graph = instance.graph
+    intervals.check(graph)
 
     # Every set below except ``z`` is independent, and disjoint half-open
     # intervals have the same left and right order, so each list is already
@@ -224,7 +231,7 @@ def interval_chains(instance: Instance, intervals: Optional[IntervalSet]) -> Int
     z1, z2 = _two_color_pick(intervals, z)
     if model._bundle(z1).value < model._bundle(z2).value:
         z1, z2 = z2, z1
-    z1 = _grow_independent(instance.graph, z1, z2)
+    z1 = _grow_independent(graph, z1, z2)
     z2 = [g for g in z2 if g not in z1]
 
     rest = frozenset(range(instance.m)) - z1
@@ -236,7 +243,14 @@ def interval_chains(instance: Instance, intervals: Optional[IntervalSet]) -> Int
     # Bundle 1 fixed at Z_1; bundle 2 morphs Z_2 -> X'_2 along the mirrored
     # (decreasing left endpoint) scan order.
     narrowing = _splice_walk(x2[::-1], z2[::-1], z1, fixed_side=0)
-    core = build_chain(instance, [g for g in z if g in z1], x1=frozenset(x1), x2=frozenset(x2)).steps
+    source, side1, side2 = [g for g in z if g in z1], frozenset(x1), frozenset(x2)
+
+    def core_moves():
+        steps = chain_steps(graph, source, side1, side2)
+        next(steps)  # step 0, (S, X'_2), is the walk's start
+        return steps
+
+    core = Walk((frozenset(source), side2), core_moves)
     # Bundle 2 fixed at Z_1; bundle 1 morphs X'_1 -> Z_2 against the forward
     # (increasing right endpoint) scan order: the splice of X'_1 into Z_2
     # in that order, walked backwards, which is the splice of Z_2 into X'_1
@@ -247,7 +261,10 @@ def interval_chains(instance: Instance, intervals: Optional[IntervalSet]) -> Int
 
 def interval_ef1(instance: Instance, intervals: Optional[IntervalSet]) -> Allocation:
     """Maximal EF1 allocation for an interval graph via the concatenated
-    gapless chain; some member is always EF1."""
+    gapless chain; some member is always EF1. ``interval_chains`` does its
+    checks and greedies on every call; the scan then generates the combined
+    walk's moves only up to the EF1 step, so a segment past it is never
+    built and a junction past it never checked."""
     _, allocation = interval_chains(instance, intervals).combined.first_ef1(instance.identical_model)
     if allocation is None:
         raise RuntimeError("gapless chain contained no EF1 step; invariant violated")

@@ -247,7 +247,8 @@ def allocation_from_json(data) -> Tuple[Allocation, Optional[dict]]:
         raise ParseError(f"malformed bundles: {exc}") from exc
     for bundle in bundles:
         if len(set(bundle)) != len(bundle):
-            raise ParseError(f"bundle lists good {next(g for i, g in enumerate(bundle) if g in bundle[:i])} twice")
+            seen = set()  # the first good, in list order, already seen
+            raise ParseError(f"bundle lists good {next(g for g in bundle if g in seen or seen.add(g))} twice")
     return Allocation(bundles), data.get("certificate")
 
 

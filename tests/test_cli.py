@@ -624,6 +624,17 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_a_repeat_in_the_largest_bundle_is_found_in_one_pass(self, tmp_path, capsys):
+        # SIZE_LIMIT goods and a bundle that repeats its last one: a search
+        # quadratic in the bundle would take about a minute here
+        inst = write(tmp_path, "big.json", {"agents": 2, "goods": 100_000, "edges": [],
+                                            "valuations": {"identical": {"type": "uniform"}}})
+        alloc = write(tmp_path, "a.json", {"bundles": [[*range(100_000), 99_999], []]})
+        start = time.perf_counter()
+        assert main(["check", inst, alloc]) == 3
+        assert time.perf_counter() - start < 1
+        assert "bundle lists good 99999 twice" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_counterexample_has_none(self, tmp_path, capsys):

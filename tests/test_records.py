@@ -118,6 +118,12 @@ def test_walks_compare_hash_and_print_by_start_and_moves():
     assert walk == Walk(start, moves) and hash(walk) == hash((start, moves))
     assert walk != Walk(start, ()) and walk != (start, moves)
     assert repr(walk) == "Walk(start=(frozenset({0}), frozenset()), moves=(((0,), (), (), (0,)),))"
+    # a walk whose moves come on demand reads them once, then keeps them
+    reads = []
+    lazy = Walk(start, lambda: reads.append(1) or iter(moves))
+    assert not reads
+    assert lazy == walk and hash(lazy) == hash(walk) and repr(lazy) == repr(walk) and len(lazy) == 2
+    assert reads == [1]
 
 
 GRAPH = ConflictGraph(3, [(0, 1), (1, 2)])

@@ -166,3 +166,35 @@ def test_interval_chains_runs_the_greedy_three_times(monkeypatch):
         intervals = random_intervals(rng, m, span=rng.randint(2, 16))
         interval_chains(Instance(intervals.induced_graph(), 2, random_additive(rng, m)), intervals)
         assert len(calls) == 3 * solves
+
+
+def test_traced_interval_solves_count_what_the_walks_hold(tracing):
+    # Under install(), interval_ef1 must still reach interval_chains and the
+    # greedy through the module attributes the tracer rebinds; the after
+    # hooks build the whole combined walk, and the published metrics must
+    # equal the same counts over the materialized steps of an untraced solve.
+    graph_classes = layer("graph_classes")
+    rng = random.Random(21)
+    cases = []
+    for _ in range(20):
+        m = rng.randint(1, 16)
+        intervals = random_intervals(rng, m, span=rng.randint(4, 24))
+        cases.append((Instance(intervals.induced_graph(), 2, random_additive(rng, m)), intervals))
+    tracer = tracing.Tracer()
+    records = tracing.install(tracer)
+    try:
+        traced = [graph_classes.interval_ef1(instance, intervals) for instance, intervals in cases]
+    finally:
+        tracing.uninstall(records)
+    built = scanned = 0
+    for (instance, intervals), allocation in zip(cases, traced):
+        combined = list(interval_chains(instance, intervals).combined)
+        assert allocation == interval_ef1(instance, intervals)
+        built += len(combined)
+        scanned += combined.index(allocation) + 1
+    stats = tracing.aggregate(tracer.spans())
+    metrics = tracing.layer_metrics(stats, tracer.counters, 0.0, 0.0, 0.0)
+    assert metrics["graph_classes.combined_steps"] == (built, "count")
+    assert metrics["graph_classes.steps_scanned"] == (scanned, "count")
+    assert metrics["graph_classes.greedy_calls"] == (3 * len(cases), "count")
+    assert stats["graph_classes.interval_ef1"]["calls"] == stats["graph_classes.interval_chains"]["calls"] == len(cases)

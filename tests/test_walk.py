@@ -27,7 +27,8 @@ from conflictfair import (
     is_ef1,
     swap_ef1,
 )
-from conflictfair.chain import Walk, most_valuable_source
+from conflictfair import graph_classes
+from conflictfair.chain import Walk, chain_steps, most_valuable_source
 from conflictfair.core import _AdditiveBundle, _TableBundle, to_goods
 from conflictfair.graph_classes import _splice_walk
 
@@ -41,6 +42,7 @@ from conftest import (
     random_graph,
     random_intervals,
     random_monotone_table,
+    reference_interval_ef1,
     reference_side_sets,
     without_repeats,
 )
@@ -163,10 +165,11 @@ def test_then_needs_a_matching_start():
     second = Walk((frozenset(), frozenset({0})), (((), (1,), (), ()),))
     joined = first.then(second)
     assert list(joined) == [Allocation([{0}, ()]), Allocation([(), {0}]), Allocation([{1}, {0}])]
-    with pytest.raises(RuntimeError):
-        second.then(first)
-    with pytest.raises(RuntimeError):
-        first.then(first)
+    # the junction is checked when a reader first goes past the left walk
+    with pytest.raises(RuntimeError, match="walks do not meet"):
+        list(second.then(first))
+    with pytest.raises(RuntimeError, match="walks do not meet"):
+        len(first.then(first))
 
 
 def test_solvers_build_only_the_allocation_they_return(monkeypatch):
@@ -193,8 +196,15 @@ def test_solvers_build_only_the_allocation_they_return(monkeypatch):
 
 
 def test_solvers_replay_no_walk_to_rebuild_their_step(monkeypatch, swap_corpus, interval_corpus):
-    # chain_ef1 replays nothing; interval_ef1 replays each left walk once,
-    # to check the junction where the next segment starts
+    # chain_ef1 replays nothing; interval_ef1 replays a left segment once,
+    # to check the junction where the next one starts, only if its scan
+    # goes past that junction
+    expected = []
+    for instance, intervals in interval_corpus:
+        chains = interval_chains(instance, intervals)
+        stop, _ = chains.combined.first_ef1(instance.identical_model)
+        narrowing, core = len(chains.narrowing), len(chains.core)
+        expected.append(narrowing * (stop >= narrowing) + core * (stop >= narrowing + core - 1))
     yielded = []
     replay = Walk._replay
 
@@ -208,11 +218,105 @@ def test_solvers_replay_no_walk_to_rebuild_their_step(monkeypatch, swap_corpus, 
         yielded.clear()
         chain_ef1(instance, source)
         assert not yielded
-    for instance, intervals in interval_corpus:
-        chains = interval_chains(instance, intervals)
+    for (instance, intervals), replays in zip(interval_corpus, expected):
         yielded.clear()
         interval_ef1(instance, intervals)
-        assert len(yielded) == len(chains.narrowing) + len(chains.core)
+        assert len(yielded) == replays
+    assert 0 < expected.count(0) < len(expected)
+
+
+@pytest.fixture(scope="module")
+def goods_and_chores_intervals():
+    # each interval set twice: with a goods valuation, and with a chores
+    # valuation negated into goods mode, as the solver receives it
+    rng = random.Random(505)
+    corpus = []
+    for _ in range(60):
+        m = rng.randint(1, 12)
+        intervals = random_intervals(rng, m, span=rng.choice([6, 12, 20]))
+        graph = intervals.induced_graph()
+        corpus.append((Instance(graph, 2, _goods_model(rng, m)), intervals))
+        corpus.append((to_goods(Instance(graph, 2, _chores_model(rng, m), CHORES)), intervals))
+    return corpus
+
+
+def test_interval_scan_generates_no_move_past_its_stop(monkeypatch, goods_and_chores_intervals):
+    # A segment's move counts as generated when its walk is handed it in a
+    # tuple or its generator yields it, and the core's steps also as
+    # chain_steps yields them. Building the chains generates none; a scan
+    # generates only the moves up to its stop, and starts chain_steps only
+    # once it crosses into the core.
+    generated, core_steps = [], []
+
+    class Logging(Walk):
+        __slots__ = ()
+
+        def __init__(self, start, moves):
+            if isinstance(moves, tuple):
+                generated.extend(moves)
+                super().__init__(start, moves)
+            else:
+                super().__init__(start, lambda: (generated.append(move) or move for move in moves()))
+
+    def logged_chain_steps(*args):
+        for step in chain_steps(*args):
+            core_steps.append(step)
+            yield step
+
+    monkeypatch.setattr(graph_classes, "Walk", Logging)
+    monkeypatch.setattr(graph_classes, "chain_steps", logged_chain_steps)
+    stops = Counter()
+    for instance, intervals in goods_and_chores_intervals:
+        expected, _ = reference_interval_ef1(instance, intervals)
+        generated.clear(), core_steps.clear()
+        chains = interval_chains(instance, intervals)
+        assert not generated and not core_steps
+        stop, allocation = chains.combined.first_ef1(instance.identical_model)
+        assert allocation == expected
+        scanned = generated[:], core_steps[:]
+        generated.clear(), core_steps.clear()
+        assert interval_ef1(instance, intervals) == expected
+        assert (generated, core_steps) == scanned
+        narrowing, core = len(chains.narrowing), len(chains.core)
+        assert len(scanned[0]) == stop
+        assert len(scanned[1]) == (0 if stop < narrowing else min(stop - narrowing + 2, core))
+        stops["step 0" if stop == 0 else "narrowing" if stop < narrowing else "past it"] += 1
+    assert min(stops[k] for k in ("step 0", "narrowing", "past it")) >= 10, stops
+
+
+def test_a_faulted_junction_raises_once_a_reader_crosses_it(monkeypatch, goods_and_chores_intervals):
+    # the narrowing loses its last move, so it ends one step short of the
+    # core's start; the widening starts with its bundles swapped
+    cases = []
+    for instance, intervals in goods_and_chores_intervals:
+        chains = interval_chains(instance, intervals)
+        stop, allocation = chains.combined.first_ef1(instance.identical_model)
+        cases.append((instance, intervals, len(chains.narrowing), stop, allocation))
+    splice = graph_classes._splice_walk
+
+    def faulted(prefix, tail, fixed, fixed_side):
+        walk = splice(prefix, tail, fixed, fixed_side)
+        return Walk(walk.start, walk.moves[:-1]) if fixed_side == 0 else Walk(walk.start[::-1], walk.moves)
+
+    monkeypatch.setattr(graph_classes, "_splice_walk", faulted)
+    outcomes = Counter()
+    for instance, intervals, narrowing, stop, allocation in cases:
+        chains = interval_chains(instance, intervals)
+        with pytest.raises(RuntimeError, match="walks do not meet"):
+            len(chains.combined)
+        with pytest.raises(RuntimeError, match="walks do not meet"):
+            list(chains.core.then(chains.widening))
+        if narrowing == 1:
+            continue  # no move to lose: the narrowing junction holds
+        if stop < narrowing - 1:
+            # the scan stops before the faulted junction, where it stopped before
+            assert interval_ef1(instance, intervals) == allocation
+            outcomes["stops before"] += 1
+        else:
+            with pytest.raises(RuntimeError, match="walks do not meet"):
+                interval_ef1(instance, intervals)
+            outcomes["crosses"] += 1
+    assert min(outcomes["stops before"], outcomes["crosses"]) >= 10, outcomes
 
 
 def test_source_outside_the_goods_is_rejected():
