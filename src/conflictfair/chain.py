@@ -8,18 +8,17 @@ side sets, the end-to-end value gap flips sign and some step must be EF1.
 
 The step rule is one generator, :func:`chain_steps`; :func:`first_ef1_step`
 scans its moves, or a :class:`Walk`'s, and stops at the first EF1 step. A
-walk's moves come on demand, so a scan generates none past its stop, and
-where :meth:`Walk.then` joins two walks the junction is checked when a reader
-first crosses it. The scan's model is a goods model, monotone with v({}) = 0
-(``Instance`` checks both), so the richer bundle R's holder never envies the
-poorer P, as min_g v(P - {g}) <= v(P) <= v(R) (0 for an empty P): a step is
-EF1 iff R's drop is at most v(P).
+walk's moves come on demand, so a scan generates none past its stop. The
+scan's model is a goods model, monotone with v({}) = 0 (``Instance`` checks
+both), so the richer bundle R's holder never envies the poorer P, as
+min_g v(P - {g}) <= v(P) <= v(R) (0 for an empty P): a step is EF1 iff R's
+drop is at most v(P).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     GOODS,
@@ -36,33 +35,26 @@ from .core import (
 
 class Walk(_ByFields):
     """A sequence of two-agent allocations kept as the first step's two
-    bundles and, for each later step, the goods that leave and join each
-    bundle: ``(out1, in1, out2, in2)``.
+    bundles and a zero-argument function that returns a fresh iterator of
+    the moves to each later step, the goods that leave and join each bundle:
+    ``(out1, in1, out2, in2)``.
 
-    The moves come as a tuple, or on demand from a zero-argument function
-    that returns a fresh iterator of them each time a reader starts.
     ``first_ef1`` pulls only the moves its scan reads, scans them with
     running bundles and materializes only the step it returns; ``moves``,
-    ``len``, ``index``, iteration, ``==`` and ``hash`` read every move once
-    and keep the tuple.
+    ``len``, ``index``, iteration, ``==`` and ``hash`` read every move
+    afresh on each call.
     """
 
     _fields = ("start", "moves")
     __slots__ = ("start", "_moves")
 
-    def __init__(self, start: tuple, moves):
+    def __init__(self, start: tuple, moves: Callable[[], Iterator[tuple]]):
         self.start = start  # (bundle 1, bundle 2) of step 0, as frozensets
         self._moves = moves
 
     @property
     def moves(self) -> tuple:
-        if not isinstance(self._moves, tuple):
-            self._moves = tuple(self._moves())
-        return self._moves
-
-    def _read(self) -> Iterator[tuple]:
-        """A fresh iterator of the moves, kept or on demand."""
-        return iter(self._moves) if isinstance(self._moves, tuple) else self._moves()
+        return tuple(self._moves())
 
     def __len__(self):
         return len(self.moves) + 1
@@ -71,7 +63,7 @@ class Walk(_ByFields):
         """Each step's two bundles, as two sets changed in place."""
         one, two = set(self.start[0]), set(self.start[1])
         yield one, two
-        for out1, in1, out2, in2 in self._read():
+        for out1, in1, out2, in2 in self._moves():
             one.difference_update(out1)
             one.update(in1)
             two.difference_update(out2)
@@ -79,43 +71,22 @@ class Walk(_ByFields):
             yield one, two
 
     def __iter__(self):
-        self.moves  # read and keep every move
         return (Allocation(pair) for pair in self._replay())
 
     def index(self, allocation) -> int:
         """Position of the first step equal to ``allocation``."""
         if isinstance(allocation, Allocation):
-            self.moves  # read and keep every move
             for i, pair in enumerate(self._replay()):
                 if allocation.bundles == pair:
                     return i
         raise ValueError(f"{allocation!r} is not a step of this walk")
-
-    def then(self, other: "Walk") -> "Walk":
-        """This walk followed by ``other``, which must start at this walk's
-        last step; the shared step appears once. The join reads neither
-        walk: a reader that goes past this walk's last move replays the
-        moves it read to check that ``other`` starts there, and raises
-        ``RuntimeError`` if not."""
-
-        def moves():
-            read = []
-            for move in self._read():
-                read.append(move)
-                yield move
-            *_, end = Walk(self.start, tuple(read))._replay()
-            if end != other.start:
-                raise RuntimeError("walks do not meet: the second does not start where the first ends")
-            yield from other._read()
-
-        return Walk(self.start, moves)
 
     def first_ef1(self, model: ValuationModel) -> Tuple[Optional[int], Optional[Allocation]]:
         """Index and allocation of the first EF1 step for two agents with the
         identical goods valuation ``model`` (monotone, v({}) = 0), read from
         the running bundles where the scan stops; ``(None, None)`` if none is."""
         one, two = model._bundle(self.start[0]), model._bundle(self.start[1])
-        i = first_ef1_step(one, two, self._read())
+        i = first_ef1_step(one, two, self._moves())
         return (None, None) if i is None else (i, Allocation((one.goods, two.goods)))
 
 
@@ -242,14 +213,13 @@ def first_ef1_step(one, two, moves: Iterable[tuple]) -> Optional[int]:
     return None
 
 
-def build_chain(instance: Instance, source: Sequence[int], *, x1=None, x2=None) -> Chain:
+def build_chain(instance: Instance, source: Sequence[int]) -> Chain:
     """The chain A^(0)..A^(k) for the ordered maximal independent set
-    ``source``: every move of :func:`chain_steps`, which says what
-    ``x1``/``x2`` override, as a walk."""
+    ``source``: every move of :func:`chain_steps`, built at once, as a walk."""
     _require_two_agent_identical_goods(instance)
-    steps = chain_steps(instance.graph, source, x1, x2)
+    steps = chain_steps(instance.graph, source)
     _, s, _, x2 = next(steps)
-    return Chain(Walk((s, x2), tuple(steps)))
+    return Chain(Walk((s, x2), tuple(steps).__iter__))
 
 
 def chain_ef1(instance: Instance, source: Sequence[int]) -> ChainOutcome:

@@ -4,7 +4,7 @@ graphs, and the m <= n+1 round-robin procedure."""
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     GOODS,
@@ -154,13 +154,11 @@ def interval_scheduling_greedy(
 
 
 class IntervalChains(NamedTuple):
-    """The three chain segments of the interval solver and their gapless
-    concatenation, all as walks whose moves are generated as read. No walk
-    holds a step equal to the one before it."""
+    """The interval solver's gapless chain as one walk, whose moves are
+    generated as read: the narrowing splice (Z1, Z2) -> (Z1, X'2), the core
+    maximal-IS chain (Z1, X'2) -> (X'1, Z1) and the widening splice
+    (X'1, Z1) -> (Z2, Z1). No step equals the one before it."""
 
-    narrowing: Walk  # (Z1, Z2) -> (Z1, X'2)
-    core: Walk  # (Z1, X'2) -> (X'1, Z1), the maximal-IS chain
-    widening: Walk  # (X'1, Z1) -> (Z2, Z1)
     combined: Walk
 
 
@@ -186,38 +184,33 @@ def _two_color_pick(intervals: IntervalSet, chosen) -> Tuple[list, list]:
     return sides
 
 
-def _splice_walk(prefix_order, tail_order, fixed: frozenset, fixed_side: int) -> Walk:
-    """Allocations obtained by replacing ever-longer greedy prefixes of an
-    optimal solution, per the prefix-splice argument: step i's moving
-    bundle is prefix_order[:i] + tail_order[i:]. Both orders must list the
-    same-size solutions in scan order. A good joins or leaves only when its
-    count over the two parts crosses zero, and a step equal to the one
-    before it is dropped. The moves are generated as a reader reads them."""
-
-    def moves():
-        count = dict.fromkeys(tail_order, 1)
-        for joining, leaving in zip(prefix_order, tail_order):
-            if joining == leaving:
-                continue
-            count[joining] = count.get(joining, 0) + 1
-            count[leaving] -= 1
-            ins = (joining,) if count[joining] == 1 else ()
-            outs = (leaving,) if count[leaving] == 0 else ()
-            if ins or outs:
-                yield (outs, ins, (), ()) if fixed_side == 1 else ((), (), outs, ins)
-
-    moving = frozenset(tail_order)
-    return Walk((fixed, moving) if fixed_side == 0 else (moving, fixed), moves)
+def _splice_moves(prefix_order, tail_order, fixed_side: int) -> Iterator[tuple]:
+    """Moves between allocations obtained by replacing ever-longer greedy
+    prefixes of an optimal solution, per the prefix-splice argument: step
+    i's moving bundle, beside the fixed bundle ``fixed_side``, is
+    prefix_order[:i] + tail_order[i:]. Both orders must list the same-size
+    solutions in scan order. A good joins or leaves only when its count over
+    the two parts crosses zero, and a step equal to the one before it is
+    dropped."""
+    count = dict.fromkeys(tail_order, 1)
+    for joining, leaving in zip(prefix_order, tail_order):
+        if joining == leaving:
+            continue
+        count[joining] = count.get(joining, 0) + 1
+        count[leaving] -= 1
+        ins = (joining,) if count[joining] == 1 else ()
+        outs = (leaving,) if count[leaving] == 0 else ()
+        if ins or outs:
+            yield (outs, ins, (), ()) if fixed_side == 1 else ((), (), outs, ins)
 
 
 def interval_chains(instance: Instance, intervals: Optional[IntervalSet]) -> IntervalChains:
-    """The interval solver's three chain segments and their concatenation,
-    as walks. Every call checks the intervals against the graph, picks and
-    two-colors Z, and runs both one-side greedies with their size check;
-    the walks' moves are generated only as a reader reads them, and the
-    core chain's source checks run before its first move, each junction's
-    check when a reader crosses it. Without intervals, raises
-    ``InapplicableError``."""
+    """The interval solver's gapless chain, as one walk. Every call checks
+    the intervals against the graph, picks and two-colors Z, and runs both
+    one-side greedies with their size check; the moves are generated only as
+    a reader reads them. The core chain starts, with its source checks, only
+    once a reader goes past the narrowing, and each junction is checked when
+    a reader crosses it. Without intervals, raises ``InapplicableError``."""
     model = _require_two_agent_identical_goods(instance)
     if intervals is None:
         raise InapplicableError("instance file has no intervals")
@@ -239,32 +232,45 @@ def interval_chains(instance: Instance, intervals: Optional[IntervalSet]) -> Int
     x2 = interval_scheduling_greedy(intervals, rest, c=1, direction="reverse")
     if not (len(x1) == len(x2) == len(z2)):
         raise RuntimeError("one-side greedy solutions must match |Z_2|; optimality violated")
-
-    # Bundle 1 fixed at Z_1; bundle 2 morphs Z_2 -> X'_2 along the mirrored
-    # (decreasing left endpoint) scan order.
-    narrowing = _splice_walk(x2[::-1], z2[::-1], z1, fixed_side=0)
     source, side1, side2 = [g for g in z if g in z1], frozenset(x1), frozenset(x2)
+    start = (z1, frozenset(z2))
 
-    def core_moves():
+    def core():
         steps = chain_steps(graph, source, side1, side2)
-        next(steps)  # step 0, (S, X'_2), is the walk's start
-        return steps
+        next(steps)  # step 0, (Z_1, X'_2), is where the narrowing ends
+        yield from steps
 
-    core = Walk((frozenset(source), side2), core_moves)
-    # Bundle 2 fixed at Z_1; bundle 1 morphs X'_1 -> Z_2 against the forward
-    # (increasing right endpoint) scan order: the splice of X'_1 into Z_2
-    # in that order, walked backwards, which is the splice of Z_2 into X'_1
-    # in the reverse order.
-    widening = _splice_walk(z2[::-1], x1[::-1], z1, fixed_side=1)
-    return IntervalChains(narrowing, core, widening, narrowing.then(core.then(widening)))
+    def moves():
+        # The narrowing fixes bundle 1 at Z_1 and morphs bundle 2 Z_2 -> X'_2
+        # along the mirrored (decreasing left endpoint) scan order; the core
+        # runs from there to (X'_1, Z_1). A reader that goes past a
+        # segment's last move replays the moves it read to check that the
+        # next segment starts at that step.
+        at = start
+        for segment, end in ((_splice_moves(x2[::-1], z2[::-1], 0), (z1, side2)), (core(), (side1, z1))):
+            read = []
+            for move in segment:
+                read.append(move)
+                yield move
+            *_, reached = Walk(at, read.__iter__)._replay()
+            if reached != end:
+                raise RuntimeError("walks do not meet: the second does not start where the first ends")
+            at = end
+        # The widening fixes bundle 2 at Z_1 and morphs bundle 1 X'_1 -> Z_2
+        # against the forward (increasing right endpoint) scan order: the
+        # splice of X'_1 into Z_2 in that order, walked backwards, which is
+        # the splice of Z_2 into X'_1 in the reverse order.
+        yield from _splice_moves(z2[::-1], x1[::-1], 1)
+
+    return IntervalChains(Walk(start, moves))
 
 
 def interval_ef1(instance: Instance, intervals: Optional[IntervalSet]) -> Allocation:
-    """Maximal EF1 allocation for an interval graph via the concatenated
-    gapless chain; some member is always EF1. ``interval_chains`` does its
-    checks and greedies on every call; the scan then generates the combined
-    walk's moves only up to the EF1 step, so a segment past it is never
-    built and a junction past it never checked."""
+    """Maximal EF1 allocation for an interval graph via the gapless chain;
+    some member is always EF1. ``interval_chains`` does its checks and
+    greedies on every call; the scan then generates the chain's moves only
+    up to the EF1 step, so the core chain is started only if the scan goes
+    past the narrowing, and a junction past the stop is never checked."""
     _, allocation = interval_chains(instance, intervals).combined.first_ef1(instance.identical_model)
     if allocation is None:
         raise RuntimeError("gapless chain contained no EF1 step; invariant violated")

@@ -23,11 +23,11 @@ from conflictfair import (
     SwapIteration,
     Table,
     ValidationReport,
-    build_chain,
     chain_ef1,
     complete_to_maximal_is,
     enumerate_maximal_allocations,
     evaluate,
+    interval_scheduling_greedy,
     is_ef1,
     is_independent_set,
     is_maximal,
@@ -580,14 +580,14 @@ def reference_swap_ef1(instance: Instance) -> tuple:
         source = complete_to_maximal_is(instance.graph, x1 if chosen == 1 else x2)
 
 
-def eager_chain_steps(graph: ConflictGraph, source, chain) -> list:
-    """Reference for ``build_chain``'s walk over ``source``: every step
-    A^(i) built from its definition, bundle 1 = s_{i+1..k} +
-    {t in X_1 : q(t) <= i} and bundle 2 = s_{1..i} + {t in X_2 : p(t) > i},
-    with p and q from ``chain_positions`` and X_1, X_2 from ``chain``'s ends."""
+def eager_chain_steps(graph: ConflictGraph, source, x1, x2) -> list:
+    """Reference for ``chain_steps`` over ``source`` with side sets X_1 =
+    ``x1`` and X_2 = ``x2`` (for a ``build_chain`` walk, its ends, read by
+    ``chain_side_sets``): every step A^(i) built from its definition,
+    bundle 1 = s_{i+1..k} + {t in X_1 : q(t) <= i} and bundle 2 =
+    s_{1..i} + {t in X_2 : p(t) > i}, with p and q from ``chain_positions``."""
     s = tuple(source)
     p, q = chain_positions(graph, s)
-    x1, x2 = chain_side_sets(chain)
     return [
         Allocation(
             [
@@ -616,12 +616,15 @@ def eager_splice(prefix_order, tail_order, fixed, fixed_side):
     return steps
 
 
-def interval_junctions(chains) -> tuple:
-    """The sets (Z_1, Z_2, X'_2, X'_1) at the ends of ``interval_chains``'
-    segments: the narrowing starts at (Z_1, Z_2), the core at (Z_1, X'_2)
-    and the widening at (X'_1, Z_1)."""
-    z1, z2 = chains.narrowing.start
-    return z1, z2, chains.core.start[1], chains.widening.start[0]
+def interval_junctions(intervals: IntervalSet, chains) -> tuple:
+    """The sets (Z_1, Z_2, X'_2, X'_1) where ``interval_chains``' segments
+    start: (Z_1, Z_2) is the combined walk's start, and X'_1 and X'_2 are
+    the forward and reverse one-side greedies on the goods outside Z_1, as
+    the solver picks them."""
+    z1, z2 = chains.combined.start
+    rest = frozenset(range(len(intervals))) - z1
+    x1, x2 = (frozenset(interval_scheduling_greedy(intervals, rest, 1, way)) for way in ("forward", "reverse"))
+    return z1, z2, x2, x1
 
 
 def eager_interval_segments(instance: Instance, intervals: IntervalSet, junctions):
@@ -633,14 +636,22 @@ def eager_interval_segments(instance: Instance, intervals: IntervalSet, junction
     by_left = lambda g: intervals.keys[g][0]
     z1, z2, x2, x1 = junctions
     narrowing = eager_splice(sorted(x2, key=by_left, reverse=True), sorted(z2, key=by_left, reverse=True), z1, 0)
-    source = sorted(z1, key=by_left)
-    core = eager_chain_steps(instance.graph, source, build_chain(instance, source, x1=x1, x2=x2))
+    core = eager_chain_steps(instance.graph, sorted(z1, key=by_left), x1, x2)
     widening = eager_splice(sorted(x1, key=by_right), sorted(z2, key=by_right), z1, 1)[::-1]
     combined = list(narrowing)
     for step in core + widening:
         if step != combined[-1]:
             combined.append(step)
     return narrowing, core, widening, combined
+
+
+def interval_segments(instance: Instance, intervals: IntervalSet, chains) -> tuple:
+    """The narrowing, core and widening that ``chains.combined`` lays end to
+    end, each sharing its first step with the last of the one before it:
+    ``eager_interval_segments`` at ``chains``' junctions, with each step
+    equal to the one before it dropped."""
+    *segments, _ = eager_interval_segments(instance, intervals, interval_junctions(intervals, chains))
+    return tuple(map(without_repeats, segments))
 
 
 def without_repeats(steps) -> list:

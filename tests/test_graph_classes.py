@@ -31,6 +31,7 @@ from conflictfair.oracle import exists_maximal_ef1
 from conftest import (
     brute_max_schedule_size,
     interval_junctions,
+    interval_segments,
     is_ordered_adjacent,
     random_additive,
     random_graph,
@@ -393,7 +394,7 @@ class TestIntervalEf1:
             instance = Instance(iv.induced_graph(), 2, model)
             expected, junctions = reference_interval_ef1(instance, iv)
             assert interval_ef1(instance, iv) == expected, iv.intervals
-            assert interval_junctions(interval_chains(instance, iv)) == junctions, iv.intervals
+            assert interval_junctions(iv, interval_chains(instance, iv)) == junctions, iv.intervals
 
     def test_chain_segments_are_maximal_and_gapless(self, rng):
         for _ in range(40):
@@ -402,11 +403,16 @@ class TestIntervalEf1:
             instance = Instance(iv.induced_graph(), 2, random_additive(rng, m))
             model = instance.identical_model
             chains = interval_chains(instance, iv)
-            for segment in (chains.narrowing, chains.core, chains.widening):
-                for step in segment:
-                    assert validate_allocation(instance, step).wellformed
-                    assert is_maximal(instance, step)
             combined = list(chains.combined)
+            # the walk lays the three segments end to end, so each step of
+            # each segment is a step of the walk
+            narrowing, core, widening = interval_segments(instance, iv, chains)
+            n, c = len(narrowing), len(core)
+            assert combined[:n] == narrowing and combined[n - 1 : n + c - 1] == core
+            assert combined[n + c - 2 :] == widening
+            for step in combined:
+                assert validate_allocation(instance, step).wellformed
+                assert is_maximal(instance, step)
             assert evaluate(model, combined[0][0]) >= evaluate(model, combined[0][1])
             assert evaluate(model, combined[-1][0]) <= evaluate(model, combined[-1][1])
             for prev, cur in itertools.pairwise(combined):

@@ -42,7 +42,7 @@ RECORDS = {
     ValidationReport: ("disjoint", "independent", "wellformed"),
     Chain: ("steps",),
     ChainOutcome: ("allocation", "step_index", "chain"),
-    IntervalChains: ("narrowing", "core", "widening", "combined"),
+    IntervalChains: ("combined",),
     SwapIteration: ("source", "value", "chosen"),
     Solution: ("algorithm", "allocation"),
     EnumerationBudget: ("max_assignments", "wall_clock_seconds"),
@@ -113,17 +113,18 @@ def test_models_compare_hash_and_print_as_frozen_dataclasses():
 
 
 def test_walks_compare_hash_and_print_by_start_and_moves():
+    # a walk holds a function that returns a fresh iterator of its moves; it
+    # reads none when built, and all of them afresh on each comparison,
+    # hash, repr and len
     start, moves = (frozenset({0}), frozenset()), (((0,), (), (), (0,)),)
-    walk = Walk(start, moves)
-    assert walk == Walk(start, moves) and hash(walk) == hash((start, moves))
-    assert walk != Walk(start, ()) and walk != (start, moves)
-    assert repr(walk) == "Walk(start=(frozenset({0}), frozenset()), moves=(((0,), (), (), (0,)),))"
-    # a walk whose moves come on demand reads them once, then keeps them
     reads = []
-    lazy = Walk(start, lambda: reads.append(1) or iter(moves))
+    walk = Walk(start, lambda: reads.append(1) or iter(moves))
     assert not reads
-    assert lazy == walk and hash(lazy) == hash(walk) and repr(lazy) == repr(walk) and len(lazy) == 2
-    assert reads == [1]
+    assert walk == Walk(start, moves.__iter__) and hash(walk) == hash((start, moves))
+    assert walk != Walk(start, ().__iter__) and walk != (start, moves)
+    assert repr(walk) == "Walk(start=(frozenset({0}), frozenset()), moves=(((0,), (), (), (0,)),))"
+    assert len(walk) == 2
+    assert len(reads) == 5
 
 
 GRAPH = ConflictGraph(3, [(0, 1), (1, 2)])
@@ -178,7 +179,7 @@ def test_value_types_compare_and_hash_by_their_fields(name):
         assert repr(twin) == repr(value)
     for other in changed:
         assert other != value and value != other, other
-    others = [v for k, (v, *_) in VALUE_TYPES.items() if k != name] + [Walk((), ()), Additive([0, 1, 1, 2])]
+    others = [v for k, (v, *_) in VALUE_TYPES.items() if k != name] + [Walk((), ().__iter__), Additive([0, 1, 1, 2])]
     for other in [fields, fields[0]] + others:
         assert value != other and other != value, other
     assert len({value, *twins}) == 1

@@ -1,11 +1,13 @@
 """The lazy chain walk against the eager construction it replaces.
 
-``build_chain`` and ``interval_chains`` return walks (a start pair plus
-per-step moves) and scan them with running bundles; the references in
-``conftest`` build every step from its definition, and ``is_ef1`` on the
-materialized steps is the ground truth for the scan.
+``build_chain`` and ``interval_chains`` return walks (a start pair plus a
+function that generates the per-step moves) and scan them with running
+bundles; the references in ``conftest`` build every step from its
+definition, and ``is_ef1`` on the materialized steps is the ground truth for
+the scan.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +20,8 @@ from conflictfair import (
     Allocation,
     Composite,
     Instance,
+    IntervalChains,
+    IntervalSet,
     Negated,
     build_chain,
     chain_ef1,
@@ -30,7 +34,7 @@ from conflictfair import (
 from conflictfair import graph_classes
 from conflictfair.chain import Walk, chain_steps, most_valuable_source
 from conflictfair.core import _AdditiveBundle, _TableBundle, to_goods
-from conflictfair.graph_classes import _splice_walk
+from conflictfair.graph_classes import _splice_moves
 
 from conftest import (
     chain_side_sets,
@@ -38,6 +42,7 @@ from conftest import (
     eager_interval_segments,
     eager_splice,
     interval_junctions,
+    interval_segments,
     random_additive,
     random_graph,
     random_intervals,
@@ -114,7 +119,7 @@ def test_chain_walk_equals_eager_steps(swap_corpus):
         chain = build_chain(instance, source)
         # X_1, chosen a step at a time, and X_2, at the walk's ends, equal the sorted greedy sets
         assert chain_side_sets(chain) == reference_side_sets(instance.graph, source)
-        reference = eager_chain_steps(instance.graph, source, chain)
+        reference = eager_chain_steps(instance.graph, source, *chain_side_sets(chain))
         assert list(chain.steps) == without_repeats(reference) == reference
         assert len(chain.steps) == len(reference)
         assert chain.steps.first_ef1(instance.identical_model) == _first_ef1_by_definition(instance, reference)
@@ -123,12 +128,17 @@ def test_chain_walk_equals_eager_steps(swap_corpus):
 def test_interval_walks_equal_eager_segments(interval_corpus):
     for instance, intervals in interval_corpus:
         chains = interval_chains(instance, intervals)
-        narrowing, core, widening, combined = eager_interval_segments(instance, intervals, interval_junctions(chains))
-        assert list(chains.narrowing) == without_repeats(narrowing)
-        assert list(chains.core) == without_repeats(core)
-        assert list(chains.widening) == without_repeats(widening)
-        assert list(chains.combined) == without_repeats(combined)
+        junctions = interval_junctions(intervals, chains)
+        segments = eager_interval_segments(instance, intervals, junctions)
+        narrowing, core, widening, combined = map(without_repeats, segments)
+        # the walk lays the segments end to end, each starting at the last
+        # step of the one before
         steps = list(chains.combined)
+        n, c = len(narrowing), len(core)
+        assert steps[:n] == narrowing
+        assert steps[n - 1 : n + c - 1] == core
+        assert steps[n + c - 2 :] == widening
+        assert steps == combined
         assert chains.combined.first_ef1(instance.identical_model) == _first_ef1_by_definition(instance, steps)
         # dropping repeats cannot change the allocation the solver returns
         assert interval_ef1(instance, intervals) == _first_ef1_by_definition(instance, combined)[1]
@@ -146,7 +156,8 @@ def test_splice_walk_equals_eager_splice_on_any_orders():
     for prefix, tail in cases:
         for side in (0, 1):
             fixed = frozenset(range(10, 10 + rng.randint(0, 2)))
-            walk = _splice_walk(prefix, tail, fixed, side)
+            start = (fixed, frozenset(tail)) if side == 0 else (frozenset(tail), fixed)
+            walk = Walk(start, lambda: _splice_moves(prefix, tail, side))
             assert list(walk) == without_repeats(eager_splice(prefix, tail, fixed, side))
 
 
@@ -160,16 +171,26 @@ def test_indexing_slicing_and_index_match_the_list(swap_corpus, interval_corpus)
             walk.index(Allocation([{-1}, ()]))
 
 
-def test_then_needs_a_matching_start():
-    first = Walk((frozenset({0}), frozenset()), (((0,), (), (), (0,)),))
-    second = Walk((frozenset(), frozenset({0})), (((), (1,), (), ()),))
-    joined = first.then(second)
-    assert list(joined) == [Allocation([{0}, ()]), Allocation([(), {0}]), Allocation([{1}, {0}])]
-    # the junction is checked when a reader first goes past the left walk
+def test_a_junction_needs_a_matching_start(monkeypatch):
+    # a narrowing of three steps and a core of three, sharing one step, and
+    # a widening of one, the core's last
+    intervals = IntervalSet([(6, 8), (3, 5), (4, 6), (5, 7), (5, 7), (3, 5)])
+    instance = Instance(intervals.induced_graph(), 2, Additive([1] * 6))
+    steps = [({1, 3}, {4, 5}), ({1, 3}, {0, 5}), ({1, 3}, {0, 2}), ({3, 5}, {0, 1}), ({4, 5}, {1, 3})]
+    assert list(interval_chains(instance, intervals).combined) == list(map(Allocation, steps))
+    # a narrowing that loses its last move ends one step short of the
+    # core's start: a reader gets the move before the junction, then the
+    # error when it goes past it
+    splice = graph_classes._splice_moves
+    short = lambda *args: iter([*splice(*args)][: -1 if args[2] == 0 else None])
+    monkeypatch.setattr(graph_classes, "_splice_moves", short)
+    walk = interval_chains(instance, intervals).combined
+    moves = walk._moves()
+    assert next(moves) == ((), (), (4,), (0,))
     with pytest.raises(RuntimeError, match="walks do not meet"):
-        list(second.then(first))
+        next(moves)
     with pytest.raises(RuntimeError, match="walks do not meet"):
-        len(first.then(first))
+        len(walk)
 
 
 def test_solvers_build_only_the_allocation_they_return(monkeypatch):
@@ -196,14 +217,14 @@ def test_solvers_build_only_the_allocation_they_return(monkeypatch):
 
 
 def test_solvers_replay_no_walk_to_rebuild_their_step(monkeypatch, swap_corpus, interval_corpus):
-    # chain_ef1 replays nothing; interval_ef1 replays a left segment once,
-    # to check the junction where the next one starts, only if its scan
-    # goes past that junction
+    # chain_ef1 replays nothing; interval_ef1 replays a segment's moves
+    # once, to check the junction where the next segment starts, only if
+    # its scan goes past that junction
     expected = []
     for instance, intervals in interval_corpus:
         chains = interval_chains(instance, intervals)
         stop, _ = chains.combined.first_ef1(instance.identical_model)
-        narrowing, core = len(chains.narrowing), len(chains.core)
+        narrowing, core, _ = map(len, interval_segments(instance, intervals, chains))
         expected.append(narrowing * (stop >= narrowing) + core * (stop >= narrowing + core - 1))
     yielded = []
     replay = Walk._replay
@@ -241,35 +262,31 @@ def goods_and_chores_intervals():
 
 
 def test_interval_scan_generates_no_move_past_its_stop(monkeypatch, goods_and_chores_intervals):
-    # A segment's move counts as generated when its walk is handed it in a
-    # tuple or its generator yields it, and the core's steps also as
-    # chain_steps yields them. Building the chains generates none; a scan
-    # generates only the moves up to its stop, and starts chain_steps only
-    # once it crosses into the core.
+    # A move counts as generated when the walk's generator yields it, and
+    # the core's steps also as chain_steps yields them. Building the chains
+    # generates none; a scan generates only the moves up to its stop, and
+    # starts chain_steps only once it crosses into the core.
     generated, core_steps = [], []
+    segments = [map(len, interval_segments(instance, intervals, interval_chains(instance, intervals)))
+                for instance, intervals in goods_and_chores_intervals]
 
-    class Logging(Walk):
-        __slots__ = ()
-
-        def __init__(self, start, moves):
-            if isinstance(moves, tuple):
-                generated.extend(moves)
-                super().__init__(start, moves)
-            else:
-                super().__init__(start, lambda: (generated.append(move) or move for move in moves()))
+    def logged_chains(*args):
+        walk = interval_chains(*args).combined
+        return IntervalChains(Walk(walk.start, lambda: (generated.append(move) or move for move in walk._moves())))
 
     def logged_chain_steps(*args):
         for step in chain_steps(*args):
             core_steps.append(step)
             yield step
 
-    monkeypatch.setattr(graph_classes, "Walk", Logging)
+    # interval_ef1 reaches both through the module attributes
+    monkeypatch.setattr(graph_classes, "interval_chains", logged_chains)
     monkeypatch.setattr(graph_classes, "chain_steps", logged_chain_steps)
     stops = Counter()
-    for instance, intervals in goods_and_chores_intervals:
+    for (instance, intervals), (narrowing, core, _) in zip(goods_and_chores_intervals, segments):
         expected, _ = reference_interval_ef1(instance, intervals)
         generated.clear(), core_steps.clear()
-        chains = interval_chains(instance, intervals)
+        chains = logged_chains(instance, intervals)
         assert not generated and not core_steps
         stop, allocation = chains.combined.first_ef1(instance.identical_model)
         assert allocation == expected
@@ -277,46 +294,78 @@ def test_interval_scan_generates_no_move_past_its_stop(monkeypatch, goods_and_ch
         generated.clear(), core_steps.clear()
         assert interval_ef1(instance, intervals) == expected
         assert (generated, core_steps) == scanned
-        narrowing, core = len(chains.narrowing), len(chains.core)
         assert len(scanned[0]) == stop
         assert len(scanned[1]) == (0 if stop < narrowing else min(stop - narrowing + 2, core))
         stops["step 0" if stop == 0 else "narrowing" if stop < narrowing else "past it"] += 1
     assert min(stops[k] for k in ("step 0", "narrowing", "past it")) >= 10, stops
 
 
+def test_interval_scan_calls_chain_steps_only_past_the_narrowing(monkeypatch, goods_and_chores_intervals):
+    # graph_classes.chain_steps counted through the module attribute: an
+    # untraced solve that stops in the narrowing never starts the core
+    # chain, and one that stops later starts it once.
+    cases = []
+    for instance, intervals in goods_and_chores_intervals:
+        chains = interval_chains(instance, intervals)
+        stop, _ = chains.combined.first_ef1(instance.identical_model)
+        narrowing, _, _ = interval_segments(instance, intervals, chains)
+        cases.append((instance, intervals, stop >= len(narrowing)))
+    calls = []
+    original = graph_classes.chain_steps
+    monkeypatch.setattr(graph_classes, "chain_steps", lambda *args: calls.append(args) or original(*args))
+    stops = Counter()
+    for instance, intervals, past in cases:
+        calls.clear()
+        interval_ef1(instance, intervals)
+        assert len(calls) == past
+        stops[past] += 1
+    assert min(stops.values()) >= 10 and len(stops) == 2, stops
+
+
 def test_a_faulted_junction_raises_once_a_reader_crosses_it(monkeypatch, goods_and_chores_intervals):
-    # the narrowing loses its last move, so it ends one step short of the
-    # core's start; the widening starts with its bundles swapped
+    # The narrowing splice loses its last move, so it ends one step short
+    # of the core's start; or the core chain loses its last move, so it ends
+    # one step short of the widening's start. A reader gets every move
+    # before the faulted junction, then the error; a scan that stops before
+    # it returns what it returned unfaulted.
     cases = []
     for instance, intervals in goods_and_chores_intervals:
         chains = interval_chains(instance, intervals)
         stop, allocation = chains.combined.first_ef1(instance.identical_model)
-        cases.append((instance, intervals, len(chains.narrowing), stop, allocation))
-    splice = graph_classes._splice_walk
-
-    def faulted(prefix, tail, fixed, fixed_side):
-        walk = splice(prefix, tail, fixed, fixed_side)
-        return Walk(walk.start, walk.moves[:-1]) if fixed_side == 0 else Walk(walk.start[::-1], walk.moves)
-
-    monkeypatch.setattr(graph_classes, "_splice_walk", faulted)
+        narrowing, core, _ = map(len, interval_segments(instance, intervals, chains))
+        cases.append((instance, intervals, narrowing, core, stop, allocation))
+    splice, steps = graph_classes._splice_moves, graph_classes.chain_steps
+    faults = {
+        "narrowing": ("_splice_moves", lambda *args: iter([*splice(*args)][: -1 if args[2] == 0 else None])),
+        "core": ("chain_steps", lambda *args: iter([*steps(*args)][:-1])),
+    }
     outcomes = Counter()
-    for instance, intervals, narrowing, stop, allocation in cases:
-        chains = interval_chains(instance, intervals)
-        with pytest.raises(RuntimeError, match="walks do not meet"):
-            len(chains.combined)
-        with pytest.raises(RuntimeError, match="walks do not meet"):
-            list(chains.core.then(chains.widening))
-        if narrowing == 1:
-            continue  # no move to lose: the narrowing junction holds
-        if stop < narrowing - 1:
-            # the scan stops before the faulted junction, where it stopped before
-            assert interval_ef1(instance, intervals) == allocation
-            outcomes["stops before"] += 1
-        else:
+    for fault, (attribute, faulted) in faults.items():
+        monkeypatch.setattr(graph_classes, attribute, faulted)
+        for instance, intervals, narrowing, core, stop, allocation in cases:
+            if (narrowing if fault == "narrowing" else core) == 1:
+                continue  # no move to lose: the junction holds
+            # the combined index of the step the faulted segment lost
+            lost = narrowing - 1 if fault == "narrowing" else narrowing + core - 2
+            walk = interval_chains(instance, intervals).combined
+            moves = walk._moves()
+            assert len([*itertools.islice(moves, lost - 1)]) == lost - 1
             with pytest.raises(RuntimeError, match="walks do not meet"):
-                interval_ef1(instance, intervals)
-            outcomes["crosses"] += 1
-    assert min(outcomes["stops before"], outcomes["crosses"]) >= 10, outcomes
+                next(moves)
+            with pytest.raises(RuntimeError, match="walks do not meet"):
+                len(walk)
+            if stop < lost:
+                assert interval_ef1(instance, intervals) == allocation
+                outcomes[fault, "stops before"] += 1
+            else:
+                with pytest.raises(RuntimeError, match="walks do not meet"):
+                    interval_ef1(instance, intervals)
+                outcomes[fault, "crosses"] += 1
+        monkeypatch.undo()
+    # no scan here reaches the core's last step, so the core's fault is
+    # crossed by the direct reads above only
+    expected = (("narrowing", "stops before"), ("narrowing", "crosses"), ("core", "stops before"))
+    assert min(outcomes[k] for k in expected) >= 10, outcomes
 
 
 def test_source_outside_the_goods_is_rejected():
