@@ -147,11 +147,12 @@ def chain_steps(graph: ConflictGraph, source: Sequence[int], x1=None, x2=None) -
     from bundle 1 to bundle 2, the goods of X_1 with q = i join bundle 1 and
     those of X_2 with p = i leave bundle 2. The last step is (X_1, S).
 
-    X_2, greedy in (-p, -t) order, is chosen before step 0; X_1, greedy in
-    (q, t) order, a step at a time, so a consumer that stops early pays only
-    for the steps it read. ``x1``/``x2`` override the side sets; an override
-    must be a valid outcome of the greedy under some tie-break of equal q
-    (resp. p), which is how the interval solver injects its own greedy sets.
+    X_2, greedy in (-p, -t) order from one keyed sort, is chosen before
+    step 0; the per-step buckets are built once a reader goes past it, and
+    X_1, greedy in (q, t) order, a step at a time, so a consumer that stops
+    early pays only for the steps it read. ``x1``/``x2`` override the side
+    sets; an override must be a valid outcome of the greedy under some
+    tie-break of equal q (resp. p), as the interval solver's sets are.
     """
     adj, m = graph.adj, graph.m
     s = tuple(source)
@@ -173,16 +174,18 @@ def chain_steps(graph: ConflictGraph, source: Sequence[int], x1=None, x2=None) -
     if p.count(0) != k:
         t = next(t for t in range(m) if not p[t] and t not in s_set)
         raise ValueError(f"source is not maximal: good {t} has no neighbor in it")
-    # Side-set candidates by p and by q: all goods, ascending, or an override.
+    x2_order = x2
+    if x2 is None:
+        # A reverse sort is stable: equal p keep descending t; S (p = 0) sorts last.
+        x2 = _grow_independent(graph, (), sorted(range(m - 1, -1, -1), key=p.__getitem__, reverse=True)[: m - k])
+        x2_order = sorted(x2)
+    yield (), s_set, (), x2
+    # Past step 0: X_2 by p, the X_1 candidates by q, ascending or as given.
     by_p, by_q = [[] for _ in range(k + 1)], [[] for _ in range(k + 1)]
-    for t in range(m) if x2 is None else x2:
+    for t in x2_order:
         by_p[p[t]].append(t)
     for t in range(m) if x1 is None else x1:
         by_q[q[t]].append(t)
-
-    if x2 is None:
-        x2 = _grow_independent(graph, (), [t for i in range(k, 0, -1) for t in reversed(by_p[i])])
-    yield (), s_set, (), x2
     grown = set()  # X_1 so far
     for i, u in enumerate(s, 1):
         in1 = []
@@ -190,7 +193,7 @@ def chain_steps(graph: ConflictGraph, source: Sequence[int], x1=None, x2=None) -
             if x1 is not None or grown.isdisjoint(adj[t]):  # an override keeps all its goods
                 grown.add(t)
                 in1.append(t)
-        yield (u,), tuple(in1), tuple([t for t in by_p[i] if t in x2]), (u,)
+        yield (u,), tuple(in1), tuple(by_p[i]), (u,)
 
 
 def first_ef1_step(one, two, moves: Iterable[tuple]) -> Optional[int]:

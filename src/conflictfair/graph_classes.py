@@ -115,23 +115,21 @@ def interval_scheduling_greedy(
     """Maximum-size subset covering no point more than ``c`` times, in
     ascending order of right endpoint.
 
-    Forward scans ``by_right``; reverse is the same scan on mirrored ranks
-    (x -> 2m-1-x), that is ``by_left`` backwards, and sorts its pick back
-    into right-endpoint order. Every interval chosen so far ends before the
-    candidate [lo, hi), so ``reach[k]``, one past the last gap covered at
-    least k+1 times, decides it: the candidate fits iff ``reach[c-1] <= lo``.
-    One call costs O(m) plus O(c) per candidate.
+    Forward scans ``by_right``; reverse, ``by_left`` backwards, is the same
+    scan on ranks mirrored as it reads them (x -> 2m-1-x), and sorts its
+    pick back into right-endpoint order. Every interval chosen so far ends
+    before the candidate [lo, hi), so ``reach[k]``, one past the last gap
+    covered at least k+1 times, decides it: the candidate fits iff
+    ``reach[c-1] <= lo``. One call costs O(m) plus O(c) per candidate.
     """
     if c < 1:
         raise ValueError("capacity must be at least 1")
+    if direction not in ("forward", "reverse"):
+        raise ValueError("direction must be 'forward' or 'reverse'")
     keys = intervals.keys
     m = len(keys)
-    if direction == "forward":
-        order, spans = intervals.by_right, keys
-    elif direction == "reverse":
-        order, spans = intervals.by_left[::-1], [(2 * m - 1 - r, 2 * m - 1 - l) for l, r in keys]
-    else:
-        raise ValueError("direction must be 'forward' or 'reverse'")
+    reverse, last = direction == "reverse", 2 * m - 1
+    order = intervals.by_left[::-1] if reverse else intervals.by_right
     if subset is not None:
         goods = set(subset)
         order = [g for g in order if g in goods]
@@ -141,14 +139,16 @@ def interval_scheduling_greedy(
     reach = [0] * c
     chosen = []
     for g in order:
-        lo, hi = spans[g]
+        lo, hi = keys[g]
+        if reverse:
+            lo, hi = last - hi, last - lo
         if reach[-1] <= lo:
             for k in range(c - 1, 0, -1):
                 if reach[k - 1] > lo:
                     reach[k] = reach[k - 1]
             reach[0] = hi
             chosen.append(g)
-    if direction == "reverse":
+    if reverse:
         chosen.sort(key=lambda g: keys[g][1])
     return tuple(chosen)
 

@@ -43,18 +43,21 @@ _MODEL_NESTING_LIMIT = 64
 
 def rational_from_str(text) -> Fraction:
     """``Fraction(str(text))`` of a string or a JSON integer, else a
-    ParseError (a float is not exact). A string of ASCII digits with an
-    optional leading '-' skips ``Fraction``'s regular expression. A decimal
-    exponent of magnitude past the int digit limit (if one is set) is
-    refused: 10**e takes time and memory that grow faster than e."""
+    ParseError (a float is not exact). A string a or a/b of ASCII digits, a
+    with an optional leading '-', skips ``Fraction``'s regular expression. A
+    decimal exponent of magnitude past the int digit limit (if one is set)
+    is refused: 10**e takes time and memory that grow faster than e."""
     if type(text) is float:
         raise ParseError(f"bad rational {text!r}: floats are not exact, write it as a string")
     limit = sys.get_int_max_str_digits()
     try:
         if type(text) is str:
-            digits = text.removeprefix("-")
-            if digits.isascii() and digits.isdigit():
-                return Fraction(int(text))
+            num, slash, den = text.partition("/")
+            if num.removeprefix("-").isdigit() and num.isascii():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit() and den.isascii():
+                    return Fraction(int(num), int(den))
         _, e, exponent = str(text).upper().rpartition("E")
         if not (e and limit and abs(int(exponent)) > limit):
             return Fraction(str(text))
@@ -113,12 +116,14 @@ def _edges_from_json(data) -> list:
 
 def _table_entries(items: list):
     """A list of the values by mask when every entry is a pair of ASCII digit
-    strings and the masks run 0, 1, ... in order, as the writers list them,
-    read by one ``json.loads``; other files go entry by entry, into a dict."""
+    strings, values maybe negative, and the masks run 0, 1, ... in order, as
+    the writers list them, read by one ``json.loads``; other files go entry
+    by entry, into a dict. A negative mask fails the range test, and "-0"
+    can only be mask 0, at the start of the body."""
     if {list} >= set(map(type, items)) and {2} >= set(map(len, items)):
-        try:  # json refuses empty strings, leading zeros and numbers past the digit limit
+        try:  # json refuses empty strings, leading zeros, "--1", "1-" and numbers past the digit limit
             body = ",".join(chain.from_iterable(items))
-            if body.isascii() and not body.encode().translate(None, b"0123456789,"):
+            if body.isascii() and not body.encode().translate(None, b"-0123456789,") and body[:1] != "-":
                 numbers = json.loads(f"[{body}]")
                 if numbers[0::2] == list(range(len(items))):  # a comma in a string adds a number
                     return numbers[1::2]

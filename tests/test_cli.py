@@ -1112,11 +1112,12 @@ def _fraction_of_str(value):
 
 
 class TestRationalFromStr:
-    """The ASCII-integer fast path against ``Fraction(str(x))``: same value
-    where it parses, a ParseError where it does not."""
+    """The ASCII integer and fraction fast path against ``Fraction(str(x))``:
+    same value where it parses, a ParseError where it does not."""
 
     CASES = [
         "007", "-0", "+3", " 4 ", "1_000", "\u0663", "1e3", "1/2", "-", "",
+        "-1/2", "1/-2", "01/02", "1//2", "/2", "1/", "\u0663/2", "1/\u0663", "-1/" + "2" * 5000,
         "-007", "--3", "-+3", "3-", "12", "0", "7/0", "3.5", "0x10", "\u00b2",
         "1" * 5000, "-" + "2" * 4300, 0, 5, -12, 10**30, True, None,
         "1e4300", "1E-4300", "1e4301", "-1e-4301", "1e1000000", "1e-1000000", " 2e+1_000_000 ", "1/2e9999",

@@ -215,15 +215,21 @@ def outcome(parse, data):
         return ("error", str(exc))
 
 
-FIELD_CASES = ["+1", " 1", "1 ", "1_0", "\u0661", "", "-0", "-1", "1e3", "0", "1", "01", "007", "2",
-               "1/3", "2/4", "3.5", "0x1", "\u00b9", 1, 0, -1, True, 1.5, 1.0, None, [1]]
+FIELD_CASES = ["+1", " 1", "1 ", "1_0", "\u0661", "", "-0", "-1", "-01", "--1", "1-", "1e3", "0", "1", "01", "007",
+               "2", "1/3", "2/4", "3.5", "0x1", "\u00b9", 1, 0, -1, True, 1.5, 1.0, None, [1]]
 
 
-@pytest.mark.parametrize("field", ["mask", "value"])
+@pytest.mark.parametrize("field", ["mask", "value", "first mask"])
 def test_inlined_digit_cases_parse_as_the_helpers_do(field):
+    # "first mask" puts the case at mask 0, where "-0" passes json and the
+    # masks' range test alike.
     for text in FIELD_CASES:
-        entry = [text, "1"] if field == "mask" else ["1", text]
-        data = {"type": "table", "entries": [["0", "0"], entry]}
+        entries = {
+            "mask": [["0", "0"], [text, "1"]],
+            "value": [["0", "0"], ["1", text]],
+            "first mask": [[text, "0"], ["1", "1"]],
+        }[field]
+        data = {"type": "table", "entries": entries}
         assert outcome(model_from_json, data) == outcome(reference_table_model, data), (field, text)
 
 
@@ -367,17 +373,20 @@ def test_c_level_table_parse_matches_the_per_entry_loop(monkeypatch, int_digits)
             assert got == expected
     finally:
         sys.set_int_max_str_digits(previous)
-    # The C-level path takes every file of pairs of digit strings that json
-    # parses (no leading zero, within the digit limit) whose masks run
-    # 0, 1, ... in order, and only those.
+    # The C-level path takes every file of pairs of digit strings, values
+    # with an optional leading '-', that json parses (no leading zero,
+    # within the digit limit) whose masks run 0, 1, ... in order, and only
+    # those.
     fell_back = {id(items) for items in looped}
     limit = int_digits or previous
 
     def parses_in_c(text):
-        return type(text) is str and 0 < len(text) <= limit and text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+        text = text.removeprefix("-")  # masks are pinned to str(mask) below
+        return 0 < len(text) <= limit and text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
 
     for m, items in files:
-        common = all(type(e) is list and len(e) == 2 for e in items) and all(parses_in_c(s) for e in items for s in e)
+        common = all(type(e) is list and len(e) == 2 for e in items)
+        common = common and all(type(s) is str and parses_in_c(s) for e in items for s in e)
         common = common and [mask for mask, _ in items] == [str(mask) for mask in range(len(items))]
         assert (id(items) not in fell_back) == common, (m, items[:4])
     assert len(files) - len(fell_back) >= 10
@@ -406,13 +415,16 @@ def test_written_tables_parse_on_the_c_level_path(monkeypatch):
         raise AssertionError("took the per-entry loop")
 
     monkeypatch.setattr(serialization, "_table_entries_one_by_one", loop)
-    parsed = 0
+    parsed = negative = 0
     for m, shape, entries in corpus():
         table = Table(m, entries)
-        if table.den == 1 and min(table.nums) >= 0:  # "1/2" and "-1" take the loop
-            assert model_from_json(json.loads(json.dumps(table.to_json())), m) == table, (m, shape)
+        if table.den == 1:  # "1/2" takes the loop; chores tables' "-4" does not
+            data = json.loads(json.dumps(table.to_json()))
+            got = model_from_json(data, m)
+            assert got == table and got.entries == reference_table_model(data, m).entries, (m, shape)
             parsed += 1
-    assert parsed >= 15
+            negative += min(table.nums) < 0
+    assert parsed >= 15 and negative >= 10
 
 
 def test_int_and_fraction_values_mix_without_conversion():

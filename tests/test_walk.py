@@ -16,9 +16,11 @@ import pytest
 
 from conflictfair import (
     CHORES,
+    GOODS,
     Additive,
     Allocation,
     Composite,
+    ConflictGraph,
     Instance,
     IntervalChains,
     IntervalSet,
@@ -49,6 +51,7 @@ from conftest import (
     random_monotone_table,
     reference_interval_ef1,
     reference_side_sets,
+    reference_swap_ef1,
     without_repeats,
 )
 
@@ -123,6 +126,46 @@ def test_chain_walk_equals_eager_steps(swap_corpus):
         assert list(chain.steps) == without_repeats(reference) == reference
         assert len(chain.steps) == len(reference)
         assert chain.steps.first_ef1(instance.identical_model) == _first_ef1_by_definition(instance, reference)
+
+
+def _tied_position_sources(rng):
+    """Graphs with a maximal independent set S whose other goods tie on p or
+    q, each with S in a shuffled order: stars, S the centre or the leaves;
+    complete bipartite graphs, S one side; random graphs in which one good
+    of S neighbours every good outside S."""
+    cases = []
+    for m in range(2, 10):
+        star = ConflictGraph(m, [(0, g) for g in range(1, m)])
+        cases += [(star, {0}), (star, set(range(1, m)))]
+    for a, b in itertools.product(range(1, 5), repeat=2):
+        graph = ConflictGraph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+        cases += [(graph, set(range(a))), (graph, set(range(a, a + b)))]
+    for _ in range(60):
+        m = rng.randint(2, 10)
+        graph = random_graph(rng, m, rng.choice([0.2, 0.4]))
+        source = complete_to_maximal_is(graph, ())
+        hub = rng.choice(sorted(source))
+        cases.append((ConflictGraph(m, [*graph.edges, *((hub, t) for t in range(m) if t not in source)]), source))
+    for graph, source in cases:
+        order = sorted(source)
+        rng.shuffle(order)
+        yield graph, tuple(order)
+
+
+def test_chain_walk_equals_eager_steps_where_positions_tie():
+    # X_2's greedy order breaks ties of p by descending t, X_1's of q by
+    # ascending t; here most goods outside S tie
+    rng = random.Random(707)
+    cases = list(_tied_position_sources(rng))
+    assert len(cases) >= 100
+    for graph, source in cases:
+        for chores in (False, True):
+            instance = Instance(graph, 2, _tie_model(rng, graph.m, chores), CHORES if chores else GOODS)
+            instance = to_goods(instance) if chores else instance
+            chain = build_chain(instance, source)
+            assert chain_side_sets(chain) == reference_side_sets(graph, source), (graph, source)
+            assert list(chain.steps) == eager_chain_steps(graph, source, *chain_side_sets(chain)), (graph, source)
+            assert swap_ef1(instance) == reference_swap_ef1(instance), (graph, source, chores)
 
 
 def test_interval_walks_equal_eager_segments(interval_corpus):
